@@ -145,7 +145,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a parameter sweep from a config file")
     p_run.add_argument("config")
     p_run.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: all cores)")
+                       help="ignored; the sweep runs in one process")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", default=None, help="override the output directory")
     p_run.add_argument("--json-summary", action="store_true",

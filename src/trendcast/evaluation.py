@@ -21,12 +21,12 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .events import TemporalBipartiteGraph
-from .predictors import PredictorSpec, score
+from .predictors import PredictorSpec, score_vector, zero_influence_users
 from .social import InfluenceVector, SocialGraph, compute_influence
 
 log = logging.getLogger(__name__)
@@ -146,37 +146,63 @@ def evaluate(
     used; if both are set they must agree (E_n is defined against the same
     past window the predictor sees).
     """
-    if spec.t_past is not None and spec.t_past != config.t_past:
-        raise ValueError(
-            f"predictor t_past={spec.t_past} disagrees with eval t_past={config.t_past}"
-        )
-    run_spec = spec if spec.kind == "total_pop" else spec.with_t_past(config.t_past)
-    if run_spec.kind == "ibp" and influence is None:
+    if spec.kind == "ibp" and influence is None:
         if social_graph is None:
             raise ValueError("ibp evaluation needs a social graph or influence vector")
-        influence = compute_influence(social_graph, run_spec.centrality)
+        influence = compute_influence(social_graph, spec.centrality)
+    measures = {spec.centrality: influence} if spec.kind == "ibp" else {}
+    return evaluate_many(graph, [spec], config, measures)[0]
 
-    report = EvaluationReport(spec=run_spec, config=config)
-    for date in config.test_dates:
-        if date + config.t_future > graph.t_last:
+
+def evaluate_many(
+    graph: TemporalBipartiteGraph,
+    specs: Sequence[PredictorSpec],
+    config: EvalConfig,
+    influence: Mapping[str, InfluenceVector] | None = None,
+) -> list[EvaluationReport]:
+    """Run every predictor over all test dates; one report per spec, in order.
+
+    The truth top-n, the new-entry set and the seen items depend only on the
+    window and the date, so each is computed once per date and every spec is
+    scored against it. ``influence`` maps the centrality of each ibp spec to
+    its vector. ``spec.t_past`` is resolved as in :func:`evaluate`.
+    """
+    for spec in specs:
+        if spec.t_past is not None and spec.t_past != config.t_past:
             raise ValueError(
-                f"test date {date}: future window ends at {date + config.t_future}, "
-                f"past the last event at {graph.t_last}"
+                f"predictor t_past={spec.t_past} disagrees with eval t_past={config.t_past}"
             )
-        ranking = score(graph, run_spec, date, social_graph, influence)
-        predicted = ranking.top(config.n)
-        truth = true_ranking(graph, date, config.t_future, config.n)
-        e_n, new_set = new_entries(graph, date, config.t_past, config.t_future, config.n)
-        c_n = correctly_guessed(predicted, new_set, config.n)
-        report.per_date.append(
-            DateMetrics(
-                test_date=int(date),
-                precision=precision(predicted, truth, config.n),
-                new_entry_count=e_n,
-                correct_new_entries=c_n,
+    specs = [s if s.kind == "total_pop" else s.with_t_past(config.t_past) for s in specs]
+    aligned = {m: v.lookup(graph.user_ids) for m, v in (influence or {}).items()}
+    missing = {s.centrality for s in specs if s.kind == "ibp"} - aligned.keys()
+    if missing:
+        raise ValueError(f"ibp evaluation needs the influence vectors of {sorted(missing)}")
+
+    reports = [EvaluationReport(spec, config) for spec in specs]
+    dropped = [[] for _ in specs]  # zero-influence users left out, per spec and date
+    n = config.n
+    for date in config.test_dates:
+        truth = true_ranking(graph, date, config.t_future, n)
+        e_n, new_set = new_entries(graph, date, config.t_past, config.t_future, n)
+        seen = np.flatnonzero(graph.item_degree_vector(date) > 0)
+        for spec, report, users in zip(specs, reports, dropped):
+            scores = score_vector(graph, spec, date, aligned.get(spec.centrality))
+            predicted = graph.item_ids[graph.rank_items(scores, seen)[:n]].tolist()
+            report.per_date.append(DateMetrics(int(date), precision(predicted, truth, n), e_n,
+                                               correctly_guessed(predicted, new_set, n)))
+            if spec.kind == "ibp" and spec.eta < 0:
+                users.append(zero_influence_users(graph, date, config.t_past,
+                                                  aligned[spec.centrality]))
+
+    for spec, users in zip(specs, dropped):
+        if any(users):
+            log.warning(
+                "ibp(%s, eta=%g) T_P=%d T_F=%d n=%d: zero-influence users contribute 0 "
+                "on %d of %d test dates (up to %d users in one window)",
+                spec.centrality, spec.eta, config.t_past, config.t_future, n,
+                sum(map(bool, users)), len(users), max(users),
             )
-        )
-    return report
+    return reports
 
 
 SWEEP_COLUMNS = [

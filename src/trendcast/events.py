@@ -1,8 +1,7 @@
 """Time-indexed store of user-item collection events.
 
 The graph is built once from an event stream and is immutable afterwards;
-every query is a pure read, so a graph can be shared freely between threads
-or forked worker processes.
+every query is a pure read, so a graph can be shared freely between threads.
 
 Time conventions used throughout the package:
 
@@ -247,9 +246,12 @@ class TemporalBipartiteGraph:
             cand = np.flatnonzero(self.item_degree_vector(t) > 0)
         else:
             cand = np.arange(self.num_items)
-        order = np.lexsort((self.item_ids[cand], -inc[cand]))[:n]
-        chosen = cand[order]
+        chosen = self.rank_items(inc, cand)[:n]
         return [(int(self.item_ids[c]), int(inc[c])) for c in chosen]
+
+    def rank_items(self, scores, candidates) -> np.ndarray:
+        """Compact item indices ``candidates`` by decreasing score, ties by ascending id."""
+        return candidates[np.lexsort((self.item_ids[candidates], -scores[candidates]))]
 
 
 def build(events: Sequence[Event] | Iterable[tuple]) -> TemporalBipartiteGraph:

@@ -33,18 +33,17 @@ Outputs (written under the output directory):
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import logging
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass, field
 
-from . import evaluation, ingestion, predictors, social
+from . import ingestion, predictors, social
 from .events import TemporalBipartiteGraph, build
-from .evaluation import EvalConfig, EvaluationReport, make_test_dates, write_reports_csv
+from .evaluation import (EvalConfig, EvaluationReport, evaluate_many, make_test_dates,
+                         write_reports_csv)
 from .predictors import PredictorSpec
 
 log = logging.getLogger(__name__)
@@ -175,6 +174,11 @@ def predictor_specs(cfg: ExperimentConfig) -> list[PredictorSpec]:
 
 def validate(cfg: ExperimentConfig) -> list[str]:
     """Collect every problem with the config; empty list means runnable."""
+    return _check(cfg)[0]
+
+
+def _check(cfg: ExperimentConfig) -> tuple[list[str], TemporalBipartiteGraph | None]:
+    """The problems :func:`validate` reports, and the dataset graph if it loaded."""
     problems = []
     for key in cfg.unknown_keys:
         problems.append(f"unknown config key {key!r}")
@@ -215,65 +219,41 @@ def validate(cfg: ExperimentConfig) -> list[str]:
     if cfg.num_test_dates < 1:
         problems.append("test_dates must be >= 1")
 
+    graph = None
     if not problems:
         try:
-            graph = _load_graph(cfg)
+            spec = ingestion.DatasetSpec(
+                format=cfg.format, threshold=cfg.threshold, subset_users=cfg.subset_users,
+                min_user_degree=cfg.min_user_degree, rng_seed=cfg.seed,
+                eligibility_pre_threshold=cfg.eligibility_pre_threshold,
+            )
+            graph = build(ingestion.load_dataset(cfg.dataset, spec))
         except (ValueError, OSError) as exc:
             problems.append(f"cannot load dataset: {exc}")
         else:
+            # the dates keep a t_future margin, so every future window is covered
             for t_past in cfg.t_past_values:
                 for t_future in cfg.t_future_values:
                     try:
-                        dates = make_test_dates(graph, cfg.num_test_dates, t_past, t_future)
+                        make_test_dates(graph, cfg.num_test_dates, t_past, t_future)
                     except ValueError as exc:
                         problems.append(str(exc))
-                        continue
-                    for date in dates:
-                        if date + t_future > graph.t_last:
-                            problems.append(
-                                f"test date {date} (t_past={t_past}, t_future={t_future}): "
-                                f"future window runs past the data end {graph.t_last}"
-                            )
-    return problems
-
-
-def _load_graph(cfg: ExperimentConfig) -> TemporalBipartiteGraph:
-    spec = ingestion.DatasetSpec(
-        format=cfg.format,
-        threshold=cfg.threshold,
-        subset_users=cfg.subset_users,
-        min_user_degree=cfg.min_user_degree,
-        rng_seed=cfg.seed,
-        eligibility_pre_threshold=cfg.eligibility_pre_threshold,
-    )
-    return build(ingestion.load_dataset(cfg.dataset, spec))
-
-
-# Worker-pool context: populated before the pool forks, inherited read-only.
-_CTX: dict = {}
-
-
-def _eval_task(args) -> EvaluationReport:
-    spec, config = args
-    influence = None
-    if spec.kind == "ibp":
-        influence = _CTX["influence"][spec.centrality]
-    return evaluation.evaluate(_CTX["graph"], spec, config, influence=influence)
+    return problems, graph
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: bool = False) -> int:
     """Validate, evaluate the whole grid, write the CSV outputs.
 
-    Returns a process exit status: 0 on success, 1 when validation or any
-    evaluation failed.
+    ``workers`` is accepted for compatibility and ignored: the sweep runs in
+    this process. Returns a process exit status: 0 on success, 1 when
+    validation or any evaluation failed.
     """
-    problems = validate(cfg)
+    problems, graph = _check(cfg)
     if problems:
         for p in problems:
             log.error("config: %s", p)
         return 1
 
-    graph = _load_graph(cfg)
     log.info("loaded %r", graph)
     social_graph = social.load_social_graph(cfg.social) if cfg.social else None
 
@@ -283,45 +263,29 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
         influence[measure] = social.compute_influence(social_graph, measure)
 
     specs = predictor_specs(cfg)
-    tasks: list[tuple[PredictorSpec, EvalConfig]] = []
-    for spec in specs:
+    grid = []  # one report per spec for each (t_past, t_future, n), in that nesting
+    heat_reports = []
+    try:
         for t_past in cfg.t_past_values:
             for t_future in cfg.t_future_values:
                 dates = make_test_dates(graph, cfg.num_test_dates, t_past, t_future)
-                for n in cfg.n_values:
-                    tasks.append((spec, EvalConfig(t_past, t_future, dates, n)))
-
-    heat_tasks: list[tuple[PredictorSpec, EvalConfig]] = []
-    for t_past in cfg.t_past_values:
-        for t_future in cfg.t_future_values:
-            dates = make_test_dates(graph, cfg.num_test_dates, t_past, t_future)
-            heat_tasks.append(
-                (PredictorSpec("recent_pop"), EvalConfig(t_past, t_future, dates, cfg.n_values[0]))
-            )
-
-    _CTX.update(graph=graph, influence=influence)
-    all_tasks = tasks + heat_tasks
-    if workers is None:
-        workers = os.cpu_count() or 1
-    try:
-        if workers > 1 and multiprocessing.get_start_method(allow_none=False) == "fork":
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_eval_task, all_tasks))
-        else:
-            reports = [_eval_task(t) for t in all_tasks]
+                for j, n in enumerate(cfg.n_values):
+                    # the heatmap's recent_pop is scored along with the first n
+                    heat = [PredictorSpec("recent_pop")] if j == 0 else []
+                    config = EvalConfig(t_past, t_future, dates, n)
+                    reports = evaluate_many(graph, specs + heat, config, influence)
+                    if heat:
+                        heat_reports.append(reports.pop())
+                    grid.append(reports)
     except ValueError as exc:
         log.error("evaluation failed: %s", exc)
         return 1
-    finally:
-        _CTX.clear()
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    sweep_reports = reports[: len(tasks)]
-    heat_reports = reports[len(tasks):]
+    sweep_reports = [reports[k] for k in range(len(specs)) for reports in grid]
     write_reports_csv(sweep_reports, os.path.join(cfg.out_dir, "sweep.csv"))
     _write_heatmap(heat_reports, os.path.join(cfg.out_dir, "heatmap.csv"))
-    _write_scatter(graph, sweep_reports[0], social_graph, influence,
-                   os.path.join(cfg.out_dir, "scatter.csv"))
+    _write_scatter(graph, sweep_reports[0], influence, os.path.join(cfg.out_dir, "scatter.csv"))
     log.info("wrote sweep.csv, heatmap.csv, scatter.csv to %s", cfg.out_dir)
 
     if json_summary:
@@ -352,13 +316,12 @@ def _write_heatmap(reports: list[EvaluationReport], path) -> None:
                              report.mean_precision])
 
 
-def _write_scatter(graph, report: EvaluationReport, social_graph, influence, path) -> None:
+def _write_scatter(graph, report: EvaluationReport, influence, path) -> None:
     """Past vs future increase for every active item at one test date, with
     the first grid predictor's top-n picks flagged."""
     config, spec = report.config, report.spec
     date = config.test_dates[len(config.test_dates) // 2]
-    infl = influence.get(spec.centrality) if spec.kind == "ibp" else None
-    ranking = predictors.score(graph, spec, date, social_graph, infl)
+    ranking = predictors.score(graph, spec, date, influence=influence.get(spec.centrality))
     picked = set(ranking.top(config.n))
     past = graph.item_increase_vector(date, config.t_past)
     future = graph.item_increase_vector(date + config.t_future, config.t_future)

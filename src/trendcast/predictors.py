@@ -1,8 +1,8 @@
 """Item scoring at a test date.
 
-Five predictor kinds, all producing a :class:`ScoredRanking` over the items
-already seen by the test date (items with zero degree at the test date are
-not ranked):
+Five predictor kinds, scored per item by :func:`score_vector` and ranked
+into a :class:`ScoredRanking` over the items already seen by the test date
+(items with zero degree at the test date are not ranked):
 
 * ``total_pop``  - score is the item's current degree;
 * ``recent_pop`` - score is the degree increase inside the past window;
@@ -89,28 +89,63 @@ class ScoredRanking:
 
 
 def _ranking(graph, scores, test_date, spec) -> ScoredRanking:
-    seen = np.flatnonzero(graph.item_degree_vector(test_date) > 0)
-    ids = graph.item_ids[seen]
-    sc = scores[seen]
-    order = np.lexsort((ids, -sc))
-    entries = [(int(ids[o]), float(sc[o])) for o in order]
+    order = graph.rank_items(scores, np.flatnonzero(graph.item_degree_vector(test_date) > 0))
+    entries = list(zip(graph.item_ids[order].tolist(), scores[order].tolist()))
     if math.isfinite(test_date):
         test_date = int(test_date)
     return ScoredRanking(entries, test_date, spec)
 
 
+def score_vector(
+    graph: TemporalBipartiteGraph, spec: PredictorSpec, test_date, infl=None, user_weight="total"
+) -> np.ndarray:
+    """Float64 score of every item at ``test_date``, aligned with ``item_ids``.
+
+    Windowed kinds need ``spec.t_past``; ibp needs ``infl``, the influence of
+    every user aligned with ``graph.user_ids``. For ``user_weight`` see
+    :func:`score_wpp`.
+    """
+    if spec.kind == "total_pop":
+        return graph.item_degree_vector(test_date).astype(np.float64)
+    if spec.kind in ("recent_pop", "pbp"):
+        lam = 1.0 if spec.kind == "recent_pop" else spec.lam
+        now = graph.item_degree_vector(test_date).astype(np.float64)
+        past = graph.item_degree_vector(test_date - spec.t_past).astype(np.float64)
+        return now - lam * past
+    win_users, win_items = graph.window_events(test_date, spec.t_past)
+    if spec.kind == "wpp":
+        activity = graph.user_degree_vector(test_date).astype(np.float64)
+        if user_weight == "recent":
+            activity = activity - graph.user_degree_vector(test_date - spec.t_past)
+        contrib = activity[win_users] ** spec.gamma
+    else:
+        weight = infl[win_users]
+        if spec.eta < 0:
+            # zero influence is defined to contribute 0, not inf
+            contrib = np.zeros(len(weight))
+            nonzero = weight != 0.0
+            contrib[nonzero] = weight[nonzero] ** spec.eta
+        else:
+            # 0**0 == 1 by convention, which is exactly what the eta=0
+            # reduction to the plain degree increase requires.
+            contrib = weight**spec.eta
+    return np.bincount(win_items, weights=contrib, minlength=graph.num_items)
+
+
+def zero_influence_users(graph: TemporalBipartiteGraph, test_date, t_past, infl) -> int:
+    """Distinct users collecting inside ``(test_date - t_past, test_date]`` with influence 0."""
+    win_users, _ = graph.window_events(test_date, t_past)
+    return len(np.unique(win_users[infl[win_users] == 0.0]))
+
+
 def score_total_pop(graph: TemporalBipartiteGraph, test_date) -> ScoredRanking:
     """Rank items by their total degree at the test date."""
-    scores = graph.item_degree_vector(test_date).astype(np.float64)
-    return _ranking(graph, scores, test_date, PredictorSpec("total_pop"))
+    return score(graph, PredictorSpec("total_pop"), test_date)
 
 
 def score_recent_pop(graph: TemporalBipartiteGraph, test_date, t_past) -> ScoredRanking:
     """Rank items by their degree increase inside ``(test_date - t_past, test_date]``."""
-    spec = PredictorSpec("recent_pop", t_past=t_past)
-    now = graph.item_degree_vector(test_date).astype(np.float64)
-    past = graph.item_degree_vector(test_date - t_past).astype(np.float64)
-    return _ranking(graph, now - past, test_date, spec)
+    return score(graph, PredictorSpec("recent_pop", t_past=t_past), test_date)
 
 
 def score_pbp(graph: TemporalBipartiteGraph, test_date, t_past, lam) -> ScoredRanking:
@@ -119,10 +154,7 @@ def score_pbp(graph: TemporalBipartiteGraph, test_date, t_past, lam) -> ScoredRa
     ``lam=0`` reproduces the total-degree ordering, ``lam=1`` the
     degree-increase ordering.
     """
-    spec = PredictorSpec("pbp", lam=lam, t_past=t_past)
-    now = graph.item_degree_vector(test_date).astype(np.float64)
-    past = graph.item_degree_vector(test_date - t_past).astype(np.float64)
-    return _ranking(graph, now - lam * past, test_date, spec)
+    return score(graph, PredictorSpec("pbp", lam=lam, t_past=t_past), test_date)
 
 
 def score_wpp(
@@ -139,12 +171,7 @@ def score_wpp(
     if user_weight not in ("total", "recent"):
         raise ValueError(f"user_weight must be 'total' or 'recent', got {user_weight!r}")
     spec = PredictorSpec("wpp", gamma=gamma, t_past=t_past)
-    win_users, win_items = graph.window_events(test_date, t_past)
-    activity = graph.user_degree_vector(test_date).astype(np.float64)
-    if user_weight == "recent":
-        activity = activity - graph.user_degree_vector(test_date - t_past)
-    contrib = activity[win_users] ** gamma
-    scores = np.bincount(win_items, weights=contrib, minlength=graph.num_items)
+    scores = score_vector(graph, spec, test_date, user_weight=user_weight)
     return _ranking(graph, scores, test_date, spec)
 
 
@@ -172,25 +199,12 @@ def score_ibp(
             raise ValueError("ibp needs a social graph or a precomputed influence vector")
         influence = compute_influence(social_graph, centrality)
     spec = PredictorSpec("ibp", eta=eta, t_past=t_past, centrality=influence.measure)
-
-    win_users, win_items = graph.window_events(test_date, t_past)
-    infl = influence.lookup(graph.user_ids[win_users])
-    zero = infl == 0.0
-    if eta < 0 and zero.any():
-        contrib = np.zeros(len(infl))
-        contrib[~zero] = infl[~zero] ** eta
-        affected = len(np.unique(win_users[zero]))
-        log.warning(
-            "ibp: %d zero-influence users in the window contribute 0 under eta=%g",
-            affected,
-            eta,
-        )
-    else:
-        # 0**0 == 1 by convention, which is exactly what the eta=0
-        # reduction to the plain degree increase requires.
-        contrib = infl**eta
-    scores = np.bincount(win_items, weights=contrib, minlength=graph.num_items)
-    return _ranking(graph, scores, test_date, spec)
+    infl = influence.lookup(graph.user_ids)
+    affected = zero_influence_users(graph, test_date, t_past, infl) if eta < 0 else 0
+    if affected:
+        log.warning("ibp: %d zero-influence users in the window contribute 0 under eta=%g",
+                    affected, eta)
+    return _ranking(graph, score_vector(graph, spec, test_date, infl), test_date, spec)
 
 
 def score(
@@ -201,16 +215,10 @@ def score(
     influence: InfluenceVector | None = None,
 ) -> ScoredRanking:
     """Run the predictor described by ``spec`` at ``test_date``."""
-    if spec.kind == "total_pop":
-        return score_total_pop(graph, test_date)
-    if spec.t_past is None:
+    if spec.kind != "total_pop" and spec.t_past is None:
         raise ValueError(f"{spec.kind} needs t_past")
-    if spec.kind == "recent_pop":
-        return score_recent_pop(graph, test_date, spec.t_past)
-    if spec.kind == "pbp":
-        return score_pbp(graph, test_date, spec.t_past, spec.lam)
-    if spec.kind == "wpp":
-        return score_wpp(graph, test_date, spec.t_past, spec.gamma)
-    return score_ibp(
-        graph, social_graph, test_date, spec.t_past, spec.eta, spec.centrality, influence
-    )
+    if spec.kind == "ibp":
+        return score_ibp(
+            graph, social_graph, test_date, spec.t_past, spec.eta, spec.centrality, influence
+        )
+    return _ranking(graph, score_vector(graph, spec, test_date), test_date, spec)

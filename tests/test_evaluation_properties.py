@@ -1,0 +1,81 @@
+"""evaluate_many against the brute-force oracles on small random graphs.
+
+Small id and time ranges make score ties at rank n, windows with fewer
+than n active items and users without influence common. Exponents, lambdas
+and influence values are chosen so that every score is an exact binary
+fraction: sums then do not depend on their order, score ties are exact,
+and the predicted top-n is fixed by the (decreasing score, ascending id)
+rule alone, which is what this test pins.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import dedup_earliest
+from trendcast.evaluation import EvalConfig, evaluate_many
+from trendcast.events import Event, build
+from trendcast.predictors import PredictorSpec
+from trendcast.social import InfluenceVector
+
+SPECS = [
+    PredictorSpec("total_pop"),
+    PredictorSpec("recent_pop"),
+    *(PredictorSpec("pbp", lam=lam) for lam in (0.0, 0.5, 1.0)),
+    *(PredictorSpec("wpp", gamma=gamma) for gamma in (0.0, 1.0, 2.0)),
+    *(PredictorSpec("ibp", eta=eta, centrality="in_degree") for eta in (-2.0, -1.0, 0.0, 1.0)),
+]
+
+events_st = st.lists(
+    st.builds(Event, st.integers(0, 7), st.integers(0, 7), st.integers(0, 30)),
+    min_size=1, max_size=40,
+)
+
+
+def oracle_scores(events, spec, t, t_past, influence):
+    """Score of every item seen by ``t``, straight from the formulas."""
+    if spec.kind == "wpp":
+        return oracles.wpp_scores(events, t, t_past, spec.gamma)
+    if spec.kind == "ibp":
+        return oracles.ibp_scores(events, t, t_past, spec.eta, influence)
+    lam = {"total_pop": 0.0, "recent_pop": 1.0}.get(spec.kind, spec.lam)
+    seen = {i for _, i, _ in events if oracles.degree_at(events, i, t) > 0}
+    return {i: oracles.degree_at(events, i, t) - lam * oracles.degree_at(events, i, t - t_past)
+            for i in seen}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    raw=events_st,
+    t_past=st.integers(1, 12),
+    t_future=st.integers(1, 12),
+    n=st.integers(1, 10),
+    date_picks=st.lists(st.floats(0, 1), min_size=1, max_size=3),
+    influence_picks=st.dictionaries(st.integers(0, 7), st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0])),
+)
+def test_evaluate_many_matches_oracles(raw, t_past, t_future, n, date_picks, influence_picks):
+    graph = build(raw)
+    events = dedup_earliest(raw)
+    last = graph.t_last - t_future
+    dates = sorted({int(p * last) for p in date_picks if last >= 0})
+    if not dates:
+        return
+    # users missing from the dict are absent from the social graph: influence 0
+    users = sorted(influence_picks)
+    influence = InfluenceVector("in_degree", np.array(users, dtype=np.int64),
+                                np.array([influence_picks[u] for u in users]))
+    config = EvalConfig(t_past, t_future, dates, n)
+
+    reports = evaluate_many(graph, SPECS, config, {"in_degree": influence})
+
+    for report in reports:
+        for t, got in zip(dates, report.per_date):
+            scores = oracle_scores(events, report.spec, t, t_past, influence_picks)
+            predicted = sorted(scores, key=lambda i: (-scores[i], i))[:n]
+            truth = [i for i, _ in oracles.top_items_by_increase(events, t + t_future, t_future, n)]
+            new = oracles.new_entries(events, t, t_past, t_future, n)
+            assert got.test_date == t
+            assert got.precision == oracles.precision(predicted, truth, n), report.spec
+            assert got.new_entry_count == len(new)
+            assert got.correct_new_entries == len(set(predicted) & new), report.spec

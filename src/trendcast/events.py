@@ -48,32 +48,15 @@ class TemporalBipartiteGraph:
     queries are aligned with.
     """
 
-    def __init__(self, users, items, timestamps, duplicates_collapsed=0):
-        # users/items/timestamps are parallel int64 arrays, already
-        # deduplicated and sorted by (timestamp, user, item); use build().
-        self._users_raw = users
-        self._items_raw = items
+    def __init__(self, user_ids, item_ids, users, items, timestamps, duplicates_collapsed=0):
+        # users/items index user_ids/item_ids; the events are deduplicated and
+        # sorted by (timestamp, user, item). Use build() or from_arrays().
+        self.user_ids = user_ids
+        self.item_ids = item_ids
+        self._users = users
+        self._items = items
         self._ts = timestamps
         self.duplicates_collapsed = int(duplicates_collapsed)
-
-        self.user_ids, self._users = np.unique(users, return_inverse=True)
-        self.item_ids, self._items = np.unique(items, return_inverse=True)
-
-        # CSR-style per-entity timestamp lists (time-sorted within a group
-        # because the global order is time-sorted and argsort is stable).
-        self._user_event_ts, self._user_starts = self._group(
-            self._users, self._ts, len(self.user_ids)
-        )
-        self._item_event_ts, self._item_starts = self._group(
-            self._items, self._ts, len(self.item_ids)
-        )
-
-    @staticmethod
-    def _group(idx, ts, count):
-        order = np.argsort(idx, kind="stable")
-        starts = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(idx, minlength=count), out=starts[1:])
-        return ts[order], starts
 
     @classmethod
     def from_arrays(cls, users, items, timestamps) -> "TemporalBipartiteGraph":
@@ -93,19 +76,24 @@ class TemporalBipartiteGraph:
                 f"(user={users[k]}, item={items[k]}, timestamp={ts[k]})"
             )
 
-        # Collapse duplicate (user, item) pairs keeping the earliest timestamp:
-        # sort by (user, item, ts) and keep the first row of every pair run.
-        order = np.lexsort((ts, items, users))
-        u, i, t = users[order], items[order], ts[order]
-        first = np.ones(u.size, dtype=bool)
-        first[1:] = (u[1:] != u[:-1]) | (i[1:] != i[:-1])
-        collapsed = int(u.size - first.sum())
-        u, i, t = u[first], i[first], t[first]
+        user_ids, users = np.unique(users, return_inverse=True)
+        item_ids, items = np.unique(items, return_inverse=True)
+        # Collapse duplicate (user, item) pairs keeping the earliest timestamp.
+        # The pair key is below U * I <= links**2 and orders pairs by (user, item).
+        pairs = users * len(item_ids) + items
+        order = np.argsort(pairs)
+        pairs, ts = pairs[order], ts[order]
+        starts = np.flatnonzero(np.concatenate(([True], pairs[1:] != pairs[:-1])))
+        pairs, ts = pairs[starts], np.minimum.reduceat(ts, starts)
+        collapsed = int(order.size - starts.size)
         if collapsed:
             log.debug("collapsed %d duplicate user-item events", collapsed)
 
-        order = np.lexsort((i, u, t))
-        return cls(u[order], i[order], t[order], duplicates_collapsed=collapsed)
+        # The pairs are ascending, so a stable sort by time orders the events
+        # by (timestamp, user, item).
+        order = np.argsort(ts, kind="stable")
+        users, items = np.divmod(pairs[order], len(item_ids))
+        return cls(user_ids, item_ids, users, items, ts[order], duplicates_collapsed=collapsed)
 
     # -- basic shape ----------------------------------------------------
 
@@ -144,54 +132,29 @@ class TemporalBipartiteGraph:
 
     # -- id lookups ------------------------------------------------------
 
-    def _user_index(self, user_id) -> int:
-        pos = int(np.searchsorted(self.user_ids, user_id))
-        if pos == len(self.user_ids) or self.user_ids[pos] != user_id:
-            raise KeyError(f"unknown user id {user_id}")
+    @staticmethod
+    def _index(ids, key, side) -> int:
+        pos = int(np.searchsorted(ids, key))
+        if pos == len(ids) or ids[pos] != key:
+            raise KeyError(f"unknown {side} id {key}")
         return pos
-
-    def _item_index(self, item_id) -> int:
-        pos = int(np.searchsorted(self.item_ids, item_id))
-        if pos == len(self.item_ids) or self.item_ids[pos] != item_id:
-            raise KeyError(f"unknown item id {item_id}")
-        return pos
-
-    def has_user(self, user_id) -> bool:
-        pos = np.searchsorted(self.user_ids, user_id)
-        return pos < len(self.user_ids) and self.user_ids[pos] == user_id
-
-    def has_item(self, item_id) -> bool:
-        pos = np.searchsorted(self.item_ids, item_id)
-        return pos < len(self.item_ids) and self.item_ids[pos] == item_id
-
-    def user_event_times(self, user_id) -> np.ndarray:
-        """Sorted timestamps of one user's events (read-only view)."""
-        k = self._user_index(user_id)
-        return self._user_event_ts[self._user_starts[k] : self._user_starts[k + 1]]
-
-    def item_event_times(self, item_id) -> np.ndarray:
-        """Sorted timestamps of one item's events (read-only view)."""
-        k = self._item_index(item_id)
-        return self._item_event_ts[self._item_starts[k] : self._item_starts[k + 1]]
 
     # -- degree queries ----------------------------------------------------
+    # One-entity reads of the vector queries below: O(L) each, for
+    # convenience, not for loops.
 
     def item_degree_at(self, item_id, t) -> int:
         """Number of users who collected ``item_id`` by time ``t`` (inclusive)."""
-        return int(np.searchsorted(self.item_event_times(item_id), t, side="right"))
+        return int(self.item_degree_vector(t)[self._index(self.item_ids, item_id, "item")])
 
     def user_degree_at(self, user_id, t) -> int:
         """Number of items ``user_id`` collected by time ``t`` (inclusive)."""
-        return int(np.searchsorted(self.user_event_times(user_id), t, side="right"))
+        return int(self.user_degree_vector(t)[self._index(self.user_ids, user_id, "user")])
 
     def item_degree_increase(self, item_id, t, t_past) -> int:
         """Event count of ``item_id`` inside the window ``(t - t_past, t]``."""
-        if t_past <= 0:
-            raise ValueError(f"window length must be positive, got {t_past}")
-        ts = self.item_event_times(item_id)
-        hi = np.searchsorted(ts, t, side="right")
-        lo = np.searchsorted(ts, t - t_past, side="right")
-        return int(hi - lo)
+        increase = self.item_increase_vector(t, t_past)
+        return int(increase[self._index(self.item_ids, item_id, "item")])
 
     # -- vectorized queries (aligned with user_ids / item_ids order) -------
 
@@ -254,8 +217,9 @@ class TemporalBipartiteGraph:
         return candidates[np.lexsort((self.item_ids[candidates], -scores[candidates]))]
 
 
-def build(events: Sequence[Event] | Iterable[tuple]) -> TemporalBipartiteGraph:
-    """Build a graph from an event sequence.
+def build(events: np.ndarray | Sequence[Event] | Iterable[tuple]) -> TemporalBipartiteGraph:
+    """Build a graph from ``Event`` tuples or an ``(N, 3)`` array such as the
+    ``trendcast.ingestion`` loaders return.
 
     Input may be unsorted and may contain duplicate (user, item) pairs;
     duplicates are collapsed keeping the earliest timestamp (the first
@@ -267,5 +231,4 @@ def build(events: Sequence[Event] | Iterable[tuple]) -> TemporalBipartiteGraph:
         raise ValueError("empty event stream")
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("events must be (user_id, item_id, timestamp) triples")
-    arr = arr.astype(np.int64, copy=False)
     return TemporalBipartiteGraph.from_arrays(arr[:, 0], arr[:, 1], arr[:, 2])

@@ -1,10 +1,16 @@
 """Loaders for the canonical dataset files.
 
-Two CSV schemas are supported (comma-separated, UTF-8, LF endings):
+Two CSV schemas are supported (comma-separated, UTF-8, LF or CRLF endings):
 
 * ratings: header ``user,item,rating,timestamp`` - a record becomes an
   event iff its rating clears the threshold (default 3.0);
 * votes: header ``user,item,timestamp`` - every record is an event.
+
+Every row holds exactly the header's fields, which may be double-quoted:
+int64 ids and timestamps, a rating in [``RATING_MIN``, ``RATING_MAX``].
+Anything else, blank lines and extra fields included, is a ``file:line``
+``ValueError``. The loaders return one ``(N, 3)`` int64 array of
+``(user, item, timestamp)`` rows in file order for ``events.build``.
 
 Raw distribution formats (per-movie rating files, ``::``-separated rating
 logs, vote dumps) are converted to these schemas up front; see the README
@@ -15,12 +21,10 @@ from __future__ import annotations
 
 import csv
 import logging
+import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-
-from .events import Event
 
 log = logging.getLogger(__name__)
 
@@ -30,13 +34,7 @@ RATING_MAX = 5.0
 RATINGS_HEADER = ["user", "item", "rating", "timestamp"]
 VOTES_HEADER = ["user", "item", "timestamp"]
 
-
-@dataclass
-class RatingRecord:
-    user_id: int
-    item_id: int
-    rating: float
-    timestamp: int
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass
@@ -68,133 +66,159 @@ class DatasetSpec:
             raise ValueError("user subsetting applies to ratings datasets only")
 
 
-def _open_csv(path, expected_header):
-    fh = open(path, "r", encoding="utf-8", newline="")
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        fh.close()
-        raise ValueError(f"{path}: missing header row") from None
-    if [h.strip() for h in header] != expected_header:
-        fh.close()
-        raise ValueError(
-            f"{path}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
-        )
-    return fh, reader
+def read_table(path, rescan, rows: int | None = None, **loadtxt_args) -> np.ndarray:
+    """``np.loadtxt(path, **loadtxt_args)``, expected to give ``rows`` rows if set.
 
-
-def load_rating_records(path) -> list[RatingRecord]:
-    """Parse a ratings CSV without applying any threshold."""
-    fh, reader = _open_csv(path, RATINGS_HEADER)
-    records = []
-    with fh:
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                user, item = int(row[0]), int(row[1])
-                rating, ts = float(row[2]), int(row[3])
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
-            if not RATING_MIN <= rating <= RATING_MAX:
-                raise ValueError(
-                    f"{path}:{lineno}: rating {rating} outside [{RATING_MIN}, {RATING_MAX}]"
-                )
-            records.append(RatingRecord(user, item, rating, ts))
-    return records
-
-
-def load_ratings(path, spec: DatasetSpec | None = None) -> list[Event]:
-    """Load a ratings CSV as events, thresholding and optionally subsetting users."""
-    spec = spec or DatasetSpec()
-    records = load_rating_records(path)
-
-    chosen = None
-    if spec.subset_users is not None:
-        if spec.eligibility_pre_threshold:
-            counts = {}
-            for r in records:
-                counts[r.user_id] = counts.get(r.user_id, 0) + 1
+    On a parse failure or a row-count mismatch (loadtxt skips blank lines),
+    ``rescan(path)`` raises the ``file:line`` error of the first bad line;
+    should it find none, loadtxt's own complaint is raised.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            table = np.loadtxt(path, encoding="utf-8", **loadtxt_args)
+        except ValueError as exc:
+            problem = str(exc)
         else:
-            counts = {}
-            for r in records:
-                if r.rating >= spec.threshold:
-                    counts[r.user_id] = counts.get(r.user_id, 0) + 1
-        eligible = sorted(u for u, c in counts.items() if c >= spec.min_user_degree)
-        chosen = set(_sample_users(eligible, spec.subset_users, spec.rng_seed))
-
-    events, dropped = [], 0
-    for r in records:
-        if r.rating < spec.threshold:
-            dropped += 1
-            continue
-        if chosen is not None and r.user_id not in chosen:
-            continue
-        events.append(Event(r.user_id, r.item_id, r.timestamp))
-    log.info(
-        "%s: %d events kept, %d below threshold %.1f%s",
-        path, len(events), dropped, spec.threshold,
-        f", subset to {spec.subset_users} users" if chosen is not None else "",
-    )
-    return events
+            if rows is None or len(table) == rows:
+                return table
+            problem = f"parsed {len(table)} rows of {rows}"
+    rescan(path)
+    raise ValueError(f"{path}: {problem}")
 
 
-def load_votes(path) -> list[Event]:
-    """Load a votes CSV: every row is an event."""
-    fh, reader = _open_csv(path, VOTES_HEADER)
-    events = []
-    with fh:
+def parse_field(field: str, dtype=np.int64):
+    """Parse one field as ``np.loadtxt`` would: ``_`` digit separators, non-ASCII
+    digits and non-integers (``3.0``) raise ``ValueError``, integers outside
+    int64 ``OverflowError``."""
+    if "_" in field or not field.strip().isascii():
+        raise ValueError(field)
+    if dtype == np.float64:
+        return float(field)
+    value = int(field)
+    if not _INT64.min <= value <= _INT64.max:
+        raise OverflowError(field)
+    return value
+
+
+def _check_ratings(path, ratings: np.ndarray, first_line: int) -> None:
+    bad = np.flatnonzero(~((ratings >= RATING_MIN) & (ratings <= RATING_MAX)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"{path}:{first_line + k}: rating {ratings[k]} outside [{RATING_MIN}, {RATING_MAX}]"
+        )
+
+
+def _rescan_csv(path, dtype) -> None:
+    """Raise the ``file:line`` error for the first CSV row that does not parse."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for lineno, row in enumerate(reader, start=2):
             try:
-                events.append(Event(int(row[0]), int(row[1]), int(row[2])))
-            except (ValueError, IndexError):
+                if len(row) != len(dtype):
+                    raise ValueError("field count")
+                values = {name: parse_field(f, kind) for (name, kind), f in zip(dtype, row)}
+            except OverflowError:
+                raise ValueError(f"{path}:{lineno}: integer outside int64 in row {row!r}") from None
+            except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
-    return events
+            if "rating" in values:
+                _check_ratings(path, np.array([values["rating"]]), lineno)
 
 
-def load_dataset(path, spec: DatasetSpec) -> list[Event]:
-    if spec.format == "votes":
-        return load_votes(path)
-    return load_ratings(path, spec)
+def _read_csv(path, header) -> np.ndarray:
+    """Parse a CSV with ``header`` into a structured array, one field per column."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        body = fh.read()
+    if not first:
+        raise ValueError(f"{path}: missing header row")
+    found = next(csv.reader([first]), [])
+    if [h.strip() for h in found] != header:
+        raise ValueError(
+            f"{path}: expected header {','.join(header)!r}, got {','.join(found)!r}"
+        )
+    rows = body.count("\n") + (len(body) > 0 and not body.endswith("\n"))
+    dtype = [(name, np.float64 if name == "rating" else np.int64) for name in header]
+    return read_table(
+        path, lambda p: _rescan_csv(p, dtype), rows, dtype=dtype, delimiter=",",
+        quotechar='"', comments=None, skiprows=1, ndmin=1,
+    )
 
 
-def _sample_users(eligible: list, count: int, seed: int) -> list:
+def _events(table) -> np.ndarray:
+    return np.column_stack([table["user"], table["item"], table["timestamp"]])
+
+
+def _sample_users(users: np.ndarray, count: int, min_degree: int, seed: int) -> np.ndarray:
+    """``count`` distinct ids drawn from those listed >= ``min_degree`` times in ``users``."""
     if count <= 0:
         raise ValueError(f"cannot subset to {count} users")
+    ids, counts = np.unique(users, return_counts=True)
+    eligible = ids[counts >= min_degree]
     if len(eligible) < count:
         raise ValueError(
             f"requested {count} users but only {len(eligible)} meet the degree criterion"
         )
     # PCG64 via default_rng: stable across platforms for a fixed seed.
-    rng = np.random.default_rng(seed)
-    picked = rng.choice(np.asarray(eligible, dtype=np.int64), size=count, replace=False)
-    return [int(u) for u in picked]
+    return np.random.default_rng(seed).choice(eligible, size=count, replace=False)
 
 
-def subset_users(events: Sequence[Event], num_users: int, min_degree: int = 20, seed: int = 0) -> list[Event]:
-    """Keep all events of ``num_users`` randomly chosen users with >= ``min_degree`` events.
+def load_ratings(path, spec: DatasetSpec | None = None) -> np.ndarray:
+    """Load a ratings CSV as events, thresholding and optionally subsetting users."""
+    spec = spec or DatasetSpec()
+    table = _read_csv(path, RATINGS_HEADER)
+    _check_ratings(path, table["rating"], 2)
+    events = _events(table)
+    keep = table["rating"] >= spec.threshold
+    dropped = int(keep.size - np.count_nonzero(keep))
+    if spec.subset_users is not None:
+        counted = events[:, 0] if spec.eligibility_pre_threshold else events[keep, 0]
+        chosen = _sample_users(counted, spec.subset_users, spec.min_user_degree, spec.rng_seed)
+        keep &= np.isin(events[:, 0], chosen)
+    events = events[keep]
+    log.info(
+        "%s: %d events kept, %d below threshold %.1f%s",
+        path, len(events), dropped, spec.threshold,
+        f", subset to {spec.subset_users} users" if spec.subset_users is not None else "",
+    )
+    return events
 
-    Selection is independent of the input event order and reproducible for a
-    fixed seed.
+
+def load_votes(path) -> np.ndarray:
+    """Load a votes CSV: every row is an event."""
+    return _events(_read_csv(path, VOTES_HEADER))
+
+
+def load_dataset(path, spec: DatasetSpec) -> np.ndarray:
+    if spec.format == "votes":
+        return load_votes(path)
+    return load_ratings(path, spec)
+
+
+def subset_users(events: np.ndarray, num_users: int, min_degree: int = 20, seed: int = 0):
+    """Keep all rows of ``num_users`` randomly chosen users with >= ``min_degree`` rows.
+
+    ``events`` is an ``(N, 3)`` array as the loaders return it. Selection is
+    independent of the row order and reproducible for a fixed seed.
     """
-    counts = {}
-    for e in events:
-        counts[e.user_id] = counts.get(e.user_id, 0) + 1
-    eligible = sorted(u for u, c in counts.items() if c >= min_degree)
-    chosen = set(_sample_users(eligible, num_users, seed))
-    return [e for e in events if e.user_id in chosen]
+    chosen = _sample_users(events[:, 0], num_users, min_degree, seed)
+    return events[np.isin(events[:, 0], chosen)]
 
 
-def write_votes_csv(events: Sequence[Event], path) -> None:
+def write_votes_csv(events, path) -> None:
+    """Write ``Event`` tuples or an ``(N, 3)`` array as a votes CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(VOTES_HEADER)
-        for e in events:
-            writer.writerow([e.user_id, e.item_id, e.timestamp])
+        writer.writerows(events)
 
 
-def write_ratings_csv(records: Sequence[RatingRecord], path) -> None:
+def write_ratings_csv(records, path) -> None:
+    """Write ``(user, item, rating, timestamp)`` rows as a ratings CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RATINGS_HEADER)
-        for r in records:
-            writer.writerow([r.user_id, r.item_id, r.rating, r.timestamp])
+        writer.writerows(records)

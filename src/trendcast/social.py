@@ -21,6 +21,8 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
+from .ingestion import parse_field, read_table
+
 log = logging.getLogger(__name__)
 
 MEASURES = ("in_degree", "pagerank", "leaderrank")
@@ -34,8 +36,8 @@ class SocialGraph:
     ids passed via ``users`` (so isolated users can exist).
     """
 
-    def __init__(self, edges: Iterable[tuple], users: Iterable[int] | None = None):
-        arr = np.asarray(list(edges), dtype=np.int64)
+    def __init__(self, edges: np.ndarray | list[tuple], users: Iterable[int] | None = None):
+        arr = np.asarray(edges, dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -44,17 +46,22 @@ class SocialGraph:
         loops = arr[:, 0] == arr[:, 1]
         self.self_loops_dropped = int(loops.sum())
         arr = arr[~loops]
-        deduped = np.unique(arr, axis=0) if arr.size else arr
-        self.duplicates_dropped = int(arr.shape[0] - deduped.shape[0])
 
-        ids = [deduped.ravel()]
+        ids = [arr.ravel()]
         if users is not None:
             ids.append(np.asarray(list(users), dtype=np.int64))
-        self.user_ids = np.unique(np.concatenate(ids)) if ids[0].size or len(ids) > 1 else np.empty(0, np.int64)
+        self.user_ids, compact = np.unique(np.concatenate(ids), return_inverse=True)
 
-        self._src = np.searchsorted(self.user_ids, deduped[:, 0])
-        self._dst = np.searchsorted(self.user_ids, deduped[:, 1])
+        # Collapse duplicates on compact pair keys, which stay below n**2 and
+        # sort in (follower, leader) order.
         n = len(self.user_ids)
+        ends = compact[: arr.size].reshape(-1, 2)
+        pairs = np.sort(ends[:, 0] * n + ends[:, 1])
+        first = np.ones(pairs.size, dtype=bool)
+        first[1:] = pairs[1:] != pairs[:-1]
+        pairs = pairs[first]
+        self.duplicates_dropped = int(arr.shape[0] - pairs.size)
+        self._src, self._dst = np.divmod(pairs, n)
         self.out_degrees = np.bincount(self._src, minlength=n)
         self.in_degrees = np.bincount(self._dst, minlength=n)
 
@@ -80,28 +87,14 @@ class SocialGraph:
 def load_social_graph(path) -> SocialGraph:
     """Load an edge list: one ``follower leader`` pair of integer ids per line.
 
-    Lines starting with ``#`` and blank lines are ignored. Raises
-    ``ValueError`` (with the line number) on anything else that does not
-    parse as two integers.
+    Blank lines are ignored, and so is everything from a ``#`` to the end of
+    its line, whether the comment fills the line or follows an edge
+    (``1 2  # note``). Raises ``ValueError`` (with the line number) on
+    anything else that does not parse as two int64 ids.
     """
-    edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'follower leader', got {line!r}"
-                )
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: non-integer id in {line!r}"
-                ) from None
-    graph = SocialGraph(edges)
+    table = read_table(path, _rescan_edges, dtype=[("follower", np.int64), ("leader", np.int64)],
+                       comments="#", ndmin=1)
+    graph = SocialGraph(np.column_stack([table["follower"], table["leader"]]))
     if graph.self_loops_dropped or graph.duplicates_dropped:
         log.info(
             "%s: dropped %d self-loops, collapsed %d duplicate edges",
@@ -110,6 +103,25 @@ def load_social_graph(path) -> SocialGraph:
             graph.duplicates_dropped,
         )
     return graph
+
+
+def _rescan_edges(path) -> None:
+    """Raise the ``file:line`` error for the first edge line that does not parse."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'follower leader', got {line!r}")
+            try:
+                for part in parts:
+                    parse_field(part)
+            except OverflowError:
+                raise ValueError(f"{path}:{lineno}: id outside int64 in {line!r}") from None
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-integer id in {line!r}") from None
 
 
 def write_edge_list(edges: Iterable[tuple], path) -> None:

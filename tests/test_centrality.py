@@ -57,6 +57,31 @@ class TestLoadEdgeList:
         with pytest.raises(ValueError, match="edges.txt:3"):
             load_social_graph(path)
 
+    @pytest.mark.parametrize("text, expected", [
+        ("1 2\n3 4\n", [[1, 2], [3, 4]]),
+        ("1 2\r\n3\t4", [[1, 2], [3, 4]]),
+        ("# follower leader\n  # indented\n\n1 2\n   \n3 4\n", [[1, 2], [3, 4]]),
+        ("1 2  # trailing comment\n3 4#\n", [[1, 2], [3, 4]]),
+        ("", []),
+        ("# only a comment\n", []),
+        ("1 2 3\n", r":1: expected 'follower leader'"),
+        ("1\n", r":1: expected 'follower leader'"),
+        ("# c\n1,2\n", r":2: expected 'follower leader'"),
+        ("1 2\n1 x\n", r":2: non-integer id"),
+        ("1 2.0\n", r":1: non-integer id"),
+        ("1 99999999999999999999\n", r":1: id outside int64"),
+    ])
+    def test_line_rules(self, tmp_path, text, expected):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(text.encode())
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=f"edges.txt{expected}"):
+                load_social_graph(path)
+        else:
+            g = load_social_graph(path)
+            assert [[int(g.user_ids[a]), int(g.user_ids[b])]
+                    for a, b in zip(g._src, g._dst)] == expected
+
 
 class TestInDegree:
     def test_star(self):

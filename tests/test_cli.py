@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -66,6 +67,19 @@ class TestRankVerb:
 
     def test_bad_spec_fails_cleanly(self, dataset, capsys):
         assert main(["rank", str(dataset), "--spec", "pbp,lambda=2,t_past=10"]) == 1
+
+    @pytest.mark.parametrize("vote, edge, error", [
+        ("1,99999999999999999999,100", "1 2", "votes.csv:3: integer outside int64"),
+        ("1,10,100", "1 99999999999999999999", "edges.txt:2: id outside int64"),
+    ])
+    def test_id_outside_int64_fails_cleanly(self, tmp_path, caplog, vote, edge, error):
+        (tmp_path / "votes.csv").write_text(f"user,item,timestamp\n2,11,200\n{vote}\n")
+        (tmp_path / "edges.txt").write_text(f"2 1\n{edge}\n")
+        argv = ["rank", str(tmp_path / "votes.csv"), "--social", str(tmp_path / "edges.txt"),
+                "--spec", "ibp,eta=1,t_past=100,centrality=in_degree"]
+        assert main(argv) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and error in errors[0]
 
 
 class TestRunAndValidateVerbs:

@@ -1,9 +1,9 @@
+import numpy as np
 import pytest
 
 from trendcast.events import Event, build
 from trendcast.ingestion import (
     DatasetSpec,
-    RatingRecord,
     load_dataset,
     load_ratings,
     load_votes,
@@ -45,7 +45,8 @@ class TestLoadRatings:
     def test_threshold_boundary_kept(self, tmp_path):
         path = ratings_file(tmp_path, ["1,10,3.0,100", "2,10,2.5,200"])
         events = load_ratings(path)
-        assert events == [Event(1, 10, 100)]
+        assert events.dtype == np.int64
+        assert events.tolist() == [[1, 10, 100]]
 
     def test_drop_count(self, tmp_path):
         rows = [f"{u},1,{r},{10 * u}" for u, r in enumerate([1, 2, 2.5, 2, 3, 3.5, 4, 5, 4.5, 3])]
@@ -90,18 +91,80 @@ class TestLoadVotes:
             load_votes(path)
 
 
+BIG = "99999999999999999999"  # outside int64
+
+# (file body after the header, the rows loaded or a regex of the error)
+VOTES_CASES = [
+    ("1,10,100\n2,11,200\n", [[1, 10, 100], [2, 11, 200]]),
+    ("1,10,100\n2,11,200", [[1, 10, 100], [2, 11, 200]]),
+    ("1,10,100\r\n2,11,200\r\n", [[1, 10, 100], [2, 11, 200]]),
+    ('"1","10","100"\n', [[1, 10, 100]]),
+    (" 1, 10 ,100\n", [[1, 10, 100]]),
+    ("", []),
+    ("1,10,100\n\n2,11,200\n", r":3: malformed row \[\]"),
+    ("1,10,100\n\n", r":3: malformed row \[\]"),
+    ("1,10,100\n1,10\n", r":3: malformed row"),
+    ("1,x,100\n", r":2: malformed row"),
+    ("1,10,3.0\n", r":2: malformed row"),
+    ("1,1_0,100\n", r":2: malformed row"),
+    ("1,\u0661,100\n", r":2: malformed row"),
+    ("1,10,100,7\n", r":2: malformed row"),
+    ("1,10,100,\n", r":2: malformed row"),
+    ("1,10,100\n1,10,100,7\n", r":3: malformed row"),
+    (f"1,{BIG},100\n", r":2: integer outside int64"),
+]
+
+RATINGS_CASES = [
+    ("1,10,3.5,100\n2,11,2.5,200\n", [[1, 10, 100]]),
+    ("1,10,3.5,100\r\n2,11,4,200\r\n", [[1, 10, 100], [2, 11, 200]]),
+    ('"1","10","4.0","100"\n', [[1, 10, 100]]),
+    ("1,10,3.5,100\n\n2,11,4.0,200\n", r":3: malformed row \[\]"),
+    ("1,10,3.5\n", r":2: malformed row"),
+    ("1,10,3.5,100,9\n", r":2: malformed row"),
+    ("x,10,3.5,100\n", r":2: malformed row"),
+    ("1,10,3.5,3.0\n", r":2: malformed row"),
+    ("1,10,nan,100\n", r":2: rating nan outside"),
+    ("1,10,3.5,100\n1,10,inf,100\n", r":3: rating inf outside"),
+    ("1,10,6.0,100\n1,10,oops,100\n", r":2: rating 6.0 outside"),
+    (f"1,10,3.5,{BIG}\n", r":2: integer outside int64"),
+]
+
+
+class TestRowRules:
+    @pytest.mark.parametrize("body, expected", VOTES_CASES)
+    def test_votes(self, tmp_path, body, expected):
+        self.check(tmp_path, "user,item,timestamp", body, expected, load_votes)
+
+    @pytest.mark.parametrize("body, expected", RATINGS_CASES)
+    def test_ratings(self, tmp_path, body, expected):
+        self.check(tmp_path, "user,item,rating,timestamp", body, expected, load_ratings)
+
+    @staticmethod
+    def check(tmp_path, header, body, expected, load):
+        path = tmp_path / "data.csv"
+        newline = "\r\n" if "\r\n" in body else "\n"
+        path.write_bytes((header + newline + body).encode())
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=f"data.csv{expected}"):
+                load(path)
+        else:
+            events = load(path)
+            assert events.dtype == np.int64 and events.shape == (len(expected), 3)
+            assert events.tolist() == expected
+
+
 class TestSubsetUsers:
     def events(self, num_users=30, per_user=25):
-        return [
-            Event(u, 1000 + k, u * 1000 + k)
+        return np.array([
+            (u, 1000 + k, u * 1000 + k)
             for u in range(num_users)
             for k in range(per_user)
-        ]
+        ], dtype=np.int64)
 
     def test_all_eligible_users_when_count_matches(self):
         events = self.events(num_users=5)
         kept = subset_users(events, 5, min_degree=20, seed=1)
-        assert sorted(set(e.user_id for e in kept)) == list(range(5))
+        assert sorted(set(kept[:, 0].tolist())) == list(range(5))
         assert len(kept) == len(events)
 
     def test_zero_users_rejected(self):
@@ -114,24 +177,24 @@ class TestSubsetUsers:
             subset_users(events, 10)
 
     def test_min_degree_filters(self):
-        events = self.events(num_users=4, per_user=25) + [Event(99, 1, 1)]
+        events = np.vstack([self.events(num_users=4, per_user=25), [(99, 1, 1)]])
         kept = subset_users(events, 4, min_degree=20, seed=0)
-        assert 99 not in {e.user_id for e in kept}
+        assert 99 not in set(kept[:, 0].tolist())
 
     def test_deterministic_for_seed(self):
         events = self.events()
         a = subset_users(events, 10, seed=42)
         b = subset_users(events, 10, seed=42)
-        assert a == b
+        assert a.tolist() == b.tolist()
         c = subset_users(events, 10, seed=43)
-        assert {e.user_id for e in a} != {e.user_id for e in c}
+        assert set(a[:, 0].tolist()) != set(c[:, 0].tolist())
 
     def test_selection_independent_of_event_order(self, rng):
         events = self.events()
-        shuffled = list(events)
+        shuffled = events.copy()
         rng.shuffle(shuffled)
-        a = {e.user_id for e in subset_users(events, 10, seed=7)}
-        b = {e.user_id for e in subset_users(shuffled, 10, seed=7)}
+        a = set(subset_users(events, 10, seed=7)[:, 0].tolist())
+        b = set(subset_users(shuffled, 10, seed=7)[:, 0].tolist())
         assert a == b
 
 
@@ -149,7 +212,7 @@ class TestLoadWithSubsetting:
         path = self.write(tmp_path)
         spec = DatasetSpec(subset_users=6, min_user_degree=20, rng_seed=3)
         events = load_ratings(path, spec)
-        assert {e.user_id for e in events} == set(range(6))
+        assert set(events[:, 0].tolist()) == set(range(6))
 
     def test_pre_threshold_eligibility_widens_pool(self, tmp_path):
         path = self.write(tmp_path)
@@ -157,16 +220,15 @@ class TestLoadWithSubsetting:
             subset_users=9, min_user_degree=20, rng_seed=3, eligibility_pre_threshold=True
         )
         events = load_ratings(path, spec)
-        users = {e.user_id for e in events}
+        users, counts = np.unique(events[:, 0], return_counts=True)
         assert len(users) == 9
         # the below-threshold rows themselves still never become events
-        assert all(e.item_id >= 100 for e in events)
-        per_user = {u: sum(1 for e in events if e.user_id == u) for u in users}
-        assert {per_user[u] for u in users if u >= 100} == {5}
+        assert (events[:, 1] >= 100).all()
+        assert set(counts[users >= 100].tolist()) == {5}
 
     def test_load_dataset_dispatch(self, tmp_path):
         votes = votes_file(tmp_path, ["1,2,3"])
-        assert load_dataset(votes, DatasetSpec(format="votes")) == [Event(1, 2, 3)]
+        assert load_dataset(votes, DatasetSpec(format="votes")).tolist() == [[1, 2, 3]]
 
 
 class TestWriters:
@@ -174,9 +236,9 @@ class TestWriters:
         events = [Event(1, 2, 3), Event(4, 5, 6)]
         path = tmp_path / "out.csv"
         write_votes_csv(events, path)
-        assert load_votes(path) == events
+        assert load_votes(path).tolist() == [list(e) for e in events]
 
     def test_ratings_round_trip(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_ratings_csv([RatingRecord(1, 2, 4.5, 3)], path)
-        assert load_ratings(path) == [Event(1, 2, 3)]
+        write_ratings_csv([(1, 2, 4.5, 3)], path)
+        assert load_ratings(path).tolist() == [[1, 2, 3]]

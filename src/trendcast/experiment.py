@@ -259,8 +259,9 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
 
     influence = {}
     for measure in cfg.centralities:
-        log.info("computing %s influence", measure)
-        influence[measure] = social.compute_influence(social_graph, measure)
+        infl = influence[measure] = social.compute_influence(social_graph, measure)
+        log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
+                 measure, infl.iterations_used, infl.residual, infl.converged)
 
     specs = predictor_specs(cfg)
     grid = []  # one report per spec for each (t_past, t_future, n), in that nesting

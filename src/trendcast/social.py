@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ingestion import parse_field, read_table
 
@@ -76,13 +75,6 @@ class SocialGraph:
     def __repr__(self):
         return f"SocialGraph(users={self.num_users}, links={self.num_links})"
 
-    def _flow_matrix(self) -> sp.csr_matrix:
-        # M[j, i] = 1/out_degree(i) for every edge i -> j; M @ s moves score
-        # from followers to leaders.
-        n = self.num_users
-        data = 1.0 / self.out_degrees[self._src]
-        return sp.csr_matrix((data, (self._dst, self._src)), shape=(n, n))
-
 
 def load_social_graph(path) -> SocialGraph:
     """Load an edge list: one ``follower leader`` pair of integer ids per line.
@@ -132,7 +124,9 @@ def write_edge_list(edges: Iterable[tuple], path) -> None:
 
 @dataclass
 class InfluenceVector:
-    """Per-user influence scores, aligned with ``user_ids`` (ascending)."""
+    """Per-user influence scores, aligned with ``user_ids`` (ascending).
+
+    ``residual`` is the last sweep's L1 change divided by the total score."""
 
     measure: str
     user_ids: np.ndarray
@@ -166,6 +160,34 @@ def influence_in_degree(graph: SocialGraph) -> InfluenceVector:
     return InfluenceVector("in_degree", graph.user_ids, graph.in_degrees.copy())
 
 
+def _flow_matrix(src: np.ndarray, dst: np.ndarray, n: int):
+    """``M[j, i] = 1/out_degree(i)`` for every edge ``i -> j``: ``M @ s`` moves
+    score from followers to leaders."""
+    import scipy.sparse as sp  # here, not at the top: ~0.3 s that only this needs
+
+    out = np.bincount(src, minlength=n)
+    return sp.csr_matrix((1.0 / out[src], (dst, src)), shape=(n, n))
+
+
+def _power_iterate(step, s: np.ndarray, mass: float, tol: float, max_iter: int, measure: str):
+    """Apply ``s = step(s)`` until the L1 change of a sweep divided by ``mass``,
+    the total score ``step`` conserves, drops below ``tol``; so ``tol`` means
+    the same at any number of users. Warns if ``max_iter`` sweeps do not
+    converge. Returns ``(s, iterations, residual, converged)``."""
+    iterations, residual = 0, np.inf
+    for iterations in range(1, max_iter + 1):
+        s_next = step(s)
+        residual = float(np.abs(s_next - s).sum()) / mass
+        s = s_next
+        if residual < tol:
+            break
+    converged = residual < tol
+    if not converged:
+        log.warning("%s did not converge in %d iterations (relative residual %.3e)",
+                    measure, max_iter, residual)
+    return s, iterations, residual, converged
+
+
 def influence_pagerank(
     graph: SocialGraph, delta: float = 0.85, tol: float = 1e-10, max_iter: int = 1000
 ) -> InfluenceVector:
@@ -174,8 +196,9 @@ def influence_pagerank(
     Fixed point of ``s_j = (1 - delta)/N + delta * sum_{i follows j} s_i / out(i)``
     with the score mass of dangling users (out-degree 0) redistributed
     uniformly every iteration, so the scores sum to 1 throughout. Starts
-    uniform; stops when the L1 change drops below ``tol`` or after
-    ``max_iter`` sweeps (then the result carries ``converged=False``).
+    uniform; stops when the L1 change of a sweep divided by the score mass
+    (1 here) drops below ``tol``, or after ``max_iter`` sweeps (then the
+    result carries ``converged=False``). ``residual`` is that relative change.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"damping must lie in (0, 1), got {delta}")
@@ -183,25 +206,15 @@ def influence_pagerank(
     if n == 0:
         return InfluenceVector("pagerank", graph.user_ids, np.empty(0))
 
-    flow = graph._flow_matrix()
+    flow = _flow_matrix(graph._src, graph._dst, n)
     dangling = np.flatnonzero(graph.out_degrees == 0)
-    s = np.full(n, 1.0 / n)
-    iterations, residual = 0, np.inf
-    for iterations in range(1, max_iter + 1):
+
+    def step(s):
         loose = s[dangling].sum() / n if dangling.size else 0.0
-        s_next = (1.0 - delta) / n + delta * (flow @ s + loose)
-        residual = float(np.abs(s_next - s).sum())
-        s = s_next
-        if residual < tol:
-            break
-    converged = residual < tol
-    if not converged:
-        log.warning(
-            "pagerank did not converge in %d iterations (residual %.3e)",
-            max_iter,
-            residual,
-        )
-    return InfluenceVector("pagerank", graph.user_ids, s, iterations, residual, converged)
+        return (1.0 - delta) / n + delta * (flow @ s + loose)
+
+    s, *stats = _power_iterate(step, np.full(n, 1.0 / n), 1.0, tol, max_iter, "pagerank")
+    return InfluenceVector("pagerank", graph.user_ids, s, *stats)
 
 
 def influence_leaderrank(
@@ -212,9 +225,12 @@ def influence_leaderrank(
     The graph is augmented with a ground node linked bidirectionally to all
     N users, which removes dangling users and the need for a damping
     parameter. Users start with score 1, the ground node with 0, and every
-    node passes its full score in equal shares along its out-edges. After
-    convergence the ground node's score is redistributed equally to all
-    users, so the reported user scores sum to N.
+    node passes its full score in equal shares along its out-edges. Stops
+    when the L1 change of a sweep divided by the score mass N drops below
+    ``tol``, or after ``max_iter`` sweeps (then ``converged=False``); that is
+    PageRank's rule, so ``residual`` reads in the same units. The ground
+    node's score is then redistributed equally to all users, so the user
+    scores sum to N.
     """
     n = graph.num_users
     if n == 0:
@@ -223,28 +239,11 @@ def influence_leaderrank(
     g = n  # ground node index in the augmented graph
     src = np.concatenate([graph._src, np.arange(n), np.full(n, g)])
     dst = np.concatenate([graph._dst, np.full(n, g), np.arange(n)])
-    out = np.bincount(src, minlength=n + 1)
-    flow = sp.csr_matrix((1.0 / out[src], (dst, src)), shape=(n + 1, n + 1))
+    flow = _flow_matrix(src, dst, n + 1)
 
     s = np.concatenate([np.ones(n), [0.0]])
-    iterations, residual = 0, np.inf
-    for iterations in range(1, max_iter + 1):
-        s_next = flow @ s
-        residual = float(np.abs(s_next - s).sum())
-        s = s_next
-        if residual < tol:
-            break
-    converged = residual < tol
-    if not converged:
-        log.warning(
-            "leaderrank did not converge in %d iterations (residual %.3e); "
-            "this happens on graphs where user-user edges are absent or purely "
-            "bipartite with the ground node",
-            max_iter,
-            residual,
-        )
-    values = s[:n] + s[g] / n
-    return InfluenceVector("leaderrank", graph.user_ids, values, iterations, residual, converged)
+    s, *stats = _power_iterate(flow.dot, s, n, tol, max_iter, "leaderrank")
+    return InfluenceVector("leaderrank", graph.user_ids, s[:n] + s[g] / n, *stats)
 
 
 def compute_influence(graph: SocialGraph, measure: str, **kwargs) -> InfluenceVector:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from trendcast.social import (
@@ -166,6 +167,62 @@ class TestLeaderRank:
             g = SocialGraph(list(edges), users=range(n))
             infl = influence_leaderrank(g)
             assert abs(infl.values.sum() - n) < 1e-6 * n
+
+
+def leaderrank_sparse_power(n, edges, sweeps=1000):
+    """LeaderRank by a fixed number of sparse power sweeps, with the augmented
+    matrix assembled here rather than by the library."""
+    ground = np.full(n, n)
+    src = np.concatenate([edges[:, 0], np.arange(n), ground])
+    dst = np.concatenate([edges[:, 1], ground, np.arange(n)])
+    adjacency = sp.coo_matrix((np.ones(src.size), (dst, src)), shape=(n + 1, n + 1)).tocsc()
+    flow = adjacency @ sp.diags(1.0 / np.asarray(adjacency.sum(axis=0)).ravel())
+    s = np.append(np.ones(n), 0.0)
+    for _ in range(sweeps):
+        s = flow @ s
+    return s[:n] + s[n] / n
+
+
+class TestStopRule:
+    """``tol`` bounds the L1 change of a sweep relative to the score mass."""
+
+    def test_leaderrank_converges_on_a_large_graph(self):
+        # followers uniform, leaders by preferential attachment: a heavy-tailed
+        # in-degree like real follower networks
+        rng = np.random.default_rng(11)
+        n, m = 50_000, 250_000
+        leaders = np.empty(m, dtype=np.int64)
+        weight = np.ones(n)
+        for lo in range(0, m, m // 8):
+            leaders[lo:lo + m // 8] = rng.choice(n, size=m // 8, p=weight / weight.sum())
+            weight += np.bincount(leaders[lo:lo + m // 8], minlength=n)
+        edges = np.column_stack([rng.integers(0, n, size=m), leaders])
+        g = SocialGraph(edges, users=range(n))
+
+        infl = influence_leaderrank(g)
+        assert infl.converged
+        assert infl.iterations_used < 100
+
+        compact = np.column_stack([g._src, g._dst])
+        want = leaderrank_sparse_power(n, compact)
+        np.testing.assert_allclose(infl.values, want, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("measure", ["pagerank", "leaderrank"])
+    def test_residual_does_not_grow_with_the_user_count(self, measure, caplog):
+        # 40 disjoint copies of a graph scale every score (PageRank) or the
+        # ground node's share (LeaderRank) so that the relative L1 change of a
+        # sweep is the same as for one copy
+        one = TestMeasureProperties.FIXTURE
+        copies = [(a + 10 * k, b + 10 * k) for k in range(40) for a, b in one]
+        a = compute_influence(SocialGraph(one), measure, tol=0.0, max_iter=5)
+        b = compute_influence(SocialGraph(copies), measure, tol=0.0, max_iter=5)
+        assert not a.converged and not b.converged
+        assert a.residual > 1e-3
+        assert b.residual == pytest.approx(a.residual, rel=1e-9)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings[-1] == (
+            f"{measure} did not converge in 5 iterations (relative residual {b.residual:.3e})"
+        )
 
 
 class TestMeasureProperties:

@@ -1,5 +1,9 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,18 @@ def dataset(tmp_path):
     path = tmp_path / "events.csv"
     write_votes_csv(events, path)
     return path
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.sparse costs ~0.3 s of import and only the iterative centralities
+    # need it, so commands that do not compute them must not load it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import trendcast, trendcast.cli, sys; assert 'scipy' not in sys.modules"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                           timeout=60)
+    assert child.returncode == 0, child.stderr
 
 
 class TestSpecString:

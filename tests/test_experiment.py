@@ -1,3 +1,6 @@
+import logging
+import re
+
 import pytest
 
 from trendcast.experiment import (
@@ -9,6 +12,7 @@ from trendcast.experiment import (
     validate,
 )
 from trendcast.ingestion import write_votes_csv
+from trendcast.social import write_edge_list
 from trendcast.synthgen import GenConfig, generate
 
 
@@ -140,6 +144,22 @@ class TestRunSweep:
                                out_dir=str(tmp_path / "never"))
         assert run_sweep(cfg) == 1
         assert not (tmp_path / "never").exists()
+
+    def test_logs_centrality_convergence_once_per_measure(self, tmp_path, dataset, caplog):
+        edges = tmp_path / "edges.txt"
+        write_edge_list([(u, (3 * u + 1) % 200) for u in range(200)], edges)
+        cfg = parse_experiment_config(write_config(tmp_path, (
+            BASE.format(dataset=dataset, out=tmp_path / "out")
+            + f"social = {edges}\npredictor = ibp\neta = 1\n"
+            "centrality = in_degree\ncentrality = pagerank\ncentrality = leaderrank\n"
+        )))
+        with caplog.at_level(logging.INFO, logger="trendcast"):
+            assert run_sweep(cfg, workers=1) == 0
+        lines = [r.getMessage() for r in caplog.records if " influence" in r.getMessage()]
+        assert len(lines) == 3
+        for measure, line in zip(("in_degree", "pagerank", "leaderrank"), lines):
+            assert re.fullmatch(rf"{measure} influence: \d+ sweeps, relative residual "
+                                r"\S+, converged True", line), line
 
     def test_every_grid_point_appears_once(self, tmp_path, dataset):
         out = tmp_path / "out"

@@ -10,16 +10,7 @@ from .evaluation import (
     precision,
     true_ranking,
 )
-from .predictors import (
-    PredictorSpec,
-    ScoredRanking,
-    score,
-    score_ibp,
-    score_pbp,
-    score_recent_pop,
-    score_total_pop,
-    score_wpp,
-)
+from .predictors import PredictorSpec, ScoredRanking, score
 from .social import (
     InfluenceVector,
     SocialGraph,

@@ -124,6 +124,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     spec = _parse_spec_string(args.spec)
     dataset_spec = ingestion.DatasetSpec(format=args.format, threshold=args.threshold)
     graph = build(ingestion.load_dataset(args.dataset, dataset_spec))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .events import TemporalBipartiteGraph
 from .predictors import PredictorSpec, score_vector, zero_influence_users
-from .social import InfluenceVector, SocialGraph, compute_influence
+from .social import InfluenceVector
 
 log = logging.getLogger(__name__)
 
@@ -137,19 +137,18 @@ def evaluate(
     graph: TemporalBipartiteGraph,
     spec: PredictorSpec,
     config: EvalConfig,
-    social_graph: SocialGraph | None = None,
     influence: InfluenceVector | None = None,
 ) -> EvaluationReport:
     """Run one predictor over all test dates and collect the metrics.
 
+    An ibp spec needs ``influence``, the vector of its centrality computed on
+    the social graph (:func:`trendcast.social.compute_influence`).
     ``spec.t_past`` may be left unset, in which case the config's window is
     used; if both are set they must agree (E_n is defined against the same
     past window the predictor sees).
     """
     if spec.kind == "ibp" and influence is None:
-        if social_graph is None:
-            raise ValueError("ibp evaluation needs a social graph or influence vector")
-        influence = compute_influence(social_graph, spec.centrality)
+        raise ValueError("ibp evaluation needs the influence vector of a social graph")
     measures = {spec.centrality: influence} if spec.kind == "ibp" else {}
     return evaluate_many(graph, [spec], config, measures)[0]
 

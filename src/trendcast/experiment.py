@@ -51,13 +51,6 @@ log = logging.getLogger(__name__)
 DEFAULT_GAMMA_GRID = [round(-1.0 + 0.1 * k, 1) for k in range(21)]
 DEFAULT_ETA_GRID = [round(-1.0 + 0.1 * k, 1) for k in range(21)]
 
-_SCALARS = {
-    "dataset", "format", "social", "threshold", "subset_users",
-    "min_user_degree", "eligibility", "test_dates", "seed", "out",
-}
-_LISTS = {"predictor", "lambda", "gamma", "eta", "centrality", "t_past", "t_future", "n"}
-
-
 @dataclass
 class ExperimentConfig:
     dataset: str = ""
@@ -202,9 +195,9 @@ def _check(cfg: ExperimentConfig) -> tuple[list[str], TemporalBipartiteGraph | N
             problems.append("ibp requested but no social graph configured")
         if not cfg.centralities:
             problems.append("ibp requested but no centrality given")
-        for measure in cfg.centralities:
-            if measure not in social.MEASURES:
-                problems.append(f"unknown centrality {measure!r}")
+    for measure in cfg.centralities:
+        if measure not in social.MEASURES:
+            problems.append(f"unknown centrality {measure!r}")
     for lam in cfg.lambdas:
         if not 0.0 <= lam <= 1.0:
             problems.append(f"lambda {lam} outside [0, 1]")
@@ -255,13 +248,13 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
         return 1
 
     log.info("loaded %r", graph)
-    social_graph = social.load_social_graph(cfg.social) if cfg.social else None
-
     influence = {}
-    for measure in cfg.centralities:
-        infl = influence[measure] = social.compute_influence(social_graph, measure)
-        log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
-                 measure, infl.iterations_used, infl.residual, infl.converged)
+    if "ibp" in cfg.predictors:  # only ibp reads the social graph
+        social_graph = social.load_social_graph(cfg.social)
+        for measure in cfg.centralities:
+            infl = influence[measure] = social.compute_influence(social_graph, measure)
+            log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
+                     measure, infl.iterations_used, infl.residual, infl.converged)
 
     specs = predictor_specs(cfg)
     grid = []  # one report per spec for each (t_past, t_future, n), in that nesting

@@ -1,14 +1,15 @@
 """Item scoring at a test date.
 
-Five predictor kinds, scored per item by :func:`score_vector` and ranked
-into a :class:`ScoredRanking` over the items already seen by the test date
-(items with zero degree at the test date are not ranked):
+Five predictor kinds, each one formula in :func:`score_vector`, which
+scores every item at once. :func:`score` is the one-shot entry point: it
+ranks those scores into a :class:`ScoredRanking` over the items already
+seen by the test date (items with zero degree then are not ranked):
 
 * ``total_pop``  - score is the item's current degree;
 * ``recent_pop`` - score is the degree increase inside the past window;
 * ``pbp``        - blends the two: ``k(t) - lam * k(t - t_past)``;
 * ``wpp``        - each collecting user inside the window contributes
-  ``(their degree)**gamma`` instead of 1;
+  ``(their total degree)**gamma`` instead of 1;
 * ``ibp``        - contributions weighted by ``(social influence)**eta``.
 
 Scores are float64; rankings sort by decreasing score with ties broken by
@@ -81,29 +82,15 @@ class ScoredRanking:
     def top(self, n: int) -> list[int]:
         return [item for item, _ in self.entries[:n]]
 
-    def __len__(self):
-        return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
-
-def _ranking(graph, scores, test_date, spec) -> ScoredRanking:
-    order = graph.rank_items(scores, np.flatnonzero(graph.item_degree_vector(test_date) > 0))
-    entries = list(zip(graph.item_ids[order].tolist(), scores[order].tolist()))
-    if math.isfinite(test_date):
-        test_date = int(test_date)
-    return ScoredRanking(entries, test_date, spec)
-
-
-def score_vector(
-    graph: TemporalBipartiteGraph, spec: PredictorSpec, test_date, infl=None, user_weight="total"
-) -> np.ndarray:
+def score_vector(graph: TemporalBipartiteGraph, spec: PredictorSpec, test_date,
+                 infl=None) -> np.ndarray:
     """Float64 score of every item at ``test_date``, aligned with ``item_ids``.
 
     Windowed kinds need ``spec.t_past``; ibp needs ``infl``, the influence of
-    every user aligned with ``graph.user_ids``. For ``user_weight`` see
-    :func:`score_wpp`.
+    every user aligned with ``graph.user_ids``. A wpp user's weight is their
+    total degree at ``test_date``, at least 1 for anyone collecting in the
+    window, so 0**gamma never arises.
     """
     if spec.kind == "total_pop":
         return graph.item_degree_vector(test_date).astype(np.float64)
@@ -114,10 +101,7 @@ def score_vector(
         return now - lam * past
     win_users, win_items = graph.window_events(test_date, spec.t_past)
     if spec.kind == "wpp":
-        activity = graph.user_degree_vector(test_date).astype(np.float64)
-        if user_weight == "recent":
-            activity = activity - graph.user_degree_vector(test_date - spec.t_past)
-        contrib = activity[win_users] ** spec.gamma
+        contrib = graph.user_degree_vector(test_date).astype(np.float64)[win_users] ** spec.gamma
     else:
         weight = infl[win_users]
         if spec.eta < 0:
@@ -138,75 +122,6 @@ def zero_influence_users(graph: TemporalBipartiteGraph, test_date, t_past, infl)
     return len(np.unique(win_users[infl[win_users] == 0.0]))
 
 
-def score_total_pop(graph: TemporalBipartiteGraph, test_date) -> ScoredRanking:
-    """Rank items by their total degree at the test date."""
-    return score(graph, PredictorSpec("total_pop"), test_date)
-
-
-def score_recent_pop(graph: TemporalBipartiteGraph, test_date, t_past) -> ScoredRanking:
-    """Rank items by their degree increase inside ``(test_date - t_past, test_date]``."""
-    return score(graph, PredictorSpec("recent_pop", t_past=t_past), test_date)
-
-
-def score_pbp(graph: TemporalBipartiteGraph, test_date, t_past, lam) -> ScoredRanking:
-    """Blend total degree with windowed increase: ``k(t) - lam * k(t - t_past)``.
-
-    ``lam=0`` reproduces the total-degree ordering, ``lam=1`` the
-    degree-increase ordering.
-    """
-    return score(graph, PredictorSpec("pbp", lam=lam, t_past=t_past), test_date)
-
-
-def score_wpp(
-    graph: TemporalBipartiteGraph, test_date, t_past, gamma, user_weight="total"
-) -> ScoredRanking:
-    """Degree increase with each collecting user weighted by activity**gamma.
-
-    ``user_weight`` selects the activity measure: ``"total"`` uses the
-    user's full degree at the test date, ``"recent"`` only the degree gained
-    inside the window. Either way a contributing user has activity >= 1
-    (they collected at least one item in the window), so 0**gamma never
-    arises. ``gamma=0`` reduces exactly to the degree increase.
-    """
-    if user_weight not in ("total", "recent"):
-        raise ValueError(f"user_weight must be 'total' or 'recent', got {user_weight!r}")
-    spec = PredictorSpec("wpp", gamma=gamma, t_past=t_past)
-    scores = score_vector(graph, spec, test_date, user_weight=user_weight)
-    return _ranking(graph, scores, test_date, spec)
-
-
-def score_ibp(
-    graph: TemporalBipartiteGraph,
-    social_graph: SocialGraph | None,
-    test_date,
-    t_past,
-    eta,
-    centrality="in_degree",
-    influence: InfluenceVector | None = None,
-) -> ScoredRanking:
-    """Degree increase with each collecting user weighted by influence**eta.
-
-    Influence comes from ``social_graph`` via the chosen centrality measure,
-    or from a precomputed ``influence`` vector (pass one when sweeping eta,
-    the centrality is the expensive part). Users absent from the social
-    graph carry influence 0: their contribution is 0 for eta > 0, 1 for
-    eta = 0 (the predictor then degenerates to the plain degree increase),
-    and is *defined* as 0 for eta < 0 (logged, rather than letting the
-    weight blow up).
-    """
-    if influence is None:
-        if social_graph is None:
-            raise ValueError("ibp needs a social graph or a precomputed influence vector")
-        influence = compute_influence(social_graph, centrality)
-    spec = PredictorSpec("ibp", eta=eta, t_past=t_past, centrality=influence.measure)
-    infl = influence.lookup(graph.user_ids)
-    affected = zero_influence_users(graph, test_date, t_past, infl) if eta < 0 else 0
-    if affected:
-        log.warning("ibp: %d zero-influence users in the window contribute 0 under eta=%g",
-                    affected, eta)
-    return _ranking(graph, score_vector(graph, spec, test_date, infl), test_date, spec)
-
-
 def score(
     graph: TemporalBipartiteGraph,
     spec: PredictorSpec,
@@ -214,11 +129,31 @@ def score(
     social_graph: SocialGraph | None = None,
     influence: InfluenceVector | None = None,
 ) -> ScoredRanking:
-    """Run the predictor described by ``spec`` at ``test_date``."""
+    """Rank the items seen by ``test_date`` with the predictor ``spec``.
+
+    Every kind except ``total_pop`` needs ``spec.t_past``. ibp takes the
+    precomputed ``influence`` vector if given (pass one when sweeping eta:
+    the centrality is the expensive part), else computes ``spec.centrality``
+    on ``social_graph``. Users absent from the social graph carry influence
+    0: they contribute 0 for eta > 0, 1 for eta = 0 (the plain degree
+    increase), and by definition 0 for eta < 0, which is logged.
+    """
     if spec.kind != "total_pop" and spec.t_past is None:
         raise ValueError(f"{spec.kind} needs t_past")
+    infl = None
     if spec.kind == "ibp":
-        return score_ibp(
-            graph, social_graph, test_date, spec.t_past, spec.eta, spec.centrality, influence
-        )
-    return _ranking(graph, score_vector(graph, spec, test_date), test_date, spec)
+        if influence is None:
+            if social_graph is None:
+                raise ValueError("ibp needs a social graph or a precomputed influence vector")
+            influence = compute_influence(social_graph, spec.centrality)
+        infl = influence.lookup(graph.user_ids)
+        affected = zero_influence_users(graph, test_date, spec.t_past, infl) if spec.eta < 0 else 0
+        if affected:
+            log.warning("ibp: %d zero-influence users in the window contribute 0 under eta=%g",
+                        affected, spec.eta)
+    scores = score_vector(graph, spec, test_date, infl)
+    order = graph.rank_items(scores, np.flatnonzero(graph.item_degree_vector(test_date) > 0))
+    entries = list(zip(graph.item_ids[order].tolist(), scores[order].tolist()))
+    if math.isfinite(test_date):
+        test_date = int(test_date)
+    return ScoredRanking(entries, test_date, spec)

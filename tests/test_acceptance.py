@@ -25,14 +25,7 @@ from trendcast.evaluation import (
 )
 from trendcast.experiment import parse_experiment_config, run_sweep
 from trendcast.ingestion import write_votes_csv
-from trendcast.predictors import (
-    PredictorSpec,
-    score_ibp,
-    score_pbp,
-    score_recent_pop,
-    score_total_pop,
-    score_wpp,
-)
+from trendcast.predictors import PredictorSpec, score
 from trendcast.social import SocialGraph, influence_leaderrank, influence_pagerank
 from trendcast.synthgen import GenConfig, generate
 
@@ -78,12 +71,13 @@ def test_1_reduction_identities(rng):
         edges = [(int(a), int(b)) for a, b in rng.integers(0, num_users, size=(50, 2)) if a != b]
         sg = SocialGraph(edges, users=range(0, num_users, 2))
 
-        total = ordering(score_total_pop(g, t_star))
-        recent = ordering(score_recent_pop(g, t_star, t_past))
-        assert ordering(score_pbp(g, t_star, t_past, 0.0)) == total
-        assert ordering(score_pbp(g, t_star, t_past, 1.0)) == recent
-        assert ordering(score_wpp(g, t_star, t_past, 0.0)) == recent
-        assert ordering(score_ibp(g, sg, t_star, t_past, 0.0)) == recent
+        total = ordering(score(g, PredictorSpec("total_pop"), t_star))
+        recent = ordering(score(g, PredictorSpec("recent_pop", t_past=t_past), t_star))
+        assert ordering(score(g, PredictorSpec("pbp", lam=0.0, t_past=t_past), t_star)) == total
+        assert ordering(score(g, PredictorSpec("pbp", lam=1.0, t_past=t_past), t_star)) == recent
+        assert ordering(score(g, PredictorSpec("wpp", gamma=0.0, t_past=t_past), t_star)) == recent
+        ibp = PredictorSpec("ibp", eta=0.0, t_past=t_past, centrality="in_degree")
+        assert ordering(score(g, ibp, t_star, sg)) == recent
     elapsed = time.perf_counter() - start
     report(1, elapsed < 10,
            f"pbp(0)=total, pbp(1)=wpp(0)=ibp(0)=increase on 100 fixtures in {elapsed:.1f}s")
@@ -118,7 +112,7 @@ def test_2_oracle_equivalence(rng):
         t_past = int(rng.integers(200, 1500))
         t_future = int(rng.integers(200, 1500))
         t = int(rng.integers(t_past, 5000 - t_future))
-        predicted = score_recent_pop(g, t, t_past).top(n)
+        predicted = score(g, PredictorSpec("recent_pop", t_past=t_past), t).top(n)
         truth = true_ranking(g, t, t_future, n)
         oracle_truth = [i for i, _ in oracles.top_items_by_increase(
             truth_events, t + t_future, t_future, n)]

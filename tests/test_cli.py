@@ -84,6 +84,13 @@ class TestRankVerb:
     def test_bad_spec_fails_cleanly(self, dataset, capsys):
         assert main(["rank", str(dataset), "--spec", "pbp,lambda=2,t_past=10"]) == 1
 
+    @pytest.mark.parametrize("n", ["0", "-27"])
+    def test_nonpositive_n_fails_cleanly(self, dataset, capsys, caplog, n):
+        assert main(["rank", str(dataset), "--spec", "total_pop", "--n", n]) == 1
+        assert capsys.readouterr().out == ""
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and "--n" in errors[0]
+
     @pytest.mark.parametrize("vote, edge, error", [
         ("1,99999999999999999999,100", "1 2", "votes.csv:3: integer outside int64"),
         ("1,10,100", "1 99999999999999999999", "edges.txt:2: id outside int64"),

@@ -1,4 +1,4 @@
-"""evaluate_many against the brute-force oracles on small random graphs.
+"""evaluate_many and score against the brute-force oracles on small random graphs.
 
 Small id and time ranges make score ties at rank n, windows with fewer
 than n active items and users without influence common. Exponents, lambdas
@@ -16,7 +16,7 @@ import oracles
 from conftest import dedup_earliest
 from trendcast.evaluation import EvalConfig, evaluate_many
 from trendcast.events import Event, build
-from trendcast.predictors import PredictorSpec
+from trendcast.predictors import PredictorSpec, score
 from trendcast.social import InfluenceVector
 
 SPECS = [
@@ -79,3 +79,5 @@ def test_evaluate_many_matches_oracles(raw, t_past, t_future, n, date_picks, inf
             assert got.precision == oracles.precision(predicted, truth, n), report.spec
             assert got.new_entry_count == len(new)
             assert got.correct_new_entries == len(set(predicted) & new), report.spec
+            # the one-shot path ranks exactly as the sweep does
+            assert score(graph, report.spec, t, influence=influence).top(n) == predicted

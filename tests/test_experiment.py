@@ -109,6 +109,11 @@ class TestValidate:
         )))
         assert any("social" in p for p in validate(cfg))
 
+    def test_unknown_centrality_without_ibp(self, tmp_path, dataset):
+        body = BASE.format(dataset=dataset, out=tmp_path / "o") + "centrality = nope\n"
+        cfg = parse_experiment_config(write_config(tmp_path, body))
+        assert validate(cfg) == ["unknown centrality 'nope'"]
+
 
 class TestRunSweep:
     def test_single_grid_point(self, tmp_path, dataset):
@@ -124,6 +129,17 @@ class TestRunSweep:
         scatter = (out / "scatter.csv").read_text().splitlines()
         assert scatter[0] == "item,past_increase,future_increase,predicted_top_n"
         assert len(scatter) > 1
+
+    @pytest.mark.parametrize("measure", ["pagerank", "in_degree"])
+    def test_centrality_without_ibp_is_ignored(self, tmp_path, dataset, measure):
+        # no social key: only ibp reads the social graph and its influence
+        out = tmp_path / "out"
+        body = BASE.format(dataset=dataset, out=out) + f"centrality = {measure}\n"
+        cfg = parse_experiment_config(write_config(tmp_path, body))
+        assert validate(cfg) == []
+        assert run_sweep(cfg) == 0
+        for name in ("sweep.csv", "heatmap.csv", "scatter.csv"):
+            assert (out / name).exists()
 
     def test_heatmap_has_one_row_per_window_combo(self, tmp_path, dataset):
         out = tmp_path / "out"

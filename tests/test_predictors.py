@@ -7,15 +7,7 @@ import pytest
 import oracles
 from conftest import dedup_earliest, random_events
 from trendcast.events import Event, build
-from trendcast.predictors import (
-    PredictorSpec,
-    score,
-    score_ibp,
-    score_pbp,
-    score_recent_pop,
-    score_total_pop,
-    score_wpp,
-)
+from trendcast.predictors import PredictorSpec, score
 from trendcast.social import SocialGraph, influence_in_degree
 
 
@@ -50,22 +42,24 @@ class TestPbp:
         # one item with k(t*)=100 and k(t*-T_P)=90: s = 100 - 0.9*90 = 19
         events = [Event(u, 1, 1) for u in range(90)] + [Event(u, 1, 60) for u in range(90, 100)]
         g = build(events)
-        r = score_pbp(g, 100, 50, 0.9)
+        r = score(g, PredictorSpec("pbp", lam=0.9, t_past=50), 100)
         assert r.entries == [(1, pytest.approx(19.0))]
 
     def test_lambda_zero_equals_total_degree(self, rng):
         g = build(random_events(rng, num_events=500))
-        assert ordering(score_pbp(g, 700, 300, 0.0)) == ordering(score_total_pop(g, 700))
+        pbp = score(g, PredictorSpec("pbp", lam=0.0, t_past=300), 700)
+        assert ordering(pbp) == ordering(score(g, PredictorSpec("total_pop"), 700))
 
     def test_lambda_one_equals_increase(self, rng):
         g = build(random_events(rng, num_events=500))
-        assert ordering(score_pbp(g, 700, 300, 1.0)) == ordering(score_recent_pop(g, 700, 300))
+        pbp = score(g, PredictorSpec("pbp", lam=1.0, t_past=300), 700)
+        assert ordering(pbp) == ordering(score(g, PredictorSpec("recent_pop", t_past=300), 700))
 
     def test_score_identity(self, rng):
         # s(lam) == increase + (1 - lam) * k(t* - T_P), for every item
         g = build(random_events(rng, num_events=400))
         t, t_past, lam = 800, 250, 0.37
-        r = score_pbp(g, t, t_past, lam)
+        r = score(g, PredictorSpec("pbp", lam=lam, t_past=t_past), t)
         for item, s in r.entries:
             expected = g.item_degree_increase(item, t, t_past) + (1 - lam) * g.item_degree_at(
                 item, t - t_past
@@ -73,18 +67,18 @@ class TestPbp:
             assert s == pytest.approx(expected, abs=1e-12)
 
     def test_only_seen_items_ranked(self, small_graph):
-        r = score_pbp(small_graph, 2, 2, 0.5)
+        r = score(small_graph, PredictorSpec("pbp", lam=0.5, t_past=2), 2)
         assert {item for item, _ in r.entries} == {12}
 
     def test_rejects_bad_lambda(self, small_graph):
         with pytest.raises(ValueError):
-            score_pbp(small_graph, 5, 5, 1.01)
+            score(small_graph, PredictorSpec("pbp", lam=1.01, t_past=5), 5)
 
 
 class TestWpp:
     def test_gamma_zero_equals_increase_scores(self, rng):
         g = build(random_events(rng, num_events=500))
-        r = score_wpp(g, 700, 300, 0.0)
+        r = score(g, PredictorSpec("wpp", gamma=0.0, t_past=300), 700)
         for item, s in r.entries:
             assert s == g.item_degree_increase(item, 700, 300)
 
@@ -92,7 +86,7 @@ class TestWpp:
         # the collecting user has total degree 4 at t*; gamma=1 scores the item 4
         events = [Event(1, k, t) for k, t in [(10, 1), (11, 2), (12, 3), (13, 10)]]
         g = build(events)
-        r = score_wpp(g, 10, 5, 1.0)
+        r = score(g, PredictorSpec("wpp", gamma=1.0, t_past=5), 10)
         scores = dict(r.entries)
         assert scores[13] == pytest.approx(4.0)
 
@@ -101,33 +95,16 @@ class TestWpp:
         g = build(events)
         deduped = dedup_earliest(events)
         for gamma in (-0.7, 0.0, 0.5, 1.3):
-            r = score_wpp(g, 600, 250, gamma)
+            r = score(g, PredictorSpec("wpp", gamma=gamma, t_past=250), 600)
             want = oracles.wpp_scores(deduped, 600, 250, gamma)
             assert set(dict(r.entries)) == set(want)
             for item, s in r.entries:
                 assert s == pytest.approx(want[item], rel=1e-12)
 
-    def test_recent_weighting_flag(self, rng):
-        events = random_events(rng, num_users=20, num_items=10, num_events=150)
-        g = build(events)
-        r = score_wpp(g, 600, 250, 1.0, user_weight="recent")
-        # recompute: each window event contributes the user's window increase
-        win_users, win_items = g.window_events(600, 250)
-        recent = g.user_degree_vector(600) - g.user_degree_vector(350)
-        want = np.bincount(win_items, weights=recent[win_users], minlength=g.num_items)
-        scores = dict(r.entries)
-        for pos, item in enumerate(g.item_ids):
-            if int(item) in scores:
-                assert scores[int(item)] == pytest.approx(want[pos])
-
     def test_zero_window_activity_scores_zero(self, small_graph):
-        r = score_wpp(small_graph, 12, 2, 0.8)
+        r = score(small_graph, PredictorSpec("wpp", gamma=0.8, t_past=2), 12)
         scores = dict(r.entries)
         assert scores[11] == 0.0 and scores[12] == 0.0 and scores[10] > 0
-
-    def test_rejects_unknown_weighting(self, small_graph):
-        with pytest.raises(ValueError):
-            score_wpp(small_graph, 5, 5, 1.0, user_weight="quadratic")
 
 
 class TestIbp:
@@ -135,15 +112,18 @@ class TestIbp:
         # follower -> leader; influence by in-degree: user 1 has 2 followers
         return SocialGraph([(2, 1), (3, 1), (1, 2)], users=[1, 2, 3, 4])
 
+    def spec(self, eta, t_past):
+        return PredictorSpec("ibp", eta=eta, t_past=t_past, centrality="in_degree")
+
     def test_eta_zero_equals_increase(self, rng):
         g = build(random_events(rng, num_events=500))
-        r = score_ibp(g, self.social(), 700, 300, 0.0)
+        r = score(g, self.spec(0.0, 300), 700, self.social())
         for item, s in r.entries:
             assert s == g.item_degree_increase(item, 700, 300)
 
     def test_single_collector_influence(self):
         g = build([Event(1, 5, 8), Event(2, 6, 1), Event(3, 6, 1)])
-        r = score_ibp(g, self.social(), 10, 5, 1.0)
+        r = score(g, self.spec(1.0, 5), 10, self.social())
         assert dict(r.entries)[5] == pytest.approx(2.0)  # user 1 has influence 2
 
     def test_matches_double_loop_oracle(self, rng):
@@ -153,7 +133,7 @@ class TestIbp:
         edges = [(int(a), int(b)) for a, b in rng.integers(0, 20, size=(40, 2)) if a != b]
         sg = SocialGraph(edges, users=range(20))
         infl = influence_in_degree(sg)
-        r = score_ibp(g, sg, 600, 250, 1.0)
+        r = score(g, self.spec(1.0, 250), 600, sg)
         want = oracles.ibp_scores(deduped, 600, 250, 1.0, infl.as_dict())
         for item, s in r.entries:
             assert s == pytest.approx(want[item], rel=1e-12)
@@ -161,7 +141,7 @@ class TestIbp:
     def test_zero_influence_negative_eta_contributes_zero(self, caplog):
         g = build([Event(4, 5, 8), Event(1, 5, 9), Event(2, 6, 1)])
         with caplog.at_level(logging.WARNING):
-            r = score_ibp(g, self.social(), 10, 5, -1.0)
+            r = score(g, self.spec(-1.0, 5), 10, self.social())
         # user 4 has no followers: its event adds nothing; user 1 adds 2**-1
         assert dict(r.entries)[5] == pytest.approx(0.5)
         assert any("zero-influence" in m for m in caplog.messages)
@@ -169,13 +149,13 @@ class TestIbp:
     def test_precomputed_influence_reused(self):
         g = build([Event(1, 5, 8)])
         infl = influence_in_degree(self.social())
-        r = score_ibp(g, None, 10, 5, 1.0, influence=infl)
+        r = score(g, self.spec(1.0, 5), 10, influence=infl)
         assert dict(r.entries)[5] == pytest.approx(2.0)
 
     def test_needs_social_graph_or_influence(self):
         g = build([Event(1, 5, 8)])
         with pytest.raises(ValueError):
-            score_ibp(g, None, 10, 5, 1.0)
+            score(g, self.spec(1.0, 5), 10)
 
 
 class TestReductionIdentities:
@@ -192,19 +172,20 @@ class TestReductionIdentities:
             edges = [(int(a), int(b)) for a, b in rng.integers(0, 60, size=(30, 2)) if a != b]
             sg = SocialGraph(edges, users=range(60))
 
-            total = ordering(score_total_pop(g, t))
-            recent = ordering(score_recent_pop(g, t, t_past))
-            assert ordering(score_pbp(g, t, t_past, 0.0)) == total
-            assert ordering(score_pbp(g, t, t_past, 1.0)) == recent
-            assert ordering(score_wpp(g, t, t_past, 0.0)) == recent
-            assert ordering(score_ibp(g, sg, t, t_past, 0.0)) == recent
+            total = ordering(score(g, PredictorSpec("total_pop"), t))
+            recent = ordering(score(g, PredictorSpec("recent_pop", t_past=t_past), t))
+            assert ordering(score(g, PredictorSpec("pbp", lam=0.0, t_past=t_past), t)) == total
+            assert ordering(score(g, PredictorSpec("pbp", lam=1.0, t_past=t_past), t)) == recent
+            assert ordering(score(g, PredictorSpec("wpp", gamma=0.0, t_past=t_past), t)) == recent
+            ibp = PredictorSpec("ibp", eta=0.0, t_past=t_past, centrality="in_degree")
+            assert ordering(score(g, ibp, t, sg)) == recent
 
     def test_scores_nonnegative_for_nonnegative_exponents(self, rng):
         g = build(random_events(rng))
         sg = SocialGraph([(1, 2), (3, 2)], users=range(40))
         for r in (
-            score_wpp(g, 700, 300, 0.8),
-            score_ibp(g, sg, 700, 300, 1.5),
+            score(g, PredictorSpec("wpp", gamma=0.8, t_past=300), 700),
+            score(g, PredictorSpec("ibp", eta=1.5, t_past=300, centrality="in_degree"), 700, sg),
         ):
             assert all(s >= 0 for _, s in r.entries)
 
@@ -229,10 +210,10 @@ class TestDispatchAndDeterminism:
         events = random_events(rng, num_events=600)
         a = build(events)
         b = build(list(reversed(events)))
-        ra = score_pbp(a, 700, 300, 0.6)
-        rb = score_pbp(b, 700, 300, 0.6)
+        ra = score(a, PredictorSpec("pbp", lam=0.6, t_past=300), 700)
+        rb = score(b, PredictorSpec("pbp", lam=0.6, t_past=300), 700)
         assert ra.entries == rb.entries
 
     def test_ranking_top_helper(self, small_graph):
-        r = score_total_pop(small_graph, math.inf)
+        r = score(small_graph, PredictorSpec("total_pop"), math.inf)
         assert r.top(2) == [10, 12]

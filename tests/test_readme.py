@@ -1,0 +1,37 @@
+"""The README's "Library use" block runs as written.
+
+A README that names a removed function or an old signature fails here.
+"""
+
+import re
+from pathlib import Path
+
+import numpy as np
+
+from trendcast.ingestion import write_votes_csv
+from trendcast.social import write_edge_list
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_use_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_use_block_runs(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(5)
+    (tmp_path / "data").mkdir()
+    # 300 users, 80 items, 20,000 s: room for the block's 6000 s windows
+    events = np.column_stack([rng.integers(0, 300, 5000), rng.integers(0, 80, 5000),
+                              rng.integers(0, 20_000, 5000)])
+    write_votes_csv(events.tolist(), tmp_path / "data" / "events.csv")
+    edges = rng.integers(0, 300, size=(1200, 2))
+    write_edge_list(edges[edges[:, 0] != edges[:, 1]].tolist(), tmp_path / "data" / "edges.txt")
+    monkeypatch.chdir(tmp_path)
+
+    exec(compile(library_use_block(), str(README), "exec"), {})
+
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3

@@ -79,10 +79,23 @@ def _cmd_validate(args) -> int:
     return 1 if problems else 0
 
 
+GEN_KEYS = ("users", "items", "events", "arrival_rate", "theta", "pa_offset",
+            "activity_exponent", "seed", "votes_out", "out",
+            "social_users", "social_edges", "social_exponent", "social_out")
+
+
 def _cmd_gen(args) -> int:
     values = {}
-    for _, key, value in parse_kv_file(args.config):
+    for lineno, key, value in parse_kv_file(args.config):
+        if key not in GEN_KEYS:
+            raise ValueError(f"{args.config}:{lineno}: unknown gen key {key!r}")
         values[key] = value
+    if "events" not in values and "social_edges" not in values:
+        raise ValueError(f"{args.config}: nothing to generate: set events, social_edges or both")
+    needs = {"events": ("users", "items"), "social_edges": ("social_users",)}
+    missing = [k for key, keys in needs.items() if key in values for k in keys if k not in values]
+    if missing:
+        raise ValueError(f"{args.config}: missing {', '.join(missing)}")
 
     def _num(key, default=None, cast=int):
         if key not in values:

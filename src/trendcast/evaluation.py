@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .events import TemporalBipartiteGraph
-from .predictors import PredictorSpec, score_vector, zero_influence_users
+from .predictors import PredictorSpec, Window, check_measure, score_vector
 from .social import InfluenceVector
 
 log = logging.getLogger(__name__)
@@ -142,10 +142,10 @@ def evaluate(
     """Run one predictor over all test dates and collect the metrics.
 
     An ibp spec needs ``influence``, the vector of its centrality computed on
-    the social graph (:func:`trendcast.social.compute_influence`).
-    ``spec.t_past`` may be left unset, in which case the config's window is
-    used; if both are set they must agree (E_n is defined against the same
-    past window the predictor sees).
+    the social graph (:func:`trendcast.social.compute_influence`); a vector of
+    another measure is a ``ValueError``. ``spec.t_past`` may be left unset,
+    in which case the config's window is used; if both are set they must
+    agree (E_n is defined against the same past window the predictor sees).
     """
     if spec.kind == "ibp" and influence is None:
         raise ValueError("ibp evaluation needs the influence vector of a social graph")
@@ -161,10 +161,11 @@ def evaluate_many(
 ) -> list[EvaluationReport]:
     """Run every predictor over all test dates; one report per spec, in order.
 
-    The truth top-n, the new-entry set and the seen items depend only on the
-    window and the date, so each is computed once per date and every spec is
-    scored against it. ``influence`` maps the centrality of each ibp spec to
-    its vector. ``spec.t_past`` is resolved as in :func:`evaluate`.
+    The truth top-n, the new-entry set and the :class:`Window` of the scores
+    depend only on the window and the date, so each is computed once per
+    date and every spec is scored against it. ``influence`` maps the
+    centrality of each ibp spec to its vector, whose ``measure`` must be that
+    centrality. ``spec.t_past`` is resolved as in :func:`evaluate`.
     """
     for spec in specs:
         if spec.t_past is not None and spec.t_past != config.t_past:
@@ -172,7 +173,10 @@ def evaluate_many(
                 f"predictor t_past={spec.t_past} disagrees with eval t_past={config.t_past}"
             )
     specs = [s if s.kind == "total_pop" else s.with_t_past(config.t_past) for s in specs]
-    aligned = {m: v.lookup(graph.user_ids) for m, v in (influence or {}).items()}
+    influence = influence or {}
+    for measure, vector in influence.items():
+        check_measure(vector, measure)
+    aligned = {m: v.lookup(graph.user_ids) for m, v in influence.items()}
     missing = {s.centrality for s in specs if s.kind == "ibp"} - aligned.keys()
     if missing:
         raise ValueError(f"ibp evaluation needs the influence vectors of {sorted(missing)}")
@@ -183,15 +187,14 @@ def evaluate_many(
     for date in config.test_dates:
         truth = true_ranking(graph, date, config.t_future, n)
         e_n, new_set = new_entries(graph, date, config.t_past, config.t_future, n)
-        seen = np.flatnonzero(graph.item_degree_vector(date) > 0)
+        window = Window(graph, date, config.t_past, aligned)
         for spec, report, users in zip(specs, reports, dropped):
-            scores = score_vector(graph, spec, date, aligned.get(spec.centrality))
-            predicted = graph.item_ids[graph.rank_items(scores, seen)[:n]].tolist()
+            scores = score_vector(spec, window)
+            predicted = graph.item_ids[graph.rank_items(scores, window.seen)[:n]].tolist()
             report.per_date.append(DateMetrics(int(date), precision(predicted, truth, n), e_n,
                                                correctly_guessed(predicted, new_set, n)))
             if spec.kind == "ibp" and spec.eta < 0:
-                users.append(zero_influence_users(graph, date, config.t_past,
-                                                  aligned[spec.centrality]))
+                users.append(window.zero_influence_users(spec.centrality))
 
     for spec, users in zip(specs, dropped):
         if any(users):

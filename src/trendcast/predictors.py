@@ -1,9 +1,11 @@
 """Item scoring at a test date.
 
 Five predictor kinds, each one formula in :func:`score_vector`, which
-scores every item at once. :func:`score` is the one-shot entry point: it
-ranks those scores into a :class:`ScoredRanking` over the items already
-seen by the test date (items with zero degree then are not ranked):
+scores every item at once from a :class:`Window`, the spec-independent
+arrays of one test date and past window. :func:`score` is the one-shot
+entry point: it ranks those scores into a :class:`ScoredRanking` over the
+items already seen by the test date (items with zero degree then are not
+ranked):
 
 * ``total_pop``  - score is the item's current degree;
 * ``recent_pop`` - score is the degree increase inside the past window;
@@ -21,6 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,43 +86,98 @@ class ScoredRanking:
         return [item for item, _ in self.entries[:n]]
 
 
-def score_vector(graph: TemporalBipartiteGraph, spec: PredictorSpec, test_date,
-                 infl=None) -> np.ndarray:
-    """Float64 score of every item at ``test_date``, aligned with ``item_ids``.
+class Window:
+    """What every predictor reads at one test date and past window.
 
-    Windowed kinds need ``spec.t_past``; ibp needs ``infl``, the influence of
-    every user aligned with ``graph.user_ids``. A wpp user's weight is their
-    total degree at ``test_date``, at least 1 for anyone collecting in the
-    window, so 0**gamma never arises.
+    Each array is computed on first use and then shared by every spec
+    scored at that (date, window), so do not mutate one. ``influence`` maps
+    a centrality to the influence of every user, aligned with
+    ``graph.user_ids``.
+    """
+
+    def __init__(self, graph: TemporalBipartiteGraph, test_date, t_past, influence: dict):
+        self.graph = graph
+        self.test_date = test_date
+        self.t_past = t_past
+        self.influence = influence
+        self._weights = {}
+        self._zero = {}
+
+    @cached_property
+    def now(self) -> np.ndarray:
+        """Item degrees at the test date, as float64; read-only, as total_pop's scores."""
+        now = self.graph.item_degree_vector(self.test_date).astype(np.float64)
+        now.flags.writeable = False
+        return now
+
+    @cached_property
+    def seen(self) -> np.ndarray:
+        """Compact indices of the items collected by the test date: the ranked domain."""
+        return np.flatnonzero(self.now > 0)
+
+    @cached_property
+    def past(self) -> np.ndarray:
+        """Item degrees at the start of the window, as float64."""
+        return self.graph.item_degree_vector(self.test_date - self.t_past).astype(np.float64)
+
+    @cached_property
+    def events(self) -> tuple[np.ndarray, np.ndarray]:
+        """Compact (user, item) pairs of the events inside the window."""
+        return self.graph.window_events(self.test_date, self.t_past)
+
+    @cached_property
+    def user_degree(self) -> np.ndarray:
+        """Total degree at the test date of the user of every window event, as float64."""
+        return self.graph.user_degree_vector(self.test_date).astype(np.float64)[self.events[0]]
+
+    def influence_weights(self, centrality) -> tuple[np.ndarray, np.ndarray]:
+        """Influence of the user of every window event, and its ``!= 0`` mask."""
+        if centrality not in self._weights:
+            weight = self.influence[centrality][self.events[0]]
+            self._weights[centrality] = weight, weight != 0.0
+        return self._weights[centrality]
+
+    def zero_influence_users(self, centrality) -> int:
+        """Distinct users collecting inside the window with influence 0."""
+        if centrality not in self._zero:
+            _, nonzero = self.influence_weights(centrality)
+            self._zero[centrality] = len(np.unique(self.events[0][~nonzero]))
+        return self._zero[centrality]
+
+
+def score_vector(spec: PredictorSpec, window: Window) -> np.ndarray:
+    """Float64 score of every item at ``window.test_date``, aligned with ``item_ids``.
+
+    Windowed kinds read ``window.t_past``, which must equal ``spec.t_past``;
+    ibp reads ``window.influence[spec.centrality]``. A wpp user's weight is
+    their total degree at the test date, at least 1 for anyone collecting in
+    the window, so 0**gamma never arises.
     """
     if spec.kind == "total_pop":
-        return graph.item_degree_vector(test_date).astype(np.float64)
+        return window.now
     if spec.kind in ("recent_pop", "pbp"):
         lam = 1.0 if spec.kind == "recent_pop" else spec.lam
-        now = graph.item_degree_vector(test_date).astype(np.float64)
-        past = graph.item_degree_vector(test_date - spec.t_past).astype(np.float64)
-        return now - lam * past
-    win_users, win_items = graph.window_events(test_date, spec.t_past)
+        return window.now - lam * window.past
     if spec.kind == "wpp":
-        contrib = graph.user_degree_vector(test_date).astype(np.float64)[win_users] ** spec.gamma
+        contrib = window.user_degree ** spec.gamma
     else:
-        weight = infl[win_users]
+        weight, nonzero = window.influence_weights(spec.centrality)
         if spec.eta < 0:
             # zero influence is defined to contribute 0, not inf
             contrib = np.zeros(len(weight))
-            nonzero = weight != 0.0
             contrib[nonzero] = weight[nonzero] ** spec.eta
         else:
             # 0**0 == 1 by convention, which is exactly what the eta=0
             # reduction to the plain degree increase requires.
             contrib = weight**spec.eta
-    return np.bincount(win_items, weights=contrib, minlength=graph.num_items)
+    return np.bincount(window.events[1], weights=contrib, minlength=window.graph.num_items)
 
 
-def zero_influence_users(graph: TemporalBipartiteGraph, test_date, t_past, infl) -> int:
-    """Distinct users collecting inside ``(test_date - t_past, test_date]`` with influence 0."""
-    win_users, _ = graph.window_events(test_date, t_past)
-    return len(np.unique(win_users[infl[win_users] == 0.0]))
+def check_measure(influence: InfluenceVector, centrality: str) -> None:
+    """Raise ``ValueError`` unless ``influence`` holds the ``centrality`` measure."""
+    if influence.measure != centrality:
+        raise ValueError(f"influence vector holds {influence.measure!r} values, "
+                         f"not the {centrality!r} centrality it is used for")
 
 
 def score(
@@ -134,25 +192,29 @@ def score(
     Every kind except ``total_pop`` needs ``spec.t_past``. ibp takes the
     precomputed ``influence`` vector if given (pass one when sweeping eta:
     the centrality is the expensive part), else computes ``spec.centrality``
-    on ``social_graph``. Users absent from the social graph carry influence
-    0: they contribute 0 for eta > 0, 1 for eta = 0 (the plain degree
+    on ``social_graph``; a given vector of another measure is a
+    ``ValueError``. Users absent from the social graph carry influence 0:
+    they contribute 0 for eta > 0, 1 for eta = 0 (the plain degree
     increase), and by definition 0 for eta < 0, which is logged.
     """
     if spec.kind != "total_pop" and spec.t_past is None:
         raise ValueError(f"{spec.kind} needs t_past")
-    infl = None
+    aligned = {}
     if spec.kind == "ibp":
         if influence is None:
             if social_graph is None:
                 raise ValueError("ibp needs a social graph or a precomputed influence vector")
             influence = compute_influence(social_graph, spec.centrality)
-        infl = influence.lookup(graph.user_ids)
-        affected = zero_influence_users(graph, test_date, spec.t_past, infl) if spec.eta < 0 else 0
+        check_measure(influence, spec.centrality)
+        aligned[spec.centrality] = influence.lookup(graph.user_ids)
+    window = Window(graph, test_date, spec.t_past, aligned)
+    if spec.kind == "ibp" and spec.eta < 0:
+        affected = window.zero_influence_users(spec.centrality)
         if affected:
             log.warning("ibp: %d zero-influence users in the window contribute 0 under eta=%g",
                         affected, spec.eta)
-    scores = score_vector(graph, spec, test_date, infl)
-    order = graph.rank_items(scores, np.flatnonzero(graph.item_degree_vector(test_date) > 0))
+    scores = score_vector(spec, window)
+    order = graph.rank_items(scores, window.seen)
     entries = list(zip(graph.item_ids[order].tolist(), scores[order].tolist()))
     if math.isfinite(test_date):
         test_date = int(test_date)

@@ -10,6 +10,12 @@ follower to the users it follows, each follower splitting its score in equal
 shares among its leaders. Influence therefore accrues to followed users, and
 a "dangling" user is one who follows nobody (zero out-degree), not one
 without followers.
+
+:class:`SocialGraph` stores its deduplicated edges sorted by (leader,
+follower), which is the row order of the flow matrix ``M[leader, follower]``:
+one ``np.bincount`` over the edges then adds each leader's incoming shares
+in ascending follower order, as a CSR matrix-vector product would, so the
+centralities need no sparse-matrix library.
 """
 
 from __future__ import annotations
@@ -33,6 +39,12 @@ class SocialGraph:
     Self-loops are dropped and duplicate edges collapsed (both counted).
     The vertex set is defined by the ids appearing in the edges plus any
     ids passed via ``users`` (so isolated users can exist).
+
+    The edges are kept as compact ``_src`` (follower) and ``_dst`` (leader)
+    arrays sorted by (leader, follower). The power iterations add up each
+    leader's incoming score in this order, ascending by follower, and a
+    floating-point sum depends on its order: another order would change the
+    centralities in their last bits.
     """
 
     def __init__(self, edges: np.ndarray | list[tuple], users: Iterable[int] | None = None):
@@ -52,15 +64,15 @@ class SocialGraph:
         self.user_ids, compact = np.unique(np.concatenate(ids), return_inverse=True)
 
         # Collapse duplicates on compact pair keys, which stay below n**2 and
-        # sort in (follower, leader) order.
+        # sort in (leader, follower) order.
         n = len(self.user_ids)
         ends = compact[: arr.size].reshape(-1, 2)
-        pairs = np.sort(ends[:, 0] * n + ends[:, 1])
+        pairs = np.sort(ends[:, 1] * n + ends[:, 0])
         first = np.ones(pairs.size, dtype=bool)
         first[1:] = pairs[1:] != pairs[:-1]
         pairs = pairs[first]
         self.duplicates_dropped = int(arr.shape[0] - pairs.size)
-        self._src, self._dst = np.divmod(pairs, n)
+        self._dst, self._src = np.divmod(pairs, n)
         self.out_degrees = np.bincount(self._src, minlength=n)
         self.in_degrees = np.bincount(self._dst, minlength=n)
 
@@ -160,13 +172,11 @@ def influence_in_degree(graph: SocialGraph) -> InfluenceVector:
     return InfluenceVector("in_degree", graph.user_ids, graph.in_degrees.copy())
 
 
-def _flow_matrix(src: np.ndarray, dst: np.ndarray, n: int):
-    """``M[j, i] = 1/out_degree(i)`` for every edge ``i -> j``: ``M @ s`` moves
-    score from followers to leaders."""
-    import scipy.sparse as sp  # here, not at the top: ~0.3 s that only this needs
-
-    out = np.bincount(src, minlength=n)
-    return sp.csr_matrix((1.0 / out[src], (dst, src)), shape=(n, n))
+def _spread(graph: SocialGraph, moved: np.ndarray) -> np.ndarray:
+    """What each user receives when every follower ``i`` sends ``moved[i]``
+    to each of its leaders. With ``moved = s * share`` this is ``M @ s`` for
+    ``M[j, i] = share[i]`` on every edge ``i -> j``, summed in CSR order."""
+    return np.bincount(graph._dst, weights=moved[graph._src], minlength=graph.num_users)
 
 
 def _power_iterate(step, s: np.ndarray, mass: float, tol: float, max_iter: int, measure: str):
@@ -206,12 +216,13 @@ def influence_pagerank(
     if n == 0:
         return InfluenceVector("pagerank", graph.user_ids, np.empty(0))
 
-    flow = _flow_matrix(graph._src, graph._dst, n)
-    dangling = np.flatnonzero(graph.out_degrees == 0)
+    out = graph.out_degrees
+    share = np.divide(1.0, out, out=np.zeros(n), where=out > 0)
+    dangling = np.flatnonzero(out == 0)
 
     def step(s):
         loose = s[dangling].sum() / n if dangling.size else 0.0
-        return (1.0 - delta) / n + delta * (flow @ s + loose)
+        return (1.0 - delta) / n + delta * (_spread(graph, s * share) + loose)
 
     s, *stats = _power_iterate(step, np.full(n, 1.0 / n), 1.0, tol, max_iter, "pagerank")
     return InfluenceVector("pagerank", graph.user_ids, s, *stats)
@@ -236,13 +247,21 @@ def influence_leaderrank(
     if n == 0:
         raise ValueError("leaderrank needs at least one user")
 
-    g = n  # ground node index in the augmented graph
-    src = np.concatenate([graph._src, np.arange(n), np.full(n, g)])
-    dst = np.concatenate([graph._dst, np.full(n, g), np.arange(n)])
-    flow = _flow_matrix(src, dst, n + 1)
+    # Each user also links to the ground node (index n), which comes after
+    # every follower in a user's row; the ground row sums the users in order.
+    g = n
+    share = 1.0 / (graph.out_degrees + 1)
+    from_ground = 1.0 / n
+
+    def step(s):
+        moved = s[:g] * share
+        s_next = np.empty(n + 1)
+        s_next[:g] = _spread(graph, moved) + from_ground * s[g]
+        s_next[g] = np.cumsum(moved)[-1]  # sequential, as a sparse row sum; np.sum is pairwise
+        return s_next
 
     s = np.concatenate([np.ones(n), [0.0]])
-    s, *stats = _power_iterate(flow.dot, s, n, tol, max_iter, "leaderrank")
+    s, *stats = _power_iterate(step, s, n, tol, max_iter, "leaderrank")
     return InfluenceVector("leaderrank", graph.user_ids, s[:n] + s[g] / n, *stats)
 
 

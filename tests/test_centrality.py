@@ -183,6 +183,84 @@ def leaderrank_sparse_power(n, edges, sweeps=1000):
     return s[:n] + s[n] / n
 
 
+def scipy_power_iteration(edges, users, measure, tol=1e-10, max_iter=1000):
+    """PageRank (damping 0.85) or LeaderRank as a ``scipy.sparse`` CSR power
+    iteration under the library's stop rule: the sparse-matrix formulation
+    the numpy one must reproduce bit for bit. Returns ``(values, sweeps,
+    residual, converged)``."""
+    ids, compact = np.unique(np.concatenate([edges.ravel(), users]), return_inverse=True)
+    n = ids.size
+    pairs = compact[:edges.size].reshape(-1, 2)
+    pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+    src, dst, size = pairs[:, 0], pairs[:, 1], n
+    if measure == "leaderrank":  # ground node n, linked both ways to every user
+        src = np.concatenate([src, np.arange(n), np.full(n, n)])
+        dst = np.concatenate([dst, np.full(n, n), np.arange(n)])
+        size = n + 1
+    out = np.bincount(src, minlength=size)
+    flow = sp.csr_matrix((1.0 / out[src], (dst, src)), shape=(size, size))
+    if measure == "pagerank":
+        dangling = np.flatnonzero(out == 0)
+
+        def step(s):
+            loose = s[dangling].sum() / n if dangling.size else 0.0
+            return (1.0 - 0.85) / n + 0.85 * (flow @ s + loose)
+
+        s, mass = np.full(n, 1.0 / n), 1.0
+    else:
+        step, s, mass = flow.dot, np.append(np.ones(n), 0.0), n
+    residual = np.inf
+    for sweeps in range(1, max_iter + 1):
+        s_next = step(s)
+        residual = float(np.abs(s_next - s).sum()) / mass
+        s = s_next
+        if residual < tol:
+            break
+    if measure == "leaderrank":
+        s = s[:n] + s[n] / n
+    return s, sweeps, residual, residual < tol
+
+
+class TestMatchesSparseMatrixIteration:
+    """The centralities equal a scipy CSR power iteration bit for bit, on
+    graphs with dangling users, isolated users, duplicate edges and
+    self-loops."""
+
+    @staticmethod
+    def random_graph(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        m = int(rng.integers(n, 4 * n))
+        # heavy-tailed leaders: many users are followed by nobody
+        leaders = np.minimum((rng.pareto(1.2, size=m) * 3).astype(np.int64), n - 1)
+        edges = np.column_stack([rng.integers(0, n, size=m), leaders])
+        loops = np.column_stack([[0, n // 2]] * 2)
+        edges = np.concatenate([edges, edges[:3], loops])[rng.permutation(m + 5)]
+        users = np.arange(n + int(rng.integers(1, 5)))  # ids past n are isolated
+        return edges, users
+
+    @pytest.mark.parametrize("measure", ["pagerank", "leaderrank"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bit_identical(self, measure, seed):
+        edges, users = self.random_graph(seed)
+        g = SocialGraph(edges, users=users)
+        assert g.self_loops_dropped and g.duplicates_dropped
+        assert (g.out_degrees == 0).any() and (g.in_degrees + g.out_degrees == 0).any()
+        got = compute_influence(g, measure)
+        values, sweeps, residual, converged = scipy_power_iteration(edges, users, measure)
+        assert np.array_equal(got.values, values)
+        assert (got.iterations_used, got.residual, got.converged) == (sweeps, residual, converged)
+
+    @pytest.mark.parametrize("measure", ["pagerank", "leaderrank"])
+    def test_bit_identical_when_stopped_early(self, measure):
+        edges, users = self.random_graph(100)
+        got = compute_influence(SocialGraph(edges, users=users), measure, tol=0.0, max_iter=7)
+        values, sweeps, residual, converged = scipy_power_iteration(
+            edges, users, measure, tol=0.0, max_iter=7)
+        assert np.array_equal(got.values, values)
+        assert (got.iterations_used, got.residual, got.converged) == (7, residual, False)
+
+
 class TestStopRule:
     """``tol`` bounds the L1 change of a sweep relative to the score mass."""
 

@@ -22,12 +22,19 @@ def dataset(tmp_path):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.sparse costs ~0.3 s of import and only the iterative centralities
-    # need it, so commands that do not compute them must not load it
+    # scipy costs ~0.3 s of import and serves only the tests, so neither the
+    # import nor the iterative centralities may load it
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import trendcast, trendcast.cli, sys; assert 'scipy' not in sys.modules"
+    code = (
+        "import trendcast, trendcast.cli, sys\n"
+        "from trendcast.social import SocialGraph, compute_influence\n"
+        "graph = SocialGraph([(1, 2), (2, 3), (3, 1), (4, 1)], users=[5])\n"
+        "for measure in ('pagerank', 'leaderrank'):\n"
+        "    assert compute_influence(graph, measure).converged\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                            timeout=60)
     assert child.returncode == 0, child.stderr
@@ -70,6 +77,26 @@ class TestGenVerb:
         b = (tmp_path / "b" / "ev.csv").read_bytes()
         c = (tmp_path / "c" / "ev.csv").read_bytes()
         assert a == b != c
+
+    @pytest.mark.parametrize("text, error", [
+        ("users = 40\nitems = 10\nevent = 300\n", "gen.cfg:3: unknown gen key 'event'"),
+        ("users = 40\nitems = 10\nevents = 300\nvotes_out = ev.csv\nsocial_edge = 100\n",
+         "gen.cfg:5: unknown gen key 'social_edge'"),
+        ("users = 40\nitems = 10\nseed = 1\n", "nothing to generate"),
+        ("# empty\n", "nothing to generate"),
+        ("events = 300\n", "gen.cfg: missing users, items"),
+        ("users = 40\nitems = 10\nevents = 300\nsocial_edges = 100\n",
+         "gen.cfg: missing social_users"),
+    ], ids=["unknown-key", "unknown-key-after-events", "no-output-key", "empty",
+            "events-without-sizes", "edges-without-users"])
+    def test_bad_config_fails_cleanly(self, tmp_path, caplog, text, error):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["gen", str(cfg), "--out", str(out)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and error in errors[0]
+        assert not out.exists()
 
 
 class TestRankVerb:

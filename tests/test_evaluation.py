@@ -1,4 +1,5 @@
 import csv
+import logging
 
 import pytest
 
@@ -9,6 +10,7 @@ from trendcast.evaluation import (
     EvalConfig,
     correctly_guessed,
     evaluate,
+    evaluate_many,
     make_test_dates,
     new_entries,
     precision,
@@ -18,6 +20,7 @@ from trendcast.evaluation import (
     SWEEP_COLUMNS,
 )
 from trendcast.predictors import PredictorSpec
+from trendcast.social import SocialGraph, compute_influence, influence_in_degree
 
 
 class TestEvalConfig:
@@ -199,6 +202,63 @@ class TestEvaluate:
         cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=5)
         with pytest.raises(ValueError, match="social"):
             evaluate(g, PredictorSpec("ibp", eta=1.0, centrality="in_degree"), cfg)
+
+    def test_influence_of_another_measure_rejected(self, rng):
+        g = self.graph(rng)
+        cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=5)
+        in_degree = influence_in_degree(SocialGraph([(1, 2), (3, 2)], users=range(80)))
+        spec = PredictorSpec("ibp", eta=1.0, centrality="pagerank")
+        with pytest.raises(ValueError, match="'in_degree'.*'pagerank'"):
+            evaluate(g, spec, cfg, in_degree)
+        with pytest.raises(ValueError, match="'in_degree'.*'pagerank'"):
+            evaluate_many(g, [spec], cfg, {"pagerank": in_degree})
+        # filed under the wrong key, even where no spec reads it
+        with pytest.raises(ValueError, match="'in_degree'.*'leaderrank'"):
+            evaluate_many(g, [PredictorSpec("recent_pop")], cfg, {"leaderrank": in_degree})
+
+
+class TestSharedWindow:
+    """evaluate_many scores every spec of a date from one shared window;
+    nothing computed for one spec, centrality or window length may leak into
+    another."""
+
+    SPECS = [
+        PredictorSpec("total_pop"),
+        PredictorSpec("recent_pop"),
+        PredictorSpec("pbp", lam=0.4),
+        *(PredictorSpec("wpp", gamma=gamma) for gamma in (-0.5, 0.0, 1.5)),
+        *(PredictorSpec("ibp", eta=eta, centrality=measure)
+          for measure in ("in_degree", "pagerank") for eta in (-1.0, -0.3, 0.0, 0.7)),
+    ]
+
+    @staticmethod
+    def zero_influence_warnings(caplog):
+        return [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING and "zero-influence" in r.getMessage()]
+
+    def test_many_specs_equal_one_at_a_time(self, rng, caplog):
+        g = build(random_events(rng, num_users=80, num_items=40, num_events=2000, t_max=5000))
+        # users 60-79 are not in the social graph, and followerless users have
+        # in-degree 0, so the two centralities zero out different users
+        social = SocialGraph(rng.integers(0, 60, size=(150, 2)))
+        influence = {m: compute_influence(social, m) for m in ("in_degree", "pagerank")}
+        # the same dates under both window lengths
+        dates = make_test_dates(g, 4, 700, 500)
+        for t_past in (300, 700):
+            cfg = EvalConfig(t_past, 500, dates, n=10)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                many = evaluate_many(g, self.SPECS, cfg, influence)
+            many_warnings = self.zero_influence_warnings(caplog)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                one = [evaluate(g, spec, cfg, influence.get(spec.centrality))
+                       for spec in self.SPECS]
+            assert many == one
+            assert many_warnings == self.zero_influence_warnings(caplog)
+            assert len(many_warnings) == 4  # one per negative-eta spec
+            # the two centralities zero out different users at eta=-1
+            assert many_warnings[0].replace("in_degree", "pagerank") != many_warnings[2]
 
 
 class TestCsvOutput:

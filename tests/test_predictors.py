@@ -157,6 +157,13 @@ class TestIbp:
         with pytest.raises(ValueError):
             score(g, self.spec(1.0, 5), 10)
 
+    def test_influence_of_another_measure_rejected(self):
+        # scored anyway, the in-degree vector would give item 5 a pagerank score of 2.0
+        g = build([Event(1, 5, 8)])
+        spec = PredictorSpec("ibp", eta=1.0, t_past=5, centrality="pagerank")
+        with pytest.raises(ValueError, match="'in_degree'.*'pagerank'"):
+            score(g, spec, 10, influence=influence_in_degree(self.social()))
+
 
 class TestReductionIdentities:
     def test_all_reductions_on_random_fixtures(self, rng):

@@ -1,6 +1,6 @@
 """Popularity-trend prediction on temporal bipartite user-item networks."""
 
-from .events import DAY, HOUR, Event, TemporalBipartiteGraph, build
+from .events import DAY, HOUR, TemporalBipartiteGraph, build
 from .evaluation import (
     EvalConfig,
     EvaluationReport,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 
@@ -68,7 +67,7 @@ def _cmd_run(args) -> int:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
-    return run_sweep(cfg, workers=args.workers, json_summary=args.json_summary)
+    return run_sweep(cfg, json_summary=args.json_summary)
 
 
 def _cmd_validate(args) -> int:
@@ -79,60 +78,68 @@ def _cmd_validate(args) -> int:
     return 1 if problems else 0
 
 
-GEN_KEYS = ("users", "items", "events", "arrival_rate", "theta", "pa_offset",
-            "activity_exponent", "seed", "votes_out", "out",
-            "social_users", "social_edges", "social_exponent", "social_out")
+# gen key -> the GenConfig field it sets
+EVENT_KEYS = {"users": "num_users", "items": "num_items", "events": "num_events",
+              "arrival_rate": "item_arrival_rate", "theta": "decay_timescale",
+              "pa_offset": "pa_offset", "activity_exponent": "activity_exponent",
+              "seed": "rng_seed"}
+# gen key -> the generate_social parameter it sets
+SOCIAL_KEYS = {"social_users": "num_users", "social_edges": "num_edges",
+               "social_exponent": "attach_exponent", "seed": "seed"}
+INT_KEYS = ("users", "items", "events", "seed", "social_users", "social_edges")
+PATH_KEYS = ("votes_out", "social_out", "out")
 
 
 def _cmd_gen(args) -> int:
-    values = {}
-    for lineno, key, value in parse_kv_file(args.config):
-        if key not in GEN_KEYS:
-            raise ValueError(f"{args.config}:{lineno}: unknown gen key {key!r}")
-        values[key] = value
+    path, values, lines = args.config, {}, {}
+    for lineno, key, raw in parse_kv_file(path):
+        if key not in (*EVENT_KEYS, *SOCIAL_KEYS, *PATH_KEYS):
+            raise ValueError(f"{path}:{lineno}: unknown gen key {key!r}")
+        values[key], lines[key] = raw, lineno
+        if key not in PATH_KEYS:
+            try:
+                values[key] = (int if key in INT_KEYS else float)(
+                    "inf" if raw == "infinite" else raw)
+            except ValueError:
+                kind = "an integer" if key in INT_KEYS else "a number"
+                raise ValueError(f"{path}:{lineno}: {key} must be {kind}, got {raw!r}") from None
     if "events" not in values and "social_edges" not in values:
-        raise ValueError(f"{args.config}: nothing to generate: set events, social_edges or both")
+        raise ValueError(f"{path}: nothing to generate: set events, social_edges or both")
     needs = {"events": ("users", "items"), "social_edges": ("social_users",)}
     missing = [k for key, keys in needs.items() if key in values for k in keys if k not in values]
     if missing:
-        raise ValueError(f"{args.config}: missing {', '.join(missing)}")
+        raise ValueError(f"{path}: missing {', '.join(missing)}")
+    if args.seed is not None:
+        values["seed"] = args.seed
+        lines.pop("seed", None)
 
-    def _num(key, default=None, cast=int):
-        if key not in values:
-            return default
-        raw = values[key]
-        return math.inf if raw in ("inf", "infinite") else cast(raw)
+    def make(factory, keys):
+        # The library's ValueErrors start with the parameter they are about;
+        # report them under the key that set it, on its line.
+        try:
+            return factory(**{param: values[key] for key, param in keys.items() if key in values})
+        except ValueError as exc:
+            for key, param in keys.items():
+                if str(exc).startswith(param):
+                    where = f"{path}:{lines[key]}" if key in lines else path
+                    raise ValueError(f"{where}: {key}{str(exc)[len(param):]}") from None
+            raise
 
+    # everything is checked, and the edges drawn, before the output directory exists
+    config = make(synthgen.GenConfig, EVENT_KEYS) if "events" in values else None
+    edges = make(synthgen.generate_social, SOCIAL_KEYS) if "social_edges" in values else None
     out_dir = args.out or values.get("out", ".")
     os.makedirs(out_dir, exist_ok=True)
-    seed = args.seed if args.seed is not None else _num("seed", 0)
 
-    if "events" in values:
-        config = synthgen.GenConfig(
-            num_users=_num("users"),
-            num_items=_num("items"),
-            num_events=_num("events"),
-            item_arrival_rate=_num("arrival_rate", math.inf, float),
-            decay_timescale=_num("theta", math.inf, float),
-            pa_offset=_num("pa_offset", 1.0, float),
-            activity_exponent=_num("activity_exponent", 0.0, float),
-            rng_seed=seed,
-        )
+    if config is not None:
         events = synthgen.generate(config)
-        path = os.path.join(out_dir, values.get("votes_out", "events.csv"))
-        ingestion.write_votes_csv(events, path)
-        log.info("wrote %d events to %s", len(events), path)
-
-    if "social_edges" in values:
-        edges = synthgen.generate_social(
-            num_users=_num("social_users"),
-            num_edges=_num("social_edges"),
-            attach_exponent=_num("social_exponent", 0.0, float),
-            seed=seed,
-        )
-        path = os.path.join(out_dir, values.get("social_out", "edges.txt"))
-        social.write_edge_list(edges, path)
-        log.info("wrote %d edges to %s", len(edges), path)
+        target = os.path.join(out_dir, values.get("votes_out", "events.csv"))
+        ingestion.write_votes_csv(events, target)
+        log.info("wrote %d events to %s", len(events), target)
+    if edges is not None:
+        target = os.path.join(out_dir, values.get("social_out", "edges.txt"))
+        social.write_edge_list(edges, target)
+        log.info("wrote %d edges to %s", len(edges), target)
     return 0
 
 
@@ -159,8 +166,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a parameter sweep from a config file")
     p_run.add_argument("config")
-    p_run.add_argument("--workers", type=int, default=None,
-                       help="ignored; the sweep runs in one process")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", default=None, help="override the output directory")
     p_run.add_argument("--json-summary", action="store_true",

@@ -1,7 +1,10 @@
 """Time-indexed store of user-item collection events.
 
-The graph is built once from an event stream and is immutable afterwards;
-every query is a pure read, so a graph can be shared freely between threads.
+An event stream is an ``(N, 3)`` int64 array of ``(user_id, item_id,
+timestamp)`` rows, as the ``trendcast.ingestion`` loaders and
+``trendcast.synthgen.generate`` return it. :func:`build` turns one into a
+graph, which is immutable afterwards; every query is a pure read, so a
+graph can be shared freely between threads.
 
 Time conventions used throughout the package:
 
@@ -19,7 +22,6 @@ hour-resolution data is handled by choosing window lengths in seconds
 from __future__ import annotations
 
 import logging
-from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,20 +31,10 @@ HOUR = 3_600
 DAY = 86_400
 
 
-class Event(NamedTuple):
-    """One collection act: ``user_id`` picked up ``item_id`` at ``timestamp``."""
-
-    user_id: int
-    item_id: int
-    timestamp: int
-
-
 class TemporalBipartiteGraph:
     """Immutable bipartite user-item event store with snapshot degree queries.
 
-    Construct with :func:`build` (accepts any sequence of events, unsorted,
-    possibly with duplicate user/item pairs) or :meth:`from_arrays` for
-    large pre-vectorized streams. Node identities are the integer ids seen
+    Construct with :func:`build`. Node identities are the integer ids seen
     in the events; internally both sides are mapped to compact indices
     ``0..U-1`` / ``0..I-1`` in ascending id order, which the ``*_vector``
     queries are aligned with.
@@ -50,50 +42,13 @@ class TemporalBipartiteGraph:
 
     def __init__(self, user_ids, item_ids, users, items, timestamps, duplicates_collapsed=0):
         # users/items index user_ids/item_ids; the events are deduplicated and
-        # sorted by (timestamp, user, item). Use build() or from_arrays().
+        # sorted by (timestamp, user, item). Use build().
         self.user_ids = user_ids
         self.item_ids = item_ids
         self._users = users
         self._items = items
         self._ts = timestamps
         self.duplicates_collapsed = int(duplicates_collapsed)
-
-    @classmethod
-    def from_arrays(cls, users, items, timestamps) -> "TemporalBipartiteGraph":
-        """Build from parallel id/timestamp arrays; the fast path for bulk data."""
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        ts = np.asarray(timestamps, dtype=np.int64)
-        if users.size == 0:
-            raise ValueError("empty event stream")
-        if not (users.shape == items.shape == ts.shape):
-            raise ValueError("users, items and timestamps must have equal length")
-        neg = np.flatnonzero(ts < 0)
-        if neg.size:
-            k = neg[0]
-            raise ValueError(
-                "negative timestamp in event "
-                f"(user={users[k]}, item={items[k]}, timestamp={ts[k]})"
-            )
-
-        user_ids, users = np.unique(users, return_inverse=True)
-        item_ids, items = np.unique(items, return_inverse=True)
-        # Collapse duplicate (user, item) pairs keeping the earliest timestamp.
-        # The pair key is below U * I <= links**2 and orders pairs by (user, item).
-        pairs = users * len(item_ids) + items
-        order = np.argsort(pairs)
-        pairs, ts = pairs[order], ts[order]
-        starts = np.flatnonzero(np.concatenate(([True], pairs[1:] != pairs[:-1])))
-        pairs, ts = pairs[starts], np.minimum.reduceat(ts, starts)
-        collapsed = int(order.size - starts.size)
-        if collapsed:
-            log.debug("collapsed %d duplicate user-item events", collapsed)
-
-        # The pairs are ascending, so a stable sort by time orders the events
-        # by (timestamp, user, item).
-        order = np.argsort(ts, kind="stable")
-        users, items = np.divmod(pairs[order], len(item_ids))
-        return cls(user_ids, item_ids, users, items, ts[order], duplicates_collapsed=collapsed)
 
     # -- basic shape ----------------------------------------------------
 
@@ -117,44 +72,11 @@ class TemporalBipartiteGraph:
     def t_last(self) -> int:
         return int(self._ts[-1])
 
-    @property
-    def events(self) -> list[Event]:
-        """Events sorted by timestamp. Materializes a list; meant for small graphs."""
-        uu = self.user_ids[self._users]
-        ii = self.item_ids[self._items]
-        return [Event(int(a), int(b), int(c)) for a, b, c in zip(uu, ii, self._ts)]
-
     def __repr__(self):
         return (
             f"TemporalBipartiteGraph(users={self.num_users}, items={self.num_items}, "
             f"links={self.num_links}, span=[{self.t_first}, {self.t_last}])"
         )
-
-    # -- id lookups ------------------------------------------------------
-
-    @staticmethod
-    def _index(ids, key, side) -> int:
-        pos = int(np.searchsorted(ids, key))
-        if pos == len(ids) or ids[pos] != key:
-            raise KeyError(f"unknown {side} id {key}")
-        return pos
-
-    # -- degree queries ----------------------------------------------------
-    # One-entity reads of the vector queries below: O(L) each, for
-    # convenience, not for loops.
-
-    def item_degree_at(self, item_id, t) -> int:
-        """Number of users who collected ``item_id`` by time ``t`` (inclusive)."""
-        return int(self.item_degree_vector(t)[self._index(self.item_ids, item_id, "item")])
-
-    def user_degree_at(self, user_id, t) -> int:
-        """Number of items ``user_id`` collected by time ``t`` (inclusive)."""
-        return int(self.user_degree_vector(t)[self._index(self.user_ids, user_id, "user")])
-
-    def item_degree_increase(self, item_id, t, t_past) -> int:
-        """Event count of ``item_id`` inside the window ``(t - t_past, t]``."""
-        increase = self.item_increase_vector(t, t_past)
-        return int(increase[self._index(self.item_ids, item_id, "item")])
 
     # -- vectorized queries (aligned with user_ids / item_ids order) -------
 
@@ -173,11 +95,7 @@ class TemporalBipartiteGraph:
 
     def item_increase_vector(self, t, t_past) -> np.ndarray:
         """Per-item event counts inside ``(t - t_past, t]``, aligned with ``item_ids``."""
-        if t_past <= 0:
-            raise ValueError(f"window length must be positive, got {t_past}")
-        lo = self._time_pos(t - t_past)
-        hi = self._time_pos(t)
-        return np.bincount(self._items[lo:hi], minlength=self.num_items)
+        return np.bincount(self.window_events(t, t_past)[1], minlength=self.num_items)
 
     def window_events(self, t, t_past):
         """Compact (user, item) index pairs of the events in ``(t - t_past, t]``.
@@ -217,18 +135,45 @@ class TemporalBipartiteGraph:
         return candidates[np.lexsort((self.item_ids[candidates], -scores[candidates]))]
 
 
-def build(events: np.ndarray | Sequence[Event] | Iterable[tuple]) -> TemporalBipartiteGraph:
-    """Build a graph from ``Event`` tuples or an ``(N, 3)`` array such as the
-    ``trendcast.ingestion`` loaders return.
+def build(events) -> TemporalBipartiteGraph:
+    """Build a graph from an ``(N, 3)`` integer array-like of ``(user_id,
+    item_id, timestamp)`` rows.
 
-    Input may be unsorted and may contain duplicate (user, item) pairs;
-    duplicates are collapsed keeping the earliest timestamp (the first
-    collection act is the one that carries information). Raises
-    ``ValueError`` on an empty stream or a negative timestamp.
+    Rows may be unsorted and may repeat a (user, item) pair; repeats are
+    collapsed keeping the earliest timestamp (the first collection act is
+    the one that carries information). Raises ``ValueError`` on an empty
+    stream, a wrong shape or a negative timestamp.
     """
-    arr = np.asarray(list(events) if not isinstance(events, np.ndarray) else events)
+    arr = np.asarray(events, dtype=np.int64)
     if arr.size == 0:
         raise ValueError("empty event stream")
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("events must be (user_id, item_id, timestamp) triples")
-    return TemporalBipartiteGraph.from_arrays(arr[:, 0], arr[:, 1], arr[:, 2])
+    users, items, ts = arr.T
+    neg = np.flatnonzero(ts < 0)
+    if neg.size:
+        k = neg[0]
+        raise ValueError(
+            "negative timestamp in event "
+            f"(user={users[k]}, item={items[k]}, timestamp={ts[k]})"
+        )
+
+    user_ids, users = np.unique(users, return_inverse=True)
+    item_ids, items = np.unique(items, return_inverse=True)
+    # Collapse duplicate (user, item) pairs keeping the earliest timestamp.
+    # The pair key is below U * I <= links**2 and orders pairs by (user, item).
+    pairs = users * len(item_ids) + items
+    order = np.argsort(pairs)
+    pairs, ts = pairs[order], ts[order]
+    starts = np.flatnonzero(np.concatenate(([True], pairs[1:] != pairs[:-1])))
+    pairs, ts = pairs[starts], np.minimum.reduceat(ts, starts)
+    collapsed = int(order.size - starts.size)
+    if collapsed:
+        log.debug("collapsed %d duplicate user-item events", collapsed)
+
+    # The pairs are ascending, so a stable sort by time orders the events
+    # by (timestamp, user, item).
+    order = np.argsort(ts, kind="stable")
+    users, items = np.divmod(pairs[order], len(item_ids))
+    return TemporalBipartiteGraph(user_ids, item_ids, users, items, ts[order],
+                                  duplicates_collapsed=collapsed)

@@ -41,7 +41,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import ingestion, predictors, social
-from .events import TemporalBipartiteGraph, build
+from .events import build
 from .evaluation import (EvalConfig, EvaluationReport, evaluate_many, make_test_dates,
                          write_reports_csv)
 from .predictors import PredictorSpec
@@ -170,8 +170,9 @@ def validate(cfg: ExperimentConfig) -> list[str]:
     return _check(cfg)[0]
 
 
-def _check(cfg: ExperimentConfig) -> tuple[list[str], TemporalBipartiteGraph | None]:
-    """The problems :func:`validate` reports, and the dataset graph if it loaded."""
+def _check(cfg: ExperimentConfig):
+    """The problems :func:`validate` reports, the dataset graph and, when ibp
+    is configured, the social graph (each None unless it loaded)."""
     problems = []
     for key in cfg.unknown_keys:
         problems.append(f"unknown config key {key!r}")
@@ -212,7 +213,7 @@ def _check(cfg: ExperimentConfig) -> tuple[list[str], TemporalBipartiteGraph | N
     if cfg.num_test_dates < 1:
         problems.append("test_dates must be >= 1")
 
-    graph = None
+    graph = social_graph = None
     if not problems:
         try:
             spec = ingestion.DatasetSpec(
@@ -231,7 +232,12 @@ def _check(cfg: ExperimentConfig) -> tuple[list[str], TemporalBipartiteGraph | N
                         make_test_dates(graph, cfg.num_test_dates, t_past, t_future)
                     except ValueError as exc:
                         problems.append(str(exc))
-    return problems, graph
+        if "ibp" in cfg.predictors:  # only ibp reads the social graph
+            try:
+                social_graph = social.load_social_graph(cfg.social)
+            except (ValueError, OSError) as exc:
+                problems.append(f"cannot load social graph: {exc}")
+    return problems, graph, social_graph
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: bool = False) -> int:
@@ -241,7 +247,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
     this process. Returns a process exit status: 0 on success, 1 when
     validation or any evaluation failed.
     """
-    problems, graph = _check(cfg)
+    problems, graph, social_graph = _check(cfg)
     if problems:
         for p in problems:
             log.error("config: %s", p)
@@ -249,8 +255,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
 
     log.info("loaded %r", graph)
     influence = {}
-    if "ibp" in cfg.predictors:  # only ibp reads the social graph
-        social_graph = social.load_social_graph(cfg.social)
+    if social_graph is not None:  # loaded only for ibp
         for measure in cfg.centralities:
             infl = influence[measure] = social.compute_influence(social_graph, measure)
             log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",

@@ -209,11 +209,11 @@ def subset_users(events: np.ndarray, num_users: int, min_degree: int = 20, seed:
 
 
 def write_votes_csv(events, path) -> None:
-    """Write ``Event`` tuples or an ``(N, 3)`` array as a votes CSV."""
+    """Write an ``(N, 3)`` array-like of (user, item, timestamp) rows as a votes CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(VOTES_HEADER)
-        writer.writerows(events)
+        writer.writerows(np.asarray(events).tolist())
 
 
 def write_ratings_csv(records, path) -> None:

@@ -128,9 +128,9 @@ def _rescan_edges(path) -> None:
                 raise ValueError(f"{path}:{lineno}: non-integer id in {line!r}") from None
 
 
-def write_edge_list(edges: Iterable[tuple], path) -> None:
+def write_edge_list(edges: np.ndarray | list[tuple], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for a, b in edges:
+        for a, b in np.asarray(edges).tolist():
             fh.write(f"{a} {b}\n")
 
 
@@ -147,14 +147,8 @@ class InfluenceVector:
     residual: float = 0.0
     converged: bool = True
 
-    def get(self, user_id, default=0.0) -> float:
-        pos = np.searchsorted(self.user_ids, user_id)
-        if pos < len(self.user_ids) and self.user_ids[pos] == user_id:
-            return float(self.values[pos])
-        return float(default)
-
     def lookup(self, user_ids) -> np.ndarray:
-        """Vectorized ``get``: unknown users map to 0."""
+        """Scores of ``user_ids``, aligned with them; unknown users map to 0."""
         ids = np.asarray(user_ids)
         pos = np.searchsorted(self.user_ids, ids).clip(max=max(len(self.user_ids) - 1, 0))
         out = np.zeros(ids.shape, dtype=np.float64)
@@ -162,9 +156,6 @@ class InfluenceVector:
             hit = self.user_ids[pos] == ids
             out[hit] = self.values[pos[hit]]
         return out
-
-    def as_dict(self) -> dict:
-        return {int(u): float(v) for u, v in zip(self.user_ids, self.values)}
 
 
 def influence_in_degree(graph: SocialGraph) -> InfluenceVector:

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import Event
-
 log = logging.getLogger(__name__)
 
 _MAX_RESAMPLES = 10_000
@@ -49,19 +47,18 @@ class GenConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if min(self.num_users, self.num_items, self.num_events) < 1:
-            raise ValueError("num_users, num_items and num_events must be positive")
+        # each message starts with the field it is about
+        for name in ("num_users", "num_items", "num_events", "item_arrival_rate",
+                     "decay_timescale", "pa_offset"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.num_events > self.num_users * self.num_items:
             raise ValueError(
-                f"cannot draw {self.num_events} distinct user-item pairs from a "
-                f"{self.num_users} x {self.num_items} grid"
+                f"num_events: cannot draw {self.num_events} distinct user-item pairs from "
+                f"a {self.num_users} x {self.num_items} grid"
             )
-        if self.item_arrival_rate <= 0:
-            raise ValueError("item_arrival_rate must be positive")
-        if self.decay_timescale <= 0:
-            raise ValueError("decay_timescale must be positive")
-        if self.pa_offset <= 0:
-            raise ValueError("pa_offset must be positive")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 def _birth_times(config: GenConfig) -> np.ndarray:
@@ -70,14 +67,16 @@ def _birth_times(config: GenConfig) -> np.ndarray:
     return (np.arange(config.num_items) / config.item_arrival_rate).astype(np.int64)
 
 
-def generate(config: GenConfig) -> list[Event]:
+def generate(config: GenConfig) -> np.ndarray:
     """Draw the event stream; deterministic for a fixed seed.
 
-    Per tick: pick a user (uniform, or activity-weighted), pick an item with
-    probability proportional to ``(degree + pa_offset) * exp(-age / theta)``
-    among the items already born, resample the pair on a duplicate
-    collision. Raises ``RuntimeError`` if a tick cannot place an event after
-    many resamples (the alive catalogue is saturated).
+    Returns an ``(N, 3)`` int64 array of ``(user, item, timestamp)`` rows in
+    time order, as the ``trendcast.ingestion`` loaders do. Per tick: pick a
+    user (uniform, or activity-weighted), pick an item with probability
+    proportional to ``(degree + pa_offset) * exp(-age / theta)`` among the
+    items already born, resample the pair on a duplicate collision. Raises
+    ``RuntimeError`` if a tick cannot place an event after many resamples
+    (the alive catalogue is saturated).
     """
     rng = np.random.default_rng(config.rng_seed)
     birth = _birth_times(config)
@@ -86,27 +85,29 @@ def generate(config: GenConfig) -> list[Event]:
     item_deg = np.zeros(config.num_items, dtype=np.float64)
     user_deg = np.zeros(config.num_users, dtype=np.float64)
     seen: set[int] = set()
-    events = []
+    events = np.empty((config.num_events, 3), dtype=np.int64)
+    alive = 0  # items born by tick t; birth is nondecreasing
 
     for t in range(1, config.num_events + 1):
-        alive = int(np.searchsorted(birth, t, side="right"))
+        while alive < config.num_items and birth[alive] <= t:
+            alive += 1
         weights = item_deg[:alive] + config.pa_offset
         if aging:
             weights = weights * np.exp((birth[:alive] - t) / config.decay_timescale)
-        item_cum = np.cumsum(weights)
+        item_cum = weights.cumsum()
         if item_cum[-1] <= 0.0:  # all alive weights aged below float range
             item_cum = np.arange(1.0, alive + 1)
 
         user_cum = None
         if config.activity_exponent != 0.0:
-            user_cum = np.cumsum((user_deg + 1.0) ** config.activity_exponent)
+            user_cum = ((user_deg + 1.0) ** config.activity_exponent).cumsum()
 
         for attempt in range(_MAX_RESAMPLES):
-            item = int(np.searchsorted(item_cum, rng.random() * item_cum[-1], side="right"))
+            item = int(item_cum.searchsorted(rng.random() * item_cum[-1], side="right"))
             if user_cum is None:
                 user = int(rng.integers(config.num_users))
             else:
-                user = int(np.searchsorted(user_cum, rng.random() * user_cum[-1], side="right"))
+                user = int(user_cum.searchsorted(rng.random() * user_cum[-1], side="right"))
             key = user * config.num_items + item
             if key not in seen:
                 break
@@ -118,37 +119,41 @@ def generate(config: GenConfig) -> list[Event]:
         seen.add(key)
         item_deg[item] += 1.0
         user_deg[user] += 1.0
-        events.append(Event(user, item, t))
+        events[t - 1] = user, item, t
     return events
 
 
-def generate_social(num_users: int, num_edges: int, attach_exponent: float = 0.0, seed: int = 0) -> list[tuple[int, int]]:
+def generate_social(num_users: int, num_edges: int, attach_exponent: float = 0.0, seed: int = 0) -> np.ndarray:
     """Directed follower->leader edges with in-degree preferential attachment.
 
-    The follower is uniform; the leader is drawn with probability
+    Returns an ``(E, 2)`` int64 array of ``(follower, leader)`` rows in draw
+    order. The follower is uniform; the leader is drawn with probability
     proportional to ``(followers + 1) ** attach_exponent`` (0 gives a
     uniform random directed graph). No self-loops or duplicate edges;
     deterministic for a fixed seed.
     """
-    if num_users < 1:
-        raise ValueError("num_users must be positive")
+    if not num_users > 0:
+        raise ValueError(f"num_users must be positive, got {num_users}")
     if not 0 <= num_edges <= num_users * (num_users - 1):
         raise ValueError(
-            f"cannot place {num_edges} distinct directed edges on {num_users} users"
+            f"num_edges: cannot place {num_edges} distinct directed edges on {num_users} users"
         )
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     in_deg = np.zeros(num_users, dtype=np.float64)
     seen: set[int] = set()
-    edges = []
+    edges = np.empty((num_edges, 2), dtype=np.int64)
     uniform = attach_exponent == 0.0
-    for _ in range(num_edges):
+    for k in range(num_edges):
+        if not uniform:  # in_deg does not change while a pair is resampled
+            cum = ((in_deg + 1.0) ** attach_exponent).cumsum()
         for attempt in range(_MAX_RESAMPLES):
             src = int(rng.integers(num_users))
             if uniform:
                 dst = int(rng.integers(num_users))
             else:
-                cum = np.cumsum((in_deg + 1.0) ** attach_exponent)
-                dst = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+                dst = int(cum.searchsorted(rng.random() * cum[-1], side="right"))
             key = src * num_users + dst
             if src != dst and key not in seen:
                 break
@@ -156,5 +161,5 @@ def generate_social(num_users: int, num_edges: int, attach_exponent: float = 0.0
             raise RuntimeError("edge sampling saturated; lower num_edges")
         seen.add(key)
         in_deg[dst] += 1.0
-        edges.append((src, dst))
+        edges[k] = src, dst
     return edges

@@ -1,12 +1,37 @@
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from trendcast.events import Event, build
+from trendcast.events import build
+
+
+class Event(NamedTuple):
+    """One collection act: ``user_id`` picked up ``item_id`` at ``timestamp``.
+
+    A list of these is an ``(N, 3)`` array-like, so ``build`` takes it."""
+
+    user_id: int
+    item_id: int
+    timestamp: int
+
+
+def events_of(graph):
+    """The graph's events as ``Event`` tuples in (timestamp, user, item) order."""
+    users = graph.user_ids[graph._users].tolist()
+    items = graph.item_ids[graph._items].tolist()
+    return [Event(*e) for e in zip(users, items, graph._ts.tolist())]
+
+
+def entry(ids, vector, key):
+    """The entry for id ``key`` of ``vector``, which is aligned with the sorted ``ids``."""
+    pos = int(np.searchsorted(ids, key))
+    assert pos < len(ids) and ids[pos] == key, f"unknown id {key}"
+    return int(vector[pos])
 
 
 def random_events(rng, num_users=40, num_items=15, num_events=300, t_max=1000):

@@ -12,8 +12,8 @@ import time
 import numpy as np
 
 import oracles
-from conftest import dedup_earliest, random_events
-from trendcast.events import TemporalBipartiteGraph, build
+from conftest import dedup_earliest, entry, random_events
+from trendcast.events import build
 from trendcast.evaluation import (
     EvalConfig,
     correctly_guessed,
@@ -93,9 +93,10 @@ def test_2_oracle_equivalence(rng):
     for _ in range(40):
         t = int(rng.integers(0, 5500))
         t_past = int(rng.integers(1, 2000))
+        degree, increase = g.item_degree_vector(t), g.item_increase_vector(t, t_past)
         for item in items:
-            assert g.item_degree_at(item, t) == oracles.degree_at(truth_events, item, t)
-            assert g.item_degree_increase(item, t, t_past) == oracles.increase(
+            assert entry(g.item_ids, degree, item) == oracles.degree_at(truth_events, item, t)
+            assert entry(g.item_ids, increase, item) == oracles.increase(
                 truth_events, item, t, t_past
             )
 
@@ -267,9 +268,10 @@ def test_8_large_scale_workload():
     keys = np.concatenate([base_keys, extra_keys])
     users, items = keys // num_items, keys % num_items
     ts = rng.integers(0, 3_000_000, size=num_links)
+    events = np.column_stack([users, items, ts])
 
     start = time.perf_counter()
-    g = TemporalBipartiteGraph.from_arrays(users, items, ts)
+    g = build(events)
     assert g.num_users == num_users
     assert g.num_items == num_items
     assert g.num_links == num_links

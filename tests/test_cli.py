@@ -98,6 +98,46 @@ class TestGenVerb:
         assert len(errors) == 1 and error in errors[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, error", [
+        ("users = 40\nitems = 10\nevents = 1e3\n",
+         "gen.cfg:3: events must be an integer, got '1e3'"),
+        ("users = 0\nitems = 10\nevents = 300\n", "gen.cfg:1: users must be positive, got 0"),
+        ("users = 3\nitems = 3\nevents = 10\n", "gen.cfg:3: events: cannot draw 10 distinct"),
+        ("users = 40\nitems = 10\nevents = 300\ntheta = soon\n",
+         "gen.cfg:4: theta must be a number, got 'soon'"),
+        ("users = 40\nitems = 10\nevents = 300\narrival_rate = 0\n",
+         "gen.cfg:4: arrival_rate must be positive, got 0.0"),
+        ("users = 40\nitems = 10\nevents = 300\nseed = -1\n",
+         "gen.cfg:4: seed must be non-negative, got -1"),
+        ("users = 40\nitems = 10\nevents = 300\nsocial_users = 5\nsocial_edges = 21\n",
+         "gen.cfg:5: social_edges: cannot place 21 distinct directed edges on 5 users"),
+        ("social_users = 0\nsocial_edges = 0\nseed = 2\n",
+         "gen.cfg:1: social_users must be positive, got 0"),
+        ("social_users = 5\nsocial_edges = 2\nseed = -4\n",
+         "gen.cfg:3: seed must be non-negative, got -4"),
+    ], ids=["events-not-int", "zero-users", "events-over-grid", "theta-not-number",
+            "zero-rate", "negative-seed", "edges-over-capacity", "zero-social-users",
+            "negative-social-seed"])
+    def test_bad_number_names_file_line_and_key(self, tmp_path, caplog, text, error):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["gen", str(cfg), "--out", str(out)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith(f"{tmp_path}{os.sep}{error}")
+        assert not out.exists()
+
+    def test_inf_and_infinite_mean_no_aging(self, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        outs = []
+        for theta in ("inf", "infinite"):
+            cfg.write_text(f"users = 40\nitems = 10\nevents = 200\ntheta = {theta}\n")
+            assert main(["gen", str(cfg), "--out", str(tmp_path / theta)]) == 0
+            outs.append((tmp_path / theta / "events.csv").read_bytes())
+        cfg.write_text("users = 40\nitems = 10\nevents = 200\n")
+        assert main(["gen", str(cfg), "--out", str(tmp_path / "default")]) == 0
+        assert outs[0] == outs[1] == (tmp_path / "default" / "events.csv").read_bytes()
+
 
 class TestRankVerb:
     def test_prints_top_items(self, dataset, capsys):
@@ -156,7 +196,7 @@ class TestRunAndValidateVerbs:
     def test_run_with_json_summary(self, tmp_path, dataset, capsys):
         out = tmp_path / "out"
         cfg = self.write_cfg(tmp_path, dataset, out)
-        assert main(["run", str(cfg), "--workers", "1", "--json-summary"]) == 0
+        assert main(["run", str(cfg), "--json-summary"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1
         summary = json.loads(lines[0])
@@ -167,6 +207,26 @@ class TestRunAndValidateVerbs:
     def test_out_flag_overrides_config(self, tmp_path, dataset):
         cfg = self.write_cfg(tmp_path, dataset, tmp_path / "ignored")
         override = tmp_path / "flag_out"
-        assert main(["run", str(cfg), "--workers", "1", "--out", str(override)]) == 0
+        assert main(["run", str(cfg), "--out", str(override)]) == 0
         assert (override / "sweep.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+    def test_workers_flag_is_gone(self, tmp_path, dataset, capsys):
+        cfg = self.write_cfg(tmp_path, dataset, tmp_path / "out")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(cfg), "--workers", "1"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_validate_parses_the_social_edge_list(self, tmp_path, dataset, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("3 x\n")
+        cfg = self.write_cfg(tmp_path, dataset, tmp_path / "out")
+        with open(cfg, "a") as fh:
+            fh.write(f"social = {edges}\npredictor = ibp\neta = 1\ncentrality = pagerank\n")
+        assert main(["validate", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("cannot load social graph: ") and "edges.txt:1" in out
+        assert main(["run", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()

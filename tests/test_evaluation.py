@@ -4,8 +4,8 @@ import logging
 import pytest
 
 import oracles
-from conftest import dedup_earliest, random_events
-from trendcast.events import Event, build
+from conftest import Event, dedup_earliest, random_events
+from trendcast.events import build
 from trendcast.evaluation import (
     EvalConfig,
     correctly_guessed,

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import dedup_earliest
+from conftest import Event, dedup_earliest
 from trendcast.evaluation import EvalConfig, evaluate_many
-from trendcast.events import Event, build
+from trendcast.events import build
 from trendcast.predictors import PredictorSpec, score
 from trendcast.social import InfluenceVector
 

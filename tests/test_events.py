@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import dedup_earliest, random_events
-from trendcast.events import Event, TemporalBipartiteGraph, build
+from conftest import Event, dedup_earliest, entry, events_of, random_events
+from trendcast.events import build
 
 
 class TestBuild:
     def test_duplicates_keep_earliest(self):
         g = build([Event(1, 1, 10), Event(1, 1, 5), Event(2, 1, 7)])
         assert g.num_links == 2
-        assert g.events == [Event(1, 1, 5), Event(2, 1, 7)]
+        assert events_of(g) == [Event(1, 1, 5), Event(2, 1, 7)]
         assert g.duplicates_collapsed == 1
 
     def test_empty_stream(self):
@@ -33,64 +33,73 @@ class TestBuild:
 
     def test_build_accepts_plain_tuples_and_unsorted_input(self):
         g = build([(5, 9, 30), (4, 9, 10)])
-        assert [e.timestamp for e in g.events] == [10, 30]
+        assert [e.timestamp for e in events_of(g)] == [10, 30]
 
-    def test_from_arrays_matches_build(self, rng):
+    def test_array_matches_event_list(self, rng):
         events = random_events(rng, num_events=200)
         a = build(events)
-        arr = np.array(events)
-        b = TemporalBipartiteGraph.from_arrays(arr[:, 0], arr[:, 1], arr[:, 2])
-        assert a.events == b.events
+        b = build(np.array(events, dtype=np.int64))
+        assert events_of(a) == events_of(b)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="triples"):
+            build(np.zeros((4, 2), dtype=np.int64))
 
 
 class TestDegreeQueries:
     def test_boundary_is_inclusive(self, small_graph):
-        assert small_graph.item_degree_at(10, 8) == 2
+        assert entry(small_graph.item_ids, small_graph.item_degree_vector(8), 10) == 2
 
     def test_before_first_event(self, small_graph):
-        assert small_graph.item_degree_at(10, 2) == 0
+        assert entry(small_graph.item_ids, small_graph.item_degree_vector(2), 10) == 0
 
     def test_infinity_sentinel(self, small_graph):
-        assert small_graph.item_degree_at(10, math.inf) == 3
-        assert small_graph.user_degree_at(1, math.inf) == 2
+        g = small_graph
+        assert entry(g.item_ids, g.item_degree_vector(math.inf), 10) == 3
+        assert entry(g.user_ids, g.user_degree_vector(math.inf), 1) == 2
 
     def test_unknown_ids(self, small_graph):
-        with pytest.raises(KeyError):
-            small_graph.item_degree_at(999, 5)
-        with pytest.raises(KeyError):
-            small_graph.user_degree_at(999, 5)
+        # the vectors hold one entry per id seen in the events, none for others
+        g = small_graph
+        assert 999 not in g.item_ids and 999 not in g.user_ids
+        assert len(g.item_degree_vector(5)) == g.num_items
+        assert len(g.user_degree_vector(5)) == g.num_users
 
     def test_user_degree(self, small_graph):
         # user 2 collected at t=1 and t=8
-        assert small_graph.user_degree_at(2, 5) == 1
-        assert small_graph.user_degree_at(2, 0) == 0
+        g = small_graph
+        assert entry(g.user_ids, g.user_degree_vector(5), 2) == 1
+        assert entry(g.user_ids, g.user_degree_vector(0), 2) == 0
 
     def test_degree_sum_equals_links(self, rng):
         g = build(random_events(rng))
-        total_u = sum(g.user_degree_at(u, math.inf) for u in g.user_ids)
-        total_i = sum(g.item_degree_at(i, math.inf) for i in g.item_ids)
+        total_u = int(g.user_degree_vector(math.inf).sum())
+        total_i = int(g.item_degree_vector(math.inf).sum())
         assert total_u == total_i == g.num_links
 
-    def test_degree_vectors_match_scalar_queries(self, rng):
-        g = build(random_events(rng))
+    def test_degree_vectors_match_linear_scan_oracle(self, rng):
+        events = random_events(rng)
+        g = build(events)
+        deduped = dedup_earliest(events)
         for t in (0, 250, 777, math.inf):
             iv = g.item_degree_vector(t)
-            assert [g.item_degree_at(i, t) for i in g.item_ids] == iv.tolist()
+            assert [oracles.degree_at(deduped, i, t) for i in g.item_ids] == iv.tolist()
             uv = g.user_degree_vector(t)
-            assert [g.user_degree_at(u, t) for u in g.user_ids] == uv.tolist()
+            assert [oracles.user_degree_at(deduped, u, t) for u in g.user_ids] == uv.tolist()
 
 
 class TestIncrease:
     def test_window_is_half_open(self, small_graph):
         # window (7, 12] holds the events at 8 and 12
-        assert small_graph.item_degree_increase(10, 12, 5) == 2
+        assert entry(small_graph.item_ids, small_graph.item_increase_vector(12, 5), 10) == 2
 
     def test_window_covering_everything(self, small_graph):
-        assert small_graph.item_degree_increase(10, 12, 100) == small_graph.item_degree_at(10, 12)
+        g = small_graph
+        assert g.item_increase_vector(12, 100).tolist() == g.item_degree_vector(12).tolist()
 
     def test_needs_positive_window(self, small_graph):
         with pytest.raises(ValueError):
-            small_graph.item_degree_increase(10, 12, 0)
+            small_graph.item_increase_vector(12, 0)
 
     def test_matches_linear_scan_oracle(self, rng):
         events = random_events(rng, num_events=200)
@@ -99,16 +108,16 @@ class TestIncrease:
         for _ in range(50):
             t = int(rng.integers(0, 1100))
             t_past = int(rng.integers(1, 400))
-            for item in g.item_ids:
-                assert g.item_degree_increase(int(item), t, t_past) == oracles.increase(
-                    deduped, item, t, t_past
-                )
+            increase = g.item_increase_vector(t, t_past)
+            for pos, item in enumerate(g.item_ids):
+                assert increase[pos] == oracles.increase(deduped, item, t, t_past)
 
     def test_monotone_in_time(self, rng):
         g = build(random_events(rng))
         times = sorted(rng.integers(0, 1100, size=20))
-        for item in g.item_ids[:5]:
-            degs = [g.item_degree_at(int(item), int(t)) for t in times]
+        degrees = np.array([g.item_degree_vector(int(t)) for t in times])
+        for pos in range(5):
+            degs = degrees[:, pos].tolist()
             assert degs == sorted(degs)
 
     def test_window_additivity(self, rng):
@@ -116,12 +125,10 @@ class TestIncrease:
         for _ in range(25):
             t = int(rng.integers(100, 1100))
             w = int(rng.integers(1, 200))
-            for item in g.item_ids[:5]:
-                item = int(item)
-                both = g.item_degree_increase(item, t, 2 * w)
-                recent = g.item_degree_increase(item, t, w)
-                older = g.item_degree_increase(item, t - w, w)
-                assert both == recent + older
+            both = g.item_increase_vector(t, 2 * w)
+            recent = g.item_increase_vector(t, w)
+            older = g.item_increase_vector(t - w, w)
+            assert both.tolist() == (recent + older).tolist()
 
 
 class TestTopItems:
@@ -173,5 +180,5 @@ def test_queries_independent_of_input_order(rng):
     shuffled = list(events)
     rng.shuffle(shuffled)
     g2 = build(shuffled)
-    assert g1.events == g2.events
+    assert events_of(g1) == events_of(g2)
     assert g1.top_items_by_increase(800, 300, 10) == g2.top_items_by_increase(800, 300, 10)

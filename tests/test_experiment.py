@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from trendcast import social
 from trendcast.experiment import (
     ExperimentConfig,
     parse_experiment_config,
@@ -109,6 +110,19 @@ class TestValidate:
         )))
         assert any("social" in p for p in validate(cfg))
 
+    def test_malformed_social_edge_list(self, tmp_path, dataset):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("1 2\n3 x\n")
+        cfg = parse_experiment_config(write_config(tmp_path, (
+            BASE.format(dataset=dataset, out=tmp_path / "out")
+            + f"social = {edges}\npredictor = ibp\neta = 1\ncentrality = in_degree\n"
+        )))
+        problems = validate(cfg)
+        assert len(problems) == 1
+        assert problems[0].startswith("cannot load social graph: ") and "edges.txt:2" in problems[0]
+        assert run_sweep(cfg) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_centrality_without_ibp(self, tmp_path, dataset):
         body = BASE.format(dataset=dataset, out=tmp_path / "o") + "centrality = nope\n"
         cfg = parse_experiment_config(write_config(tmp_path, body))
@@ -176,6 +190,19 @@ class TestRunSweep:
         for measure, line in zip(("in_degree", "pagerank", "leaderrank"), lines):
             assert re.fullmatch(rf"{measure} influence: \d+ sweeps, relative residual "
                                 r"\S+, converged True", line), line
+
+    def test_social_graph_loads_once(self, tmp_path, dataset, monkeypatch):
+        edges = tmp_path / "edges.txt"
+        write_edge_list([(u, (3 * u + 1) % 200) for u in range(200)], edges)
+        cfg = parse_experiment_config(write_config(tmp_path, (
+            BASE.format(dataset=dataset, out=tmp_path / "out")
+            + f"social = {edges}\npredictor = ibp\neta = 1\ncentrality = in_degree\n"
+        )))
+        paths = []
+        load = social.load_social_graph
+        monkeypatch.setattr(social, "load_social_graph", lambda p: paths.append(p) or load(p))
+        assert run_sweep(cfg) == 0
+        assert paths == [str(edges)]
 
     def test_every_grid_point_appears_once(self, tmp_path, dataset):
         out = tmp_path / "out"

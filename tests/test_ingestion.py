@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from trendcast.events import Event, build
+from conftest import Event, events_of
+from trendcast.events import build
 from trendcast.ingestion import (
     DatasetSpec,
     load_dataset,
@@ -83,7 +84,7 @@ class TestLoadVotes:
     def test_duplicate_votes_collapse_at_build(self, tmp_path):
         path = votes_file(tmp_path, ["1,10,100", "1,10,50"])
         g = build(load_votes(path))
-        assert g.num_links == 1 and g.events[0].timestamp == 50
+        assert g.num_links == 1 and events_of(g)[0].timestamp == 50
 
     def test_malformed_row(self, tmp_path):
         path = votes_file(tmp_path, ["1,10"])

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import dedup_earliest, random_events
-from trendcast.events import Event, build
+from conftest import Event, dedup_earliest, entry, random_events
+from trendcast.events import build
 from trendcast.predictors import PredictorSpec, score
 from trendcast.social import SocialGraph, influence_in_degree
 
@@ -60,10 +60,9 @@ class TestPbp:
         g = build(random_events(rng, num_events=400))
         t, t_past, lam = 800, 250, 0.37
         r = score(g, PredictorSpec("pbp", lam=lam, t_past=t_past), t)
+        increase, past = g.item_increase_vector(t, t_past), g.item_degree_vector(t - t_past)
         for item, s in r.entries:
-            expected = g.item_degree_increase(item, t, t_past) + (1 - lam) * g.item_degree_at(
-                item, t - t_past
-            )
+            expected = entry(g.item_ids, increase, item) + (1 - lam) * entry(g.item_ids, past, item)
             assert s == pytest.approx(expected, abs=1e-12)
 
     def test_only_seen_items_ranked(self, small_graph):
@@ -79,8 +78,9 @@ class TestWpp:
     def test_gamma_zero_equals_increase_scores(self, rng):
         g = build(random_events(rng, num_events=500))
         r = score(g, PredictorSpec("wpp", gamma=0.0, t_past=300), 700)
+        increase = g.item_increase_vector(700, 300)
         for item, s in r.entries:
-            assert s == g.item_degree_increase(item, 700, 300)
+            assert s == entry(g.item_ids, increase, item)
 
     def test_single_collector_weight(self):
         # the collecting user has total degree 4 at t*; gamma=1 scores the item 4
@@ -118,8 +118,9 @@ class TestIbp:
     def test_eta_zero_equals_increase(self, rng):
         g = build(random_events(rng, num_events=500))
         r = score(g, self.spec(0.0, 300), 700, self.social())
+        increase = g.item_increase_vector(700, 300)
         for item, s in r.entries:
-            assert s == g.item_degree_increase(item, 700, 300)
+            assert s == entry(g.item_ids, increase, item)
 
     def test_single_collector_influence(self):
         g = build([Event(1, 5, 8), Event(2, 6, 1), Event(3, 6, 1)])
@@ -134,7 +135,8 @@ class TestIbp:
         sg = SocialGraph(edges, users=range(20))
         infl = influence_in_degree(sg)
         r = score(g, self.spec(1.0, 250), 600, sg)
-        want = oracles.ibp_scores(deduped, 600, 250, 1.0, infl.as_dict())
+        by_user = dict(zip(infl.user_ids.tolist(), infl.values.tolist()))
+        want = oracles.ibp_scores(deduped, 600, 250, 1.0, by_user)
         for item, s in r.entries:
             assert s == pytest.approx(want[item], rel=1e-12)
 

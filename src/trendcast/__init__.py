@@ -6,9 +6,6 @@ from .evaluation import (
     EvaluationReport,
     evaluate,
     make_test_dates,
-    new_entries,
-    precision,
-    true_ranking,
 )
 from .predictors import PredictorSpec, ScoredRanking, score
 from .social import (

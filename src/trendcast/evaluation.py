@@ -1,4 +1,4 @@
-"""True rankings, precision and new-entry metrics, test-date averaging.
+"""P_n, E_n, C_n and Q_n per test date, and their test-date averages.
 
 The *true ranking* at a test date orders items by their degree increase
 over the future window ``(t, t + t_future]``. A predictor is scored by:
@@ -10,10 +10,10 @@ over the future window ``(t, t + t_future]``. A predictor is scored by:
 * ``Q_n`` - ``C_n / E_n``, undefined (and excluded from averages) when
   ``E_n`` is 0.
 
-The past top-n is restricted to items already seen by the test date, the
-same domain the predictors rank; this keeps the guarantee that the pure
-degree-increase predictor can never hit a new entry (its top-n *is* the
-past top-n).
+All three top-n lists are cut from ``TemporalBipartiteGraph.rank_items``,
+ties by ascending id. The truth ranks every item, the past top-n only the
+items seen by the test date, as the predictors do, so the pure increase
+predictor can never hit a new entry (its top-n *is* the past top-n).
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ class EvalConfig:
         if self.t_past <= 0 or self.t_future <= 0:
             raise ValueError("window lengths must be positive")
         dates = list(self.test_dates)
+        if not dates:
+            raise ValueError("need at least one test date")
         if any(b <= a for a, b in zip(dates, dates[1:])):
             raise ValueError("test dates must be strictly increasing")
         self.test_dates = dates
@@ -102,37 +104,6 @@ def make_test_dates(graph: TemporalBipartiteGraph, count, t_past, t_future) -> l
     return [int(round(t)) for t in np.linspace(lo, hi, count)]
 
 
-def true_ranking(graph: TemporalBipartiteGraph, test_date, t_future, n) -> list[int]:
-    """Top-n item ids by degree increase over ``(test_date, test_date + t_future]``."""
-    if test_date + t_future > graph.t_last:
-        raise ValueError(
-            f"truncated future window: test date {test_date} + {t_future} "
-            f"runs past the last event at {graph.t_last}"
-        )
-    top = graph.top_items_by_increase(test_date + t_future, t_future, n)
-    if top and top[0][1] == 0:
-        log.warning("degenerate true ranking at %s: no item gained links", test_date)
-    return [item for item, _ in top]
-
-
-def precision(predicted: Sequence[int], truth: Sequence[int], n) -> float:
-    """Overlap of the two top-n lists divided by n (order inside the top-n ignored)."""
-    return len(set(predicted[:n]) & set(truth[:n])) / n
-
-
-def new_entries(graph, test_date, t_past, t_future, n) -> tuple[int, set]:
-    """Items in the future top-n missing from the past top-n; returns (E_n, the set)."""
-    past = graph.top_items_by_increase(test_date, t_past, n, require_seen=True)
-    future = graph.top_items_by_increase(test_date + t_future, t_future, n)
-    new = {item for item, _ in future} - {item for item, _ in past}
-    return len(new), new
-
-
-def correctly_guessed(predicted: Sequence[int], new_set: set, n) -> int:
-    """How many of the new entries the predicted top-n contains (C_n)."""
-    return len(set(predicted[:n]) & new_set)
-
-
 def evaluate(
     graph: TemporalBipartiteGraph,
     spec: PredictorSpec,
@@ -161,11 +132,12 @@ def evaluate_many(
 ) -> list[EvaluationReport]:
     """Run every predictor over all test dates; one report per spec, in order.
 
-    The truth top-n, the new-entry set and the :class:`Window` of the scores
-    depend only on the window and the date, so each is computed once per
-    date and every spec is scored against it. ``influence`` maps the
-    centrality of each ibp spec to its vector, whose ``measure`` must be that
-    centrality. ``spec.t_past`` is resolved as in :func:`evaluate`.
+    Per date, one :class:`Window` holds what the scores read, and the true
+    and the past top-n, ranked by ``graph.rank_items`` as each spec's top-n
+    is, become two item masks (the true top-n, the new entries) that every
+    spec is counted against. ``influence`` maps the centrality of each ibp
+    spec to its vector, whose ``measure`` must be that centrality.
+    ``spec.t_past`` is resolved as in :func:`evaluate`.
     """
     for spec in specs:
         if spec.t_past is not None and spec.t_past != config.t_past:
@@ -185,14 +157,28 @@ def evaluate_many(
     dropped = [[] for _ in specs]  # zero-influence users left out, per spec and date
     n = config.n
     for date in config.test_dates:
-        truth = true_ranking(graph, date, config.t_future, n)
-        e_n, new_set = new_entries(graph, date, config.t_past, config.t_future, n)
+        if date + config.t_future > graph.t_last:
+            raise ValueError(
+                f"truncated future window: test date {date} + {config.t_future} "
+                f"runs past the last event at {graph.t_last}"
+            )
+        future = graph.item_increase_vector(date + config.t_future, config.t_future)
+        truth = graph.rank_items(future, np.arange(graph.num_items))[:n]
+        if future[truth[0]] == 0:
+            log.warning("degenerate true ranking at %s: no item gained links", date)
         window = Window(graph, date, config.t_past, aligned)
+        # the degrees are exact in float64, so this is the integer past increase
+        past_top = graph.rank_items(window.now - window.past, window.seen)[:n]
+        in_truth = np.zeros(graph.num_items, dtype=bool)
+        in_truth[truth] = True
+        is_new = in_truth.copy()
+        is_new[past_top] = False
+        e_n = np.count_nonzero(is_new)
         for spec, report, users in zip(specs, reports, dropped):
-            scores = score_vector(spec, window)
-            predicted = graph.item_ids[graph.rank_items(scores, window.seen)[:n]].tolist()
-            report.per_date.append(DateMetrics(int(date), precision(predicted, truth, n), e_n,
-                                               correctly_guessed(predicted, new_set, n)))
+            predicted = graph.rank_items(score_vector(spec, window), window.seen)[:n]
+            p_n = np.count_nonzero(in_truth[predicted]) / n
+            c_n = np.count_nonzero(is_new[predicted])
+            report.per_date.append(DateMetrics(int(date), p_n, e_n, c_n))
             if spec.kind == "ibp" and spec.eta < 0:
                 users.append(window.zero_influence_users(spec.centrality))
 

@@ -111,27 +111,11 @@ class TemporalBipartiteGraph:
 
     # -- ranking -----------------------------------------------------------
 
-    def top_items_by_increase(self, t, t_past, n, require_seen=False):
-        """Top ``n`` items by event count in ``(t - t_past, t]``.
-
-        Returns ``(item_id, increase)`` pairs sorted by decreasing increase,
-        ties broken by ascending item id. Zero-increase items pad the list
-        (in id order) only when fewer than ``n`` items were active in the
-        window. With ``require_seen`` only items already collected by time
-        ``t`` are eligible; otherwise every item of the graph is.
-        """
-        if n < 1:
-            raise ValueError(f"ranking depth must be >= 1, got {n}")
-        inc = self.item_increase_vector(t, t_past)
-        if require_seen:
-            cand = np.flatnonzero(self.item_degree_vector(t) > 0)
-        else:
-            cand = np.arange(self.num_items)
-        chosen = self.rank_items(inc, cand)[:n]
-        return [(int(self.item_ids[c]), int(inc[c])) for c in chosen]
-
     def rank_items(self, scores, candidates) -> np.ndarray:
-        """Compact item indices ``candidates`` by decreasing score, ties by ascending id."""
+        """Compact item indices ``candidates`` by decreasing score, ties by ascending id.
+
+        Every top n of the package (predicted, true, past) is this ranking cut at n.
+        """
         return candidates[np.lexsort((self.item_ids[candidates], -scores[candidates]))]
 
 

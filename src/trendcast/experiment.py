@@ -225,6 +225,9 @@ def _check(cfg: ExperimentConfig):
         except (ValueError, OSError) as exc:
             problems.append(f"cannot load dataset: {exc}")
         else:
+            for n in sorted({n for n in cfg.n_values if n > graph.num_items}):
+                log.warning("n = %d exceeds the %d items of %s: the true top-n holds every "
+                            "item, so P_n stays below 1", n, graph.num_items, cfg.dataset)
             # the dates keep a t_future margin, so every future window is covered
             for t_past in cfg.t_past_values:
                 for t_future in cfg.t_future_values:

@@ -48,6 +48,9 @@ class GenConfig:
 
     def __post_init__(self):
         # each message starts with the field it is about
+        for name in ("pa_offset", "activity_exponent"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("num_users", "num_items", "num_events", "item_arrival_rate",
                      "decay_timescale", "pa_offset"):
             if not getattr(self, name) > 0:
@@ -138,6 +141,8 @@ def generate_social(num_users: int, num_edges: int, attach_exponent: float = 0.0
         raise ValueError(
             f"num_edges: cannot place {num_edges} distinct directed edges on {num_users} users"
         )
+    if not math.isfinite(attach_exponent):
+        raise ValueError(f"attach_exponent must be finite, got {attach_exponent}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)

@@ -40,6 +40,13 @@ def new_entries(events, t, t_past, t_future, n):
     return future - past
 
 
+def metrics(events, predicted, t, t_past, t_future, n):
+    """(P_n, E_n, C_n) of the ``predicted`` top-n at test date ``t``."""
+    truth = [i for i, _ in top_items_by_increase(events, t + t_future, t_future, n)]
+    new = new_entries(events, t, t_past, t_future, n)
+    return precision(predicted, truth, n), len(new), len(set(predicted[:n]) & new)
+
+
 def wpp_scores(events, t, t_past, gamma):
     """Double loop over (user, item) pairs straight from the formula."""
     scores = {}

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from trendcast.cli import _parse_spec_string, main
+from trendcast.events import build
 from trendcast.ingestion import load_votes, write_votes_csv
 from trendcast.social import load_social_graph
 from trendcast.synthgen import GenConfig, generate
@@ -127,6 +128,22 @@ class TestGenVerb:
         assert len(errors) == 1 and errors[0].startswith(f"{tmp_path}{os.sep}{error}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("text, key, line", [
+        ("users = 5\nitems = 5\nevents = 10\npa_offset = {}\n", "pa_offset", 4),
+        ("users = 5\nitems = 5\nevents = 10\nactivity_exponent = {}\n", "activity_exponent", 4),
+        ("social_users = 5\nsocial_edges = 10\nsocial_exponent = {}\n", "social_exponent", 3),
+    ], ids=["pa_offset", "activity_exponent", "social_exponent"])
+    def test_non_finite_parameter_fails_cleanly(self, tmp_path, caplog, text, key, line, value):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(text.format(value))
+        out = tmp_path / "out"
+        assert main(["gen", str(cfg), "--out", str(out)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0] == f"{tmp_path}{os.sep}gen.cfg:{line}: {key} must be finite, got {value}"
+        assert not out.exists()
+
     def test_inf_and_infinite_mean_no_aging(self, tmp_path):
         cfg = tmp_path / "gen.cfg"
         outs = []
@@ -230,3 +247,17 @@ class TestRunAndValidateVerbs:
         assert out.startswith("cannot load social graph: ") and "edges.txt:1" in out
         assert main(["run", str(cfg)]) == 1
         assert not (tmp_path / "out").exists()
+
+    def test_n_above_the_item_count_warns(self, tmp_path, dataset, capsys, caplog):
+        items = build(load_votes(dataset)).num_items
+        cfg = self.write_cfg(tmp_path, dataset, tmp_path / "out")
+        with open(cfg, "a") as fh:
+            fh.write(f"n = {items + 1}\nn = {items}\n")
+        for verb in ("validate", "run"):
+            caplog.clear()
+            assert main([verb, str(cfg)]) == 0
+            warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+            assert len(warnings) == 1
+            assert f"n = {items + 1} exceeds the {items} items" in warnings[0]
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "out" / "sweep.csv").exists()

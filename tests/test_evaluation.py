@@ -8,18 +8,14 @@ from conftest import Event, dedup_earliest, random_events
 from trendcast.events import build
 from trendcast.evaluation import (
     EvalConfig,
-    correctly_guessed,
     evaluate,
     evaluate_many,
     make_test_dates,
-    new_entries,
-    precision,
     report_rows,
-    true_ranking,
     write_reports_csv,
     SWEEP_COLUMNS,
 )
-from trendcast.predictors import PredictorSpec
+from trendcast.predictors import PredictorSpec, score
 from trendcast.social import SocialGraph, compute_influence, influence_in_degree
 
 
@@ -33,6 +29,11 @@ class TestEvalConfig:
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             EvalConfig(10, 10, [5], n=0)
+
+    def test_rejects_empty_dates(self):
+        # an empty date list would average nothing into a NaN mean_precision
+        with pytest.raises(ValueError, match="at least one test date"):
+            EvalConfig(1, 1, [], 3)
 
 
 class TestMakeTestDates:
@@ -54,94 +55,164 @@ class TestMakeTestDates:
             make_test_dates(small_graph, 3, 100, 100)
 
 
+def oracle_checked(events, spec, config):
+    """``evaluate(build(events), spec, config)``, with the P_n, E_n and C_n of
+    every date checked against the brute-force oracles."""
+    g = build(events)
+    deduped = dedup_earliest(events)
+    report = evaluate(g, spec, config)
+    scored = spec if spec.kind == "total_pop" else spec.with_t_past(config.t_past)
+    for t, got in zip(config.test_dates, report.per_date):
+        predicted = score(g, scored, t).top(config.n)
+        want = oracles.metrics(deduped, predicted, t, config.t_past, config.t_future, config.n)
+        assert (got.precision, got.new_entry_count, got.correct_new_entries) == want
+    return report
+
+
+def gains_events(past, future, early=None):
+    """Every item collected ``early[item]`` times (default once) at t=1, then
+    gaining ``past[item]`` links at t=5 and ``future[item]`` at t=15.
+
+    At test date 10, ``EvalConfig(9, 5, [10], n)`` puts the past window over
+    the t=5 links and the future window over the t=15 ones."""
+    early = early or {}
+    events, users = [], iter(range(100, 10_000))
+    for item in sorted({*past, *future, *early}):
+        counts = early.get(item, 1), past.get(item, 0), future.get(item, 0)
+        for t, count in zip((1, 5, 15), counts):
+            events += [Event(next(users), item, t) for _ in range(count)]
+    return events
+
+
+def at_date_10(events, spec, n):
+    return oracle_checked(events, spec, EvalConfig(9, 5, [10], n)).per_date[0]
+
+
 class TestTrueRanking:
     def test_orders_by_future_increase(self):
-        # future increases: item 1 -> 9, items 2 and 3 -> 7 (tie), item 4 -> 0
+        # future increases: item 1 -> 9, items 2 and 3 -> 7 (tie), item 4 -> 0;
+        # every item has degree 1 at the test date, so total_pop ranks by id
         events = (
-            [Event(u, 1, 20 + u) for u in range(9)]
+            [Event(50, item, 1) for item in (1, 2, 3, 4)]
+            + [Event(u, 1, 20 + u) for u in range(9)]
             + [Event(u, 2, 20 + u) for u in range(7)]
             + [Event(u, 3, 20 + u) for u in range(7)]
-            + [Event(50, 4, 1)]
         )
-        g = build(events)
-        assert true_ranking(g, 8, 20, 3) == [1, 2, 3]
+        want = oracles.top_items_by_increase(dedup_earliest(events), 28, 20, 3)
+        assert [i for i, _ in want] == [1, 2, 3]
+        # the prefixes [1], [1, 2] and [1, 2, 3]: the 2-3 tie goes to the lower id
+        for n in (1, 2, 3):
+            report = oracle_checked(events, PredictorSpec("total_pop"), EvalConfig(8, 20, [8], n))
+            assert report.per_date[0].precision == 1.0
 
     def test_degenerate_all_zero(self, caplog):
-        g = build([Event(1, 5, 1), Event(2, 6, 2), Event(3, 7, 50)])
+        events = [Event(1, 5, 1), Event(2, 6, 2), Event(3, 7, 50)]
         with caplog.at_level("WARNING"):
-            top = true_ranking(g, 5, 10, 2)
-        # nothing moved in (5, 15]; first n items by id, flagged
-        assert top == [5, 6]
+            report = oracle_checked(events, PredictorSpec("total_pop"), EvalConfig(5, 10, [5], 2))
+        # nothing moved in (5, 15]; the true top-2 is the first 2 items by id, flagged
+        want = oracles.top_items_by_increase(dedup_earliest(events), 15, 10, 2)
+        assert want == [(5, 0), (6, 0)]
+        assert report.per_date[0].precision == 1.0
         assert any("degenerate" in m for m in caplog.messages)
 
     def test_truncated_future_window(self, small_graph):
         with pytest.raises(ValueError, match="truncated future window"):
-            true_ranking(small_graph, 10, 100, 5)
+            evaluate(small_graph, PredictorSpec("recent_pop"), EvalConfig(5, 100, [10], 5))
 
     def test_matches_sort_oracle(self, rng):
         events = random_events(rng, num_events=800)
-        g = build(events)
-        deduped = dedup_earliest(events)
+        t_last = build(events).t_last
         for _ in range(15):
             t = int(rng.integers(0, 700))
-            t_future = int(rng.integers(1, 1000 - t + 1))
+            t_future = int(rng.integers(1, t_last - t + 1))
+            t_past = int(rng.integers(1, 300))
             n = int(rng.integers(1, 12))
-            want = [i for i, _ in oracles.top_items_by_increase(deduped, t + t_future, t_future, n)]
-            assert true_ranking(g, t, t_future, n) == want
+            for spec in (PredictorSpec("total_pop"), PredictorSpec("recent_pop")):
+                oracle_checked(events, spec, EvalConfig(t_past, t_future, [t], n))
 
 
 class TestPrecision:
+    RECENT = PredictorSpec("recent_pop")
+
     def test_identical_lists(self):
-        assert precision(list(range(100)), list(range(100)), 100) == 1.0
+        gains = {item: item for item in range(1, 6)}
+        assert at_date_10(gains_events(gains, gains), self.RECENT, 3).precision == 1.0
 
     def test_disjoint_lists(self):
-        assert precision([1, 2, 3], [4, 5, 6], 3) == 0.0
+        past = {item: item for item in range(1, 6)}
+        future = {item: 6 - item for item in range(1, 6)}
+        assert at_date_10(gains_events(past, future), self.RECENT, 2).precision == 0.0
 
     def test_partial_overlap(self):
-        assert precision([1, 2, 3, 4, 5], [1, 2, 3, 9, 8], 5) == 0.6
+        past = {item: item for item in range(1, 9)}
+        future = {8: 9, 7: 8, 6: 7, 1: 6, 2: 5}
+        assert at_date_10(gains_events(past, future), self.RECENT, 5).precision == 0.6
 
     def test_symmetric(self, rng):
-        a = [int(x) for x in rng.permutation(50)[:20]]
-        b = [int(x) for x in rng.permutation(50)[:20]]
-        assert precision(a, b, 10) == precision(b, a, 10)
+        # swapping the past and the future gains swaps the predicted and the true top-n
+        a = {item: int(g) for item, g in enumerate(rng.integers(0, 6, size=12))}
+        b = {item: int(g) for item, g in enumerate(rng.integers(0, 6, size=12))}
+        for n in (3, 5, 8):
+            assert (at_date_10(gains_events(a, b), self.RECENT, n).precision
+                    == at_date_10(gains_events(b, a), self.RECENT, n).precision)
 
     def test_short_lists_keep_n_divisor(self):
-        assert precision([1, 2], [1, 2], 4) == 0.5
+        # n exceeds the 2 items there are: both hit, and P_4 is still divided by 4
+        events = gains_events({1: 1, 2: 2}, {1: 1, 2: 1})
+        assert at_date_10(events, self.RECENT, 4).precision == 0.5
 
 
 class TestNewEntries:
     def test_no_change_means_none(self):
         events = [Event(u, 1, t) for u, t in zip(range(10), [1, 2, 3, 11, 12, 13, 14, 15, 16, 17])]
-        g = build(events)
-        e_n, new = new_entries(g, 10, 10, 7, 1)
-        assert e_n == 0 and new == set()
+        report = oracle_checked(events, PredictorSpec("recent_pop"), EvalConfig(10, 7, [10], 1))
+        assert report.per_date[0].new_entry_count == 0
 
     def test_unseen_item_becoming_first_is_new(self):
         events = [Event(1, 1, 1), Event(2, 1, 2)] + [Event(u, 9, 15) for u in range(5)]
-        g = build(events)
-        e_n, new = new_entries(g, 10, 10, 10, 1)
-        assert e_n == 1 and new == {9}
+        assert oracles.new_entries(dedup_earliest(events), 10, 10, 5, 1) == {9}
+        for spec in (PredictorSpec("total_pop"), PredictorSpec("recent_pop")):
+            got = oracle_checked(events, spec, EvalConfig(10, 5, [10], 1)).per_date[0]
+            # item 9 is unseen at the test date, so no predictor can hit it
+            assert (got.new_entry_count, got.correct_new_entries) == (1, 0)
+
+    def test_past_top_n_ranks_only_seen_items(self):
+        # items 5-7 are seen at date 10 and only 5 gained; item 1 arrives later.
+        # The past top-3 is [5, 6, 7], not [5, 1, 6], so the new entry is 1, not
+        # 7, and the pure-increase predictor (whose top-3 is [5, 6, 7]) misses it
+        events = ([Event(0, item, 1) for item in (5, 6, 7)]
+                  + [Event(1, 5, 5), Event(2, 7, 15), Event(3, 7, 15), Event(4, 1, 15)])
+        assert oracles.new_entries(dedup_earliest(events), 10, 9, 5, 3) == {1}
+        got = oracle_checked(events, PredictorSpec("recent_pop"), EvalConfig(9, 5, [10], 3))
+        assert (got.per_date[0].new_entry_count, got.per_date[0].correct_new_entries) == (1, 0)
 
     def test_matches_set_difference_oracle(self, rng):
         events = random_events(rng, num_events=600)
-        g = build(events)
-        deduped = dedup_earliest(events)
+        t_last = build(events).t_last
         for _ in range(15):
             t = int(rng.integers(100, 800))
             t_past = int(rng.integers(1, 300))
-            t_future = int(rng.integers(1, 1000 - t + 1))
+            t_future = int(rng.integers(1, t_last - t + 1))
             n = int(rng.integers(1, 10))
-            e_n, new = new_entries(g, t, t_past, t_future, n)
-            want = oracles.new_entries(deduped, t, t_past, t_future, n)
-            assert new == want and e_n == len(want)
+            for spec in (PredictorSpec("total_pop"), PredictorSpec("pbp", lam=0.5)):
+                oracle_checked(events, spec, EvalConfig(t_past, t_future, [t], n))
 
 
 class TestCorrectlyGuessed:
+    # items 1 and 2 were collected early, 3 and 4 lead the past window
+    EARLY, PAST = {1: 5, 2: 4}, {3: 1, 4: 2}
+
     def test_full_hit(self):
-        assert correctly_guessed([1, 2, 3], {2, 3}, 3) == 2
+        # both new entries (1, 2) are total_pop's top 2
+        events = gains_events(self.PAST, {1: 3, 2: 2}, self.EARLY)
+        got = at_date_10(events, PredictorSpec("total_pop"), 2)
+        assert (got.new_entry_count, got.correct_new_entries) == (2, 2)
 
     def test_counts_only_top_n(self):
-        assert correctly_guessed([1, 2, 3, 4], {4}, 3) == 0
+        # the new entry 2 is total_pop's second pick, outside its top 1
+        events = gains_events(self.PAST, {2: 3, 3: 1}, self.EARLY)
+        got = at_date_10(events, PredictorSpec("total_pop"), 1)
+        assert (got.new_entry_count, got.correct_new_entries) == (1, 0)
 
 
 class TestEvaluate:
@@ -158,13 +229,20 @@ class TestEvaluate:
         assert report.mean_new_entry_rate == q
 
     def test_truth_oracle_scores_perfectly(self, rng):
-        g = self.graph(rng)
-        dates = make_test_dates(g, 3, 500, 500)
-        for date in dates:
-            truth = true_ranking(g, date, 500, 10)
-            assert precision(truth, truth, 10) == 1.0
-            e_n, new = new_entries(g, date, 500, 500, 10)
-            assert correctly_guessed(truth, new, 10) == e_n
+        # total_pop's degrees at the test date order the items as their future
+        # gains do, ties included, while the past gains differ: its top-n is the
+        # true top-n, so it scores P_n = 1 and catches every new entry
+        future = {item: int(g) for item, g in enumerate(rng.integers(0, 6, size=20))}
+        past = {item: int(g) for item, g in enumerate(rng.integers(0, 10, size=20))}
+        early = {item: 10 * future[item] + 10 - past[item] for item in future}
+        events = gains_events(past, future, early)
+        hits = 0
+        for n in range(1, 21):
+            got = at_date_10(events, PredictorSpec("total_pop"), n)
+            assert got.precision == 1.0
+            assert got.correct_new_entries == got.new_entry_count
+            hits += got.new_entry_count
+        assert hits > 0
 
     def test_recent_predictor_never_hits_new_entries(self, rng):
         g = self.graph(rng)
@@ -215,6 +293,20 @@ class TestEvaluate:
         # filed under the wrong key, even where no spec reads it
         with pytest.raises(ValueError, match="'in_degree'.*'leaderrank'"):
             evaluate_many(g, [PredictorSpec("recent_pop")], cfg, {"leaderrank": in_degree})
+
+
+def test_degenerate_window_numbers_are_pinned():
+    # 7 items, all collected at t=1; items 1 and 2 gain a link in (1, 5] and
+    # only item 3 gains one in (5, 9]. The true top-5 at date 5 is item 3 and
+    # four zero-gain items in id order, which both predictors "hit". These are
+    # today's numbers; item 4 of ROADMAP.md (a truth of positive-gain items
+    # only) changes them on purpose.
+    events = ([Event(item, item, 1) for item in range(1, 8)]
+              + [Event(10, 1, 3), Event(11, 2, 4), Event(12, 3, 9)])
+    config = EvalConfig(4, 4, [5], 5)
+    for spec in (PredictorSpec("recent_pop"), PredictorSpec("total_pop")):
+        got = oracle_checked(events, spec, config).per_date[0]
+        assert (got.precision, got.new_entry_count) == (1.0, 0)
 
 
 class TestSharedWindow:

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import re
 
@@ -14,7 +15,7 @@ from trendcast.experiment import (
 )
 from trendcast.ingestion import write_votes_csv
 from trendcast.social import write_edge_list
-from trendcast.synthgen import GenConfig, generate
+from trendcast.synthgen import GenConfig, generate, generate_social
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +255,32 @@ class TestRunSweep:
             outs.append(out)
         for fname in ("sweep.csv", "heatmap.csv", "scatter.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_sweep_outputs_are_pinned(self, tmp_path, dataset):
+        # Every kind, ibp on two centralities with a negative eta (users 150-199
+        # are not in the social graph, so they carry influence 0), two windows
+        # and two ranking depths. A change that alters a metric on purpose
+        # updates the digests and says so.
+        edges = tmp_path / "edges.txt"
+        write_edge_list(generate_social(150, 900, attach_exponent=1.0, seed=3), edges)
+        out = tmp_path / "out"
+        cfg = parse_experiment_config(write_config(tmp_path, (
+            f"dataset = {dataset}\nsocial = {edges}\n"
+            "predictor = total_pop\npredictor = recent_pop\npredictor = pbp\n"
+            "predictor = wpp\npredictor = ibp\nlambda = 0\nlambda = 0.9\n"
+            "gamma = -0.5\ngamma = 1\neta = -1\neta = 0.5\n"
+            "centrality = in_degree\ncentrality = pagerank\n"
+            "t_past = 400\nt_past = 600\nt_future = 500\nn = 10\nn = 50\n"
+            f"test_dates = 3\nout = {out}\n"
+        )))
+        assert run_sweep(cfg) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("sweep.csv", "heatmap.csv", "scatter.csv")}
+        assert digests == PINNED_SWEEP
+
+
+PINNED_SWEEP = {
+    "sweep.csv": "c6cf70d9387cb574737294289a7b984368d6506a079f028114c6c9e4d053e46b",
+    "heatmap.csv": "57b0077a028b71abac329f011dd8044e845d6031d2186bc02f300c0c76ebf907",
+    "scatter.csv": "663944ffaaaf9bc12ec16349feb3e9171c3096fcdf8ca6841f9eda95f22d79c0",
+}

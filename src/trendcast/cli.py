@@ -21,7 +21,8 @@ import sys
 
 from . import ingestion, predictors, social, synthgen
 from .events import build
-from .experiment import parse_experiment_config, parse_kv_file, run_sweep, validate
+from .experiment import (SWEEP_KEYS, parse_experiment_config, parse_kv_file, parse_value,
+                         run_sweep, validate)
 
 log = logging.getLogger(__name__)
 
@@ -33,6 +34,11 @@ def _setup_logging() -> None:
         level=getattr(logging, level, logging.INFO),
         format="%(levelname)s %(name)s: %(message)s",
     )
+
+
+# predictor spec key -> the PredictorSpec field it sets; types as in SWEEP_KEYS
+SPEC_KEYS = {"lambda": "lam", "gamma": "gamma", "eta": "eta", "t_past": "t_past",
+             "centrality": "centrality"}
 
 
 def _parse_spec_string(text: str) -> predictors.PredictorSpec:
@@ -47,17 +53,10 @@ def _parse_spec_string(text: str) -> predictors.PredictorSpec:
     for part in parts[1:]:
         if "=" not in part:
             raise ValueError(f"expected key=value in predictor spec, got {part!r}")
-        key, value = (s.strip() for s in part.split("=", 1))
-        if key == "lambda":
-            kwargs["lam"] = float(value)
-        elif key in ("gamma", "eta"):
-            kwargs[key] = float(value)
-        elif key == "t_past":
-            kwargs["t_past"] = int(value)
-        elif key == "centrality":
-            kwargs["centrality"] = value
-        else:
+        key, raw = (s.strip() for s in part.split("=", 1))
+        if key not in SPEC_KEYS:
             raise ValueError(f"unknown predictor spec key {key!r}")
+        kwargs[SPEC_KEYS[key]] = parse_value(key, raw, SWEEP_KEYS[key][1])
     return predictors.PredictorSpec(kind, **kwargs)
 
 
@@ -95,14 +94,11 @@ def _cmd_gen(args) -> int:
     for lineno, key, raw in parse_kv_file(path):
         if key not in (*EVENT_KEYS, *SOCIAL_KEYS, *PATH_KEYS):
             raise ValueError(f"{path}:{lineno}: unknown gen key {key!r}")
-        values[key], lines[key] = raw, lineno
-        if key not in PATH_KEYS:
-            try:
-                values[key] = (int if key in INT_KEYS else float)(
-                    "inf" if raw == "infinite" else raw)
-            except ValueError:
-                kind = "an integer" if key in INT_KEYS else "a number"
-                raise ValueError(f"{path}:{lineno}: {key} must be {kind}, got {raw!r}") from None
+        type = str if key in PATH_KEYS else int if key in INT_KEYS else float
+        try:
+            values[key], lines[key] = parse_value(key, raw, type), lineno
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if "events" not in values and "social_edges" not in values:
         raise ValueError(f"{path}: nothing to generate: set events, social_edges or both")
     needs = {"events": ("users", "items"), "social_edges": ("social_users",)}

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -137,7 +138,8 @@ def evaluate_many(
     is, become two item masks (the true top-n, the new entries) that every
     spec is counted against. ``influence`` maps the centrality of each ibp
     spec to its vector, whose ``measure`` must be that centrality.
-    ``spec.t_past`` is resolved as in :func:`evaluate`.
+    ``spec.t_past`` is resolved as in :func:`evaluate`. Zero-influence users,
+    left out by ibp under a negative eta, get one warning per centrality.
     """
     for spec in specs:
         if spec.t_past is not None and spec.t_past != config.t_past:
@@ -154,7 +156,9 @@ def evaluate_many(
         raise ValueError(f"ibp evaluation needs the influence vectors of {sorted(missing)}")
 
     reports = [EvaluationReport(spec, config) for spec in specs]
-    dropped = [[] for _ in specs]  # zero-influence users left out, per spec and date
+    # the zero-influence count depends on the centrality and the window, not on eta
+    negative = Counter(s.centrality for s in specs if s.kind == "ibp" and s.eta < 0)
+    dropped = {measure: [] for measure in negative}  # zero-influence users, per date
     n = config.n
     for date in config.test_dates:
         if date + config.t_future > graph.t_last:
@@ -174,20 +178,20 @@ def evaluate_many(
         is_new = in_truth.copy()
         is_new[past_top] = False
         e_n = np.count_nonzero(is_new)
-        for spec, report, users in zip(specs, reports, dropped):
+        for spec, report in zip(specs, reports):
             predicted = graph.rank_items(score_vector(spec, window), window.seen)[:n]
             p_n = np.count_nonzero(in_truth[predicted]) / n
             c_n = np.count_nonzero(is_new[predicted])
             report.per_date.append(DateMetrics(int(date), p_n, e_n, c_n))
-            if spec.kind == "ibp" and spec.eta < 0:
-                users.append(window.zero_influence_users(spec.centrality))
+        for measure, users in dropped.items():
+            users.append(window.zero_influence_users(measure))
 
-    for spec, users in zip(specs, dropped):
+    for measure, users in dropped.items():
         if any(users):
             log.warning(
-                "ibp(%s, eta=%g) T_P=%d T_F=%d n=%d: zero-influence users contribute 0 "
+                "ibp(%s, %d eta < 0) T_P=%d T_F=%d n=%d: zero-influence users contribute 0 "
                 "on %d of %d test dates (up to %d users in one window)",
-                spec.centrality, spec.eta, config.t_past, config.t_future, n,
+                measure, negative[measure], config.t_past, config.t_future, n,
                 sum(map(bool, users)), len(users), max(users),
             )
     return reports

@@ -36,6 +36,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ from . import ingestion, predictors, social
 from .events import build
 from .evaluation import (EvalConfig, EvaluationReport, evaluate_many, make_test_dates,
                          write_reports_csv)
-from .predictors import PredictorSpec
+from .predictors import PredictorSpec, Window, score_vector
 
 log = logging.getLogger(__name__)
 
@@ -89,70 +90,59 @@ def parse_kv_file(path) -> list[tuple[int, str, str]]:
     return triples
 
 
+# sweep key -> (the ExperimentConfig field it sets, the type of its value)
+SWEEP_KEYS = {
+    "dataset": ("dataset", str), "format": ("format", str), "social": ("social", str),
+    "threshold": ("threshold", float), "subset_users": ("subset_users", int),
+    "min_user_degree": ("min_user_degree", int),
+    "eligibility": ("eligibility_pre_threshold", {"post": False, "pre": True}),
+    "predictor": ("predictors", str), "lambda": ("lambdas", float), "gamma": ("gammas", float),
+    "eta": ("etas", float), "centrality": ("centralities", str),
+    "t_past": ("t_past_values", int), "t_future": ("t_future_values", int),
+    "n": ("n_values", int), "test_dates": ("num_test_dates", int), "seed": ("seed", int),
+    "out": ("out_dir", str),
+}
+
+
+def parse_value(key: str, raw: str, type):
+    """Convert one config value to ``type``: ``str``, ``int``, ``float`` (``inf``
+    may be spelled ``infinite``) or a dict from each allowed word to its value.
+    Raises ``ValueError("<key> must be ..., got '<raw>'")``."""
+    if isinstance(type, dict):
+        if raw not in type:
+            raise ValueError(f"{key} must be {' or '.join(map(repr, type))}, got {raw!r}")
+        return type[raw]
+    try:
+        return type("inf" if raw == "infinite" and type is float else raw)
+    except ValueError:
+        kind = "an integer" if type is int else "a number"
+        raise ValueError(f"{key} must be {kind}, got {raw!r}") from None
+
+
 def parse_experiment_config(path) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    cfg.n_values = []
-    for lineno, key, value in parse_kv_file(path):
+    """Read a sweep config; unknown keys are kept for :func:`validate`."""
+    cfg = ExperimentConfig(n_values=[])
+    for lineno, key, raw in parse_kv_file(path):
+        if key not in SWEEP_KEYS:
+            cfg.unknown_keys.append(key)
+            continue
+        name, type = SWEEP_KEYS[key]
         try:
-            _apply_key(cfg, key, value)
+            value = parse_value(key, raw, type)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not cfg.n_values:
-        cfg.n_values = [100]
+        current = getattr(cfg, name)  # a list field collects every value
+        setattr(cfg, name, current + [value] if isinstance(current, list) else value)
+    cfg.n_values = cfg.n_values or [100]
     return cfg
-
-
-def _apply_key(cfg: ExperimentConfig, key: str, value: str) -> None:
-    if key == "dataset":
-        cfg.dataset = value
-    elif key == "format":
-        cfg.format = value
-    elif key == "social":
-        cfg.social = value
-    elif key == "threshold":
-        cfg.threshold = float(value)
-    elif key == "subset_users":
-        cfg.subset_users = int(value)
-    elif key == "min_user_degree":
-        cfg.min_user_degree = int(value)
-    elif key == "eligibility":
-        if value not in ("post", "pre"):
-            raise ValueError(f"eligibility must be 'post' or 'pre', got {value!r}")
-        cfg.eligibility_pre_threshold = value == "pre"
-    elif key == "predictor":
-        cfg.predictors.append(value)
-    elif key == "lambda":
-        cfg.lambdas.append(float(value))
-    elif key == "gamma":
-        cfg.gammas.append(float(value))
-    elif key == "eta":
-        cfg.etas.append(float(value))
-    elif key == "centrality":
-        cfg.centralities.append(value)
-    elif key == "t_past":
-        cfg.t_past_values.append(int(value))
-    elif key == "t_future":
-        cfg.t_future_values.append(int(value))
-    elif key == "n":
-        cfg.n_values.append(int(value))
-    elif key == "test_dates":
-        cfg.num_test_dates = int(value)
-    elif key == "seed":
-        cfg.seed = int(value)
-    elif key == "out":
-        cfg.out_dir = value
-    else:
-        cfg.unknown_keys.append(key)
 
 
 def predictor_specs(cfg: ExperimentConfig) -> list[PredictorSpec]:
     """Expand the per-kind parameter grids, in config order."""
     specs = []
     for kind in cfg.predictors:
-        if kind == "total_pop":
-            specs.append(PredictorSpec("total_pop"))
-        elif kind == "recent_pop":
-            specs.append(PredictorSpec("recent_pop"))
+        if kind in ("total_pop", "recent_pop"):
+            specs.append(PredictorSpec(kind))
         elif kind == "pbp":
             specs.extend(PredictorSpec("pbp", lam=v) for v in cfg.lambdas)
         elif kind == "wpp":
@@ -202,6 +192,8 @@ def _check(cfg: ExperimentConfig):
     for lam in cfg.lambdas:
         if not 0.0 <= lam <= 1.0:
             problems.append(f"lambda {lam} outside [0, 1]")
+    for key, values in (("gamma", cfg.gammas), ("eta", cfg.etas)):
+        problems += [f"{key} {v} is not finite" for v in values if not math.isfinite(v)]
     if not cfg.t_past_values:
         problems.append("no t_past values given")
     if not cfg.t_future_values:
@@ -323,14 +315,16 @@ def _write_scatter(graph, report: EvaluationReport, influence, path) -> None:
     the first grid predictor's top-n picks flagged."""
     config, spec = report.config, report.spec
     date = config.test_dates[len(config.test_dates) // 2]
-    ranking = predictors.score(graph, spec, date, influence=influence.get(spec.centrality))
-    picked = set(ranking.top(config.n))
+    # scored as in the sweep, which has already logged any zero-influence users
+    aligned = {m: v.lookup(graph.user_ids) for m, v in influence.items() if m == spec.centrality}
+    window = Window(graph, date, config.t_past, aligned)
+    picked = set(graph.rank_items(score_vector(spec, window), window.seen)[: config.n].tolist())
     past = graph.item_increase_vector(date, config.t_past)
     future = graph.item_increase_vector(date + config.t_future, config.t_future)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["item", "past_increase", "future_increase", "predicted_top_n"])
         for pos, item in enumerate(graph.item_ids):
-            flag = int(item) in picked
+            flag = pos in picked
             if past[pos] or future[pos] or flag:
                 writer.writerow([int(item), int(past[pos]), int(future[pos]), int(flag)])

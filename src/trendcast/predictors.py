@@ -41,8 +41,9 @@ class PredictorSpec:
     """Which predictor to run and with what parameters.
 
     ``lam`` applies to ``pbp`` (must lie in [0, 1]), ``gamma`` to ``wpp``,
-    ``eta`` and ``centrality`` to ``ibp``. ``t_past`` is the past-window
-    length in seconds and is required by every kind except ``total_pop``.
+    ``eta`` and ``centrality`` to ``ibp``; ``gamma`` and ``eta`` must be finite.
+    ``t_past`` is the past-window length in seconds and is required by every
+    kind except ``total_pop``.
     """
 
     kind: str
@@ -55,6 +56,10 @@ class PredictorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown predictor kind {self.kind!r} (choose from {KINDS})")
+        for name in ("gamma", "eta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.kind == "pbp":
             if self.lam is None or not 0.0 <= self.lam <= 1.0:
                 raise ValueError(f"pbp needs lam in [0, 1], got {self.lam}")

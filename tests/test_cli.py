@@ -55,6 +55,15 @@ class TestSpecString:
         with pytest.raises(ValueError):
             _parse_spec_string("pbp,omega=1")
 
+    @pytest.mark.parametrize("text, error", [
+        ("pbp,lambda=0.9,t_past=soon", "t_past must be an integer, got 'soon'"),
+        ("pbp,lambda=x,t_past=100", "lambda must be a number, got 'x'"),
+    ])
+    def test_bad_value_names_the_key(self, text, error):
+        with pytest.raises(ValueError) as info:
+            _parse_spec_string(text)
+        assert str(info.value) == error
+
 
 class TestGenVerb:
     def test_writes_events_and_edges(self, tmp_path, capsys):
@@ -168,6 +177,16 @@ class TestRankVerb:
     def test_bad_spec_fails_cleanly(self, dataset, capsys):
         assert main(["rank", str(dataset), "--spec", "pbp,lambda=2,t_past=10"]) == 1
 
+    @pytest.mark.parametrize("spec, error", [
+        ("pbp,lambda=x,t_past=400", "lambda must be a number, got 'x'"),
+        ("wpp,gamma=nan,t_past=400", "gamma must be finite, got nan"),
+        ("ibp,eta=-inf,t_past=400,centrality=in_degree", "eta must be finite, got -inf"),
+    ], ids=["lambda-not-number", "gamma-nan", "eta-inf"])
+    def test_bad_spec_value_is_one_error_line(self, dataset, capsys, caplog, spec, error):
+        assert main(["rank", str(dataset), "--spec", spec]) == 1
+        assert capsys.readouterr().out == ""
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [error]
+
     @pytest.mark.parametrize("n", ["0", "-27"])
     def test_nonpositive_n_fails_cleanly(self, dataset, capsys, caplog, n):
         assert main(["rank", str(dataset), "--spec", "total_pop", "--n", n]) == 1
@@ -202,6 +221,25 @@ class TestRunAndValidateVerbs:
         cfg = self.write_cfg(tmp_path, dataset, tmp_path / "out")
         assert main(["validate", str(cfg)]) == 0
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("line, error", [
+        ("t_past = 6e3", "t_past must be an integer, got '6e3'"),
+        ("n = ten", "n must be an integer, got 'ten'"),
+        ("lambda = x", "lambda must be a number, got 'x'"),
+        ("threshold = high", "threshold must be a number, got 'high'"),
+        ("subset_users = 1.5", "subset_users must be an integer, got '1.5'"),
+    ], ids=["t_past", "n", "lambda", "threshold", "subset_users"])
+    def test_bad_value_names_file_line_and_key(self, tmp_path, dataset, capsys, caplog,
+                                               verb, line, error):
+        cfg = self.write_cfg(tmp_path, dataset, tmp_path / "out")
+        with open(cfg, "a") as fh:
+            fh.write(line + "\n")
+        assert main([verb, str(cfg)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == [f"{cfg}:9: {error}"]
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_validate_reports_problems(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -4,8 +4,9 @@ import re
 
 import pytest
 
-from trendcast import social
+from trendcast import experiment, social
 from trendcast.experiment import (
+    SWEEP_KEYS,
     ExperimentConfig,
     parse_experiment_config,
     parse_kv_file,
@@ -70,6 +71,10 @@ class TestParsing:
         assert cfg.t_past_values == [100, 200]
         assert [s.lam for s in predictor_specs(cfg)] == [0.0, 0.9, 1.0]
 
+    def test_module_docstring_lists_every_key(self):
+        documented = re.findall(r"^    (\w+) = ", experiment.__doc__, re.M)
+        assert documented == list(SWEEP_KEYS)
+
     def test_bad_value_reports_line(self, tmp_path):
         path = write_config(tmp_path, "t_past = soon\n")
         with pytest.raises(ValueError, match=":1"):
@@ -123,6 +128,17 @@ class TestValidate:
         assert problems[0].startswith("cannot load social graph: ") and "edges.txt:2" in problems[0]
         assert run_sweep(cfg) == 1
         assert not (tmp_path / "out").exists()
+
+    def test_non_finite_gamma_and_eta(self, tmp_path, dataset):
+        out = tmp_path / "out"
+        cfg = parse_experiment_config(write_config(tmp_path, (
+            BASE.format(dataset=dataset, out=out)
+            + "predictor = wpp\ngamma = nan\ngamma = 0.5\ngamma = inf\neta = nan\n"
+        )))
+        assert validate(cfg) == ["gamma nan is not finite", "gamma inf is not finite",
+                                 "eta nan is not finite"]
+        assert run_sweep(cfg) == 1
+        assert not out.exists()
 
     def test_unknown_centrality_without_ibp(self, tmp_path, dataset):
         body = BASE.format(dataset=dataset, out=tmp_path / "o") + "centrality = nope\n"
@@ -191,6 +207,23 @@ class TestRunSweep:
         for measure, line in zip(("in_degree", "pagerank", "leaderrank"), lines):
             assert re.fullmatch(rf"{measure} influence: \d+ sweeps, relative residual "
                                 r"\S+, converged True", line), line
+
+    def test_zero_influence_warned_once_per_centrality(self, tmp_path, dataset, caplog):
+        # users 150-199 are not in the social graph: influence 0 under every measure
+        edges = tmp_path / "edges.txt"
+        write_edge_list(generate_social(150, 900, attach_exponent=1.0, seed=3), edges)
+        cfg = parse_experiment_config(write_config(tmp_path, (
+            f"dataset = {dataset}\nsocial = {edges}\npredictor = ibp\npredictor = recent_pop\n"
+            "eta = -1\neta = -0.5\neta = 1\ncentrality = in_degree\n"
+            f"t_past = 600\nt_future = 600\nn = 50\ntest_dates = 3\nout = {tmp_path / 'out'}\n"
+        )))
+        with caplog.at_level(logging.WARNING, logger="trendcast"):
+            assert run_sweep(cfg) == 0
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        # the scatter rescoring of the first spec, ibp at eta=-1, logs nothing
+        assert [r.name for r in warnings] == ["trendcast.evaluation"]
+        assert warnings[0].getMessage().startswith(
+            "ibp(in_degree, 2 eta < 0) T_P=600 T_F=600 n=50: zero-influence users contribute 0")
 
     def test_social_graph_loads_once(self, tmp_path, dataset, monkeypatch):
         edges = tmp_path / "edges.txt"

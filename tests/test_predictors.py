@@ -32,6 +32,13 @@ class TestPredictorSpec:
         with pytest.raises(ValueError):
             PredictorSpec("magic")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_gamma_and_eta_finite(self, value):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            PredictorSpec("wpp", gamma=value)
+        with pytest.raises(ValueError, match="eta must be finite"):
+            PredictorSpec("ibp", eta=value, centrality="pagerank")
+
     def test_t_past_positive(self):
         with pytest.raises(ValueError):
             PredictorSpec("recent_pop", t_past=0)

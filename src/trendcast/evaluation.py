@@ -90,6 +90,8 @@ class EvaluationReport:
 def make_test_dates(graph: TemporalBipartiteGraph, count, t_past, t_future) -> list[int]:
     """Regularly spaced test dates with a t_past margin after the data start
     and a t_future margin before its end (so every window is fully covered).
+    Raises ``ValueError`` when the span holds fewer than ``count`` distinct
+    integer dates.
     """
     if count < 1:
         raise ValueError(f"need at least one test date, got {count}")
@@ -99,6 +101,11 @@ def make_test_dates(graph: TemporalBipartiteGraph, count, t_past, t_future) -> l
         raise ValueError(
             f"data span [{graph.t_first}, {graph.t_last}] too short for "
             f"margins t_past={t_past}, t_future={t_future}"
+        )
+    if count > hi - lo + 1:
+        raise ValueError(
+            f"test_dates = {count} exceeds the {hi - lo + 1} distinct dates in "
+            f"[{lo}, {hi}] (the data span less t_past={t_past}, t_future={t_future})"
         )
     if count == 1:
         return [int((lo + hi) // 2)]

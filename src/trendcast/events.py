@@ -142,22 +142,55 @@ def build(events) -> TemporalBipartiteGraph:
             f"(user={users[k]}, item={items[k]}, timestamp={ts[k]})"
         )
 
-    user_ids, users = np.unique(users, return_inverse=True)
-    item_ids, items = np.unique(items, return_inverse=True)
+    user_ids, users = compact(users)
+    item_ids, items = compact(items)
     # Collapse duplicate (user, item) pairs keeping the earliest timestamp.
     # The pair key is below U * I <= links**2 and orders pairs by (user, item).
     pairs = users * len(item_ids) + items
+    del users, items  # the dead temporaries go early to keep the peak low
     order = np.argsort(pairs)
     pairs, ts = pairs[order], ts[order]
+    del order
     starts = np.flatnonzero(np.concatenate(([True], pairs[1:] != pairs[:-1])))
+    collapsed = int(pairs.size - starts.size)
     pairs, ts = pairs[starts], np.minimum.reduceat(ts, starts)
-    collapsed = int(order.size - starts.size)
     if collapsed:
         log.debug("collapsed %d duplicate user-item events", collapsed)
 
-    # The pairs are ascending, so a stable sort by time orders the events
-    # by (timestamp, user, item).
-    order = np.argsort(ts, kind="stable")
-    users, items = np.divmod(pairs[order], len(item_ids))
-    return TemporalBipartiteGraph(user_ids, item_ids, users, items, ts[order],
+    # Order by (timestamp, user, item). The pairs are ascending, so the key
+    # time rank * L + position is unique and below L**2 (no overflow for
+    # L < 3e9), and the default unstable sort returns the stable order.
+    links = pairs.size
+    _, key = compact(ts)
+    key *= links
+    key += np.arange(links)
+    order = np.argsort(key)
+    del key
+    pairs, ts = pairs[order], ts[order]
+    del order
+    users, items = np.divmod(pairs, len(item_ids))
+    return TemporalBipartiteGraph(user_ids, item_ids, users, items, ts,
                                   duplicates_collapsed=collapsed)
+
+
+def compact(values):
+    """``np.unique(values, return_inverse=True)`` for a 1-D integer array:
+    the sorted distinct values and each value's index into them, with the
+    same values and dtypes.
+
+    When the values span fewer than ``2 * values.size`` integers, as dense
+    ids and timestamps do, a presence table and its running count give the
+    answer without a sort; otherwise ``np.unique`` sorts.
+    """
+    values = np.asarray(values)
+    if values.size:
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo < 2 * values.size:  # Python ints: the span cannot overflow
+            offsets = values - lo
+            present = np.zeros(hi - lo + 1, dtype=bool)
+            present[offsets] = True
+            index = np.cumsum(present, dtype=np.intp)
+            index -= 1
+            ids = (np.flatnonzero(present) + lo).astype(values.dtype, copy=False)
+            return ids, index[offsets]
+    return np.unique(values, return_inverse=True)

@@ -26,6 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .events import compact
 from .ingestion import parse_field, read_table
 
 log = logging.getLogger(__name__)
@@ -54,24 +55,28 @@ class SocialGraph:
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be (follower, leader) pairs")
 
-        loops = arr[:, 0] == arr[:, 1]
-        self.self_loops_dropped = int(loops.sum())
-        arr = arr[~loops]
+        follower, leader = arr[:, 0], arr[:, 1]
+        keep = follower != leader
+        follower, leader = follower[keep], leader[keep]
+        self.self_loops_dropped = int(keep.size - follower.size)
 
-        ids = [arr.ravel()]
+        ids = [follower, leader]
         if users is not None:
             ids.append(np.asarray(list(users), dtype=np.int64))
-        self.user_ids, compact = np.unique(np.concatenate(ids), return_inverse=True)
+        self.user_ids, index = compact(np.concatenate(ids))
 
         # Collapse duplicates on compact pair keys, which stay below n**2 and
         # sort in (leader, follower) order.
         n = len(self.user_ids)
-        ends = compact[: arr.size].reshape(-1, 2)
-        pairs = np.sort(ends[:, 1] * n + ends[:, 0])
+        m = follower.size
+        pairs = index[m: 2 * m] * n
+        pairs += index[:m]
+        del index
+        pairs.sort()
         first = np.ones(pairs.size, dtype=bool)
         first[1:] = pairs[1:] != pairs[:-1]
         pairs = pairs[first]
-        self.duplicates_dropped = int(arr.shape[0] - pairs.size)
+        self.duplicates_dropped = int(m - pairs.size)
         self._dst, self._src = np.divmod(pairs, n)
         self.out_degrees = np.bincount(self._src, minlength=n)
         self.in_degrees = np.bincount(self._dst, minlength=n)
@@ -167,7 +172,7 @@ def _spread(graph: SocialGraph, moved: np.ndarray) -> np.ndarray:
     """What each user receives when every follower ``i`` sends ``moved[i]``
     to each of its leaders. With ``moved = s * share`` this is ``M @ s`` for
     ``M[j, i] = share[i]`` on every edge ``i -> j``, summed in CSR order."""
-    return np.bincount(graph._dst, weights=moved[graph._src], minlength=graph.num_users)
+    return np.bincount(graph._dst, weights=moved.take(graph._src), minlength=graph.num_users)
 
 
 def _power_iterate(step, s: np.ndarray, mass: float, tol: float, max_iter: int, measure: str):

@@ -23,6 +23,7 @@ class TestSocialGraph:
         assert g.num_links == 2
         assert g.duplicates_dropped == 2
         assert g.self_loops_dropped == 1
+        assert g.user_ids.tolist() == [1, 2]  # user 3 appears only in a self-loop
 
     def test_degree_sums_match(self):
         g = SocialGraph([(1, 2), (2, 3), (3, 1), (1, 3)])
@@ -227,7 +228,8 @@ class TestMatchesSparseMatrixIteration:
     self-loops."""
 
     @staticmethod
-    def random_graph(seed):
+    def random_graph(seed, offset=0, stride=1):
+        """Edges and users; ids are ``offset + stride * k`` for compact ``k``."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 300))
         m = int(rng.integers(n, 4 * n))
@@ -237,7 +239,7 @@ class TestMatchesSparseMatrixIteration:
         loops = np.column_stack([[0, n // 2]] * 2)
         edges = np.concatenate([edges, edges[:3], loops])[rng.permutation(m + 5)]
         users = np.arange(n + int(rng.integers(1, 5)))  # ids past n are isolated
-        return edges, users
+        return offset + stride * edges, offset + stride * users
 
     @pytest.mark.parametrize("measure", ["pagerank", "leaderrank"])
     @pytest.mark.parametrize("seed", range(8))
@@ -246,6 +248,19 @@ class TestMatchesSparseMatrixIteration:
         g = SocialGraph(edges, users=users)
         assert g.self_loops_dropped and g.duplicates_dropped
         assert (g.out_degrees == 0).any() and (g.in_degrees + g.out_degrees == 0).any()
+        got = compute_influence(g, measure)
+        values, sweeps, residual, converged = scipy_power_iteration(edges, users, measure)
+        assert np.array_equal(got.values, values)
+        assert (got.iterations_used, got.residual, got.converged) == (sweeps, residual, converged)
+
+    @pytest.mark.parametrize("measure", ["pagerank", "leaderrank"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_on_sparse_ids(self, measure, seed):
+        # ids up to 2**62 + 2**49 span too far for a presence table: the sort path
+        edges, users = self.random_graph(seed, offset=2**62, stride=2**40)
+        g = SocialGraph(edges, users=users)
+        dense = SocialGraph(*self.random_graph(seed))
+        assert np.array_equal(g._src, dense._src) and np.array_equal(g._dst, dense._dst)
         got = compute_influence(g, measure)
         values, sweeps, residual, converged = scipy_power_iteration(edges, users, measure)
         assert np.array_equal(got.values, values)

@@ -9,7 +9,7 @@ import pytest
 
 from trendcast.cli import _parse_spec_string, main
 from trendcast.events import build
-from trendcast.ingestion import load_votes, write_votes_csv
+from trendcast.ingestion import load_votes, write_ratings_csv, write_votes_csv
 from trendcast.social import load_social_graph
 from trendcast.synthgen import GenConfig, generate
 
@@ -284,6 +284,25 @@ class TestRunAndValidateVerbs:
         out = capsys.readouterr().out
         assert out.startswith("cannot load social graph: ") and "edges.txt:1" in out
         assert main(["run", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_more_test_dates_than_the_span_holds(self, tmp_path, capsys, caplog, verb):
+        ratings = tmp_path / "ratings.csv"
+        write_ratings_csv([(k % 20, k % 7, 4.0, 50 * k) for k in range(101)], ratings)  # 5,000 s
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"dataset = {ratings}\nformat = ratings\npredictor = recent_pop\nt_past = 500\n"
+            f"t_future = 500\nn = 5\ntest_dates = 100000\nout = {tmp_path / 'out'}\n"
+        )
+        assert main([verb, str(cfg)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        problem = ("test_dates = 100000 exceeds the 4001 distinct dates in [500, 4500] "
+                   "(the data span less t_past=500, t_future=500)")
+        if verb == "validate":
+            assert capsys.readouterr().out == problem + "\n"
+        else:
+            assert errors == [f"config: {problem}"]
         assert not (tmp_path / "out").exists()
 
     def test_n_above_the_item_count_warns(self, tmp_path, dataset, capsys, caplog):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 import oracles
 from conftest import Event, dedup_earliest, entry, events_of, random_events
-from trendcast.events import build
+from trendcast.events import build, compact
+
+INT64 = np.iinfo(np.int64)
 
 
 class TestBuild:
@@ -44,6 +47,64 @@ class TestBuild:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="triples"):
             build(np.zeros((4, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("scale", [(1, 1, 1), (2**56, 2**57, 2**50)], ids=["dense", "sparse"])
+    def test_order_matches_dedup_oracle(self, rng, scale):
+        # 40 timestamps and 1,000 pairs over 3,000 rows: heavy ties and duplicates;
+        # scaled ids and timestamps span far more than twice the rows (the sort path)
+        num = 3_000
+        users = rng.integers(0, 50, num) * scale[0] - 2**62
+        items = rng.integers(0, 20, num) * scale[1] + 2**61
+        ts = rng.integers(0, 40, num) * scale[2]
+        events = [Event(*e) for e in zip(users.tolist(), items.tolist(), ts.tolist())]
+        g = build(events)
+        want = sorted(dedup_earliest(events), key=lambda e: (e.timestamp, e.user_id, e.item_id))
+        assert events_of(g) == want
+        assert g.duplicates_collapsed == num - len(want) > 0
+
+    def test_seeded_build_digest(self):
+        # sha256 of the five arrays, recorded at the time-sort implementation
+        # this build replaced; the time and id orders must not move
+        rng = np.random.default_rng(2026)
+        num = 200_000
+        g = build(np.column_stack([rng.integers(0, 20_000, num), rng.integers(0, 5_000, num),
+                                   rng.integers(0, 100_000, num)]))
+        digest = hashlib.sha256()
+        for a in (g.user_ids, g.item_ids, g._users, g._items, g._ts):
+            digest.update(a.dtype.str.encode())
+            digest.update(a.tobytes())
+        assert (g.num_links, g.duplicates_collapsed) == (199_807, 193)
+        assert digest.hexdigest() == (
+            "abf4d97ab8d229fe6b780f55a4eb57475c2dcceb3da3185c2cbe5a0d4704e0c6")
+
+
+class TestCompact:
+    """``compact`` returns exactly ``np.unique(values, return_inverse=True)``,
+    from a presence table when the values span fewer than ``2 * size``
+    integers and from ``np.unique`` otherwise."""
+
+    @pytest.mark.parametrize("values, sorts", [
+        (np.random.default_rng(1).integers(0, 1_000, 5_000), False),
+        (np.random.default_rng(2).integers(-500, 500, 800), False),
+        ([2**62 + 5, -2**62, 2**62, -2**62 + 9, 2**62 + 5], True),
+        ([INT64.min, INT64.max, 0, INT64.min, 1], True),
+        ([INT64.max, INT64.max - 3, INT64.max - 1], False),
+        ([INT64.min + 2, INT64.min, INT64.min + 2], False),
+        ([7], False),
+        ([0, 7, 7, 3], False),  # span 7 = 2 * size - 1
+        ([0, 8, 8, 3], True),   # span 8 = 2 * size
+    ], ids=["dense", "negative", "sparse-2^62", "int64-limits", "dense-at-max", "dense-at-min",
+            "single", "span-2n-1", "span-2n"])
+    def test_matches_unique(self, monkeypatch, values, sorts):
+        values = np.asarray(values, dtype=np.int64)
+        unique = np.unique
+        want_ids, want_index = unique(values, return_inverse=True)
+        calls = []
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+        ids, index = compact(values)
+        assert ids.dtype == want_ids.dtype and index.dtype == want_index.dtype
+        assert np.array_equal(ids, want_ids) and np.array_equal(index, want_index)
+        assert bool(calls) == sorts
 
 
 class TestDegreeQueries:

@@ -18,16 +18,16 @@ predictor can never hit a new entry (its top-n *is* the past top-n).
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .events import TemporalBipartiteGraph
-from .predictors import PredictorSpec, Window, check_measure, score_vector
+from .ingestion import write_csv
+from .predictors import PredictorSpec, Window, align, score_vector
 from .social import InfluenceVector
 
 log = logging.getLogger(__name__)
@@ -121,32 +121,30 @@ def evaluate(
     """Run one predictor over all test dates and collect the metrics.
 
     An ibp spec needs ``influence``, the vector of its centrality computed on
-    the social graph (:func:`trendcast.social.compute_influence`); a vector of
-    another measure is a ``ValueError``. ``spec.t_past`` may be left unset,
-    in which case the config's window is used; if both are set they must
-    agree (E_n is defined against the same past window the predictor sees).
+    the social graph (:func:`trendcast.social.compute_influence`); a missing
+    vector or one of another measure is a ``ValueError``. ``spec.t_past`` may be
+    left unset, in which case the config's window is used; if both are set they
+    must agree (E_n is defined against the same past window the predictor sees).
     """
-    if spec.kind == "ibp" and influence is None:
-        raise ValueError("ibp evaluation needs the influence vector of a social graph")
-    measures = {spec.centrality: influence} if spec.kind == "ibp" else {}
-    return evaluate_many(graph, [spec], config, measures)[0]
+    return evaluate_many(graph, [spec], config, [influence])[0]
 
 
 def evaluate_many(
     graph: TemporalBipartiteGraph,
     specs: Sequence[PredictorSpec],
     config: EvalConfig,
-    influence: Mapping[str, InfluenceVector] | None = None,
+    influence: Iterable[InfluenceVector] = (),
 ) -> list[EvaluationReport]:
     """Run every predictor over all test dates; one report per spec, in order.
 
     Per date, one :class:`Window` holds what the scores read, and the true
     and the past top-n, ranked by ``graph.rank_items`` as each spec's top-n
     is, become two item masks (the true top-n, the new entries) that every
-    spec is counted against. ``influence`` maps the centrality of each ibp
-    spec to its vector, whose ``measure`` must be that centrality.
-    ``spec.t_past`` is resolved as in :func:`evaluate`. Zero-influence users,
-    left out by ibp under a negative eta, get one warning per centrality.
+    spec is counted against. ``influence`` holds one vector per measure,
+    aligned by :func:`trendcast.predictors.align`, and must cover the
+    centrality of every ibp spec. ``spec.t_past`` is resolved as in
+    :func:`evaluate`. Zero-influence users, left out by ibp under a negative
+    eta, get one warning per centrality.
     """
     for spec in specs:
         if spec.t_past is not None and spec.t_past != config.t_past:
@@ -154,13 +152,7 @@ def evaluate_many(
                 f"predictor t_past={spec.t_past} disagrees with eval t_past={config.t_past}"
             )
     specs = [s if s.kind == "total_pop" else s.with_t_past(config.t_past) for s in specs]
-    influence = influence or {}
-    for measure, vector in influence.items():
-        check_measure(vector, measure)
-    aligned = {m: v.lookup(graph.user_ids) for m, v in influence.items()}
-    missing = {s.centrality for s in specs if s.kind == "ibp"} - aligned.keys()
-    if missing:
-        raise ValueError(f"ibp evaluation needs the influence vectors of {sorted(missing)}")
+    aligned = align(graph, influence, specs)
 
     reports = [EvaluationReport(spec, config) for spec in specs]
     # the zero-influence count depends on the centrality and the window, not on eta
@@ -238,8 +230,4 @@ def report_rows(report: EvaluationReport) -> list[list[str]]:
 
 
 def write_reports_csv(reports: Sequence[EvaluationReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for report in reports:
-            writer.writerows(report_rows(report))
+    write_csv(path, SWEEP_COLUMNS, (row for report in reports for row in report_rows(report)))

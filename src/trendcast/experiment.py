@@ -33,7 +33,6 @@ Outputs (written under the output directory):
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -45,7 +44,7 @@ from . import ingestion, predictors, social
 from .events import build
 from .evaluation import (EvalConfig, EvaluationReport, evaluate_many, make_test_dates,
                          write_reports_csv)
-from .predictors import PredictorSpec, Window, score_vector
+from .predictors import PredictorSpec, Window, align, score_vector
 
 log = logging.getLogger(__name__)
 
@@ -170,8 +169,6 @@ def _check(cfg: ExperimentConfig):
         problems.append("no dataset configured")
     elif not os.path.exists(cfg.dataset):
         problems.append(f"dataset file not found: {cfg.dataset}")
-    if cfg.format not in ("votes", "ratings"):
-        problems.append(f"unknown dataset format {cfg.format!r}")
     if cfg.social is not None and not os.path.exists(cfg.social):
         problems.append(f"social graph file not found: {cfg.social}")
     if not cfg.predictors:
@@ -205,14 +202,18 @@ def _check(cfg: ExperimentConfig):
     if cfg.num_test_dates < 1:
         problems.append("test_dates must be >= 1")
 
+    try:
+        spec = ingestion.DatasetSpec(
+            format=cfg.format, threshold=cfg.threshold, subset_users=cfg.subset_users,
+            min_user_degree=cfg.min_user_degree, rng_seed=cfg.seed,
+            eligibility_pre_threshold=cfg.eligibility_pre_threshold,
+        )
+    except ValueError as exc:
+        problems.append(str(exc))
+
     graph = social_graph = None
     if not problems:
         try:
-            spec = ingestion.DatasetSpec(
-                format=cfg.format, threshold=cfg.threshold, subset_users=cfg.subset_users,
-                min_user_degree=cfg.min_user_degree, rng_seed=cfg.seed,
-                eligibility_pre_threshold=cfg.eligibility_pre_threshold,
-            )
             graph = build(ingestion.load_dataset(cfg.dataset, spec))
         except (ValueError, OSError) as exc:
             problems.append(f"cannot load dataset: {exc}")
@@ -267,7 +268,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
                     # the heatmap's recent_pop is scored along with the first n
                     heat = [PredictorSpec("recent_pop")] if j == 0 else []
                     config = EvalConfig(t_past, t_future, dates, n)
-                    reports = evaluate_many(graph, specs + heat, config, influence)
+                    reports = evaluate_many(graph, specs + heat, config, influence.values())
                     if heat:
                         heat_reports.append(reports.pop())
                     grid.append(reports)
@@ -302,12 +303,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
 
 
 def _write_heatmap(reports: list[EvaluationReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["T_P", "T_F", "P_n"])
-        for report in reports:
-            writer.writerow([report.config.t_past, report.config.t_future,
-                             report.mean_precision])
+    ingestion.write_csv(path, ["T_P", "T_F", "P_n"], (
+        [r.config.t_past, r.config.t_future, r.mean_precision] for r in reports))
 
 
 def _write_scatter(graph, report: EvaluationReport, influence, path) -> None:
@@ -316,15 +313,12 @@ def _write_scatter(graph, report: EvaluationReport, influence, path) -> None:
     config, spec = report.config, report.spec
     date = config.test_dates[len(config.test_dates) // 2]
     # scored as in the sweep, which has already logged any zero-influence users
-    aligned = {m: v.lookup(graph.user_ids) for m, v in influence.items() if m == spec.centrality}
+    aligned = align(graph, [influence.get(spec.centrality)], [spec])
     window = Window(graph, date, config.t_past, aligned)
     picked = set(graph.rank_items(score_vector(spec, window), window.seen)[: config.n].tolist())
     past = graph.item_increase_vector(date, config.t_past)
     future = graph.item_increase_vector(date + config.t_future, config.t_future)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["item", "past_increase", "future_increase", "predicted_top_n"])
-        for pos, item in enumerate(graph.item_ids):
-            flag = pos in picked
-            if past[pos] or future[pos] or flag:
-                writer.writerow([int(item), int(past[pos]), int(future[pos]), int(flag)])
+    rows = ([int(item), int(past[pos]), int(future[pos]), int(pos in picked)]
+            for pos, item in enumerate(graph.item_ids)
+            if past[pos] or future[pos] or pos in picked)
+    ingestion.write_csv(path, ["item", "past_increase", "future_increase", "predicted_top_n"], rows)

@@ -63,7 +63,11 @@ class DatasetSpec:
                 f"threshold must lie in [{RATING_MIN}, {RATING_MAX}], got {self.threshold}"
             )
         if self.format == "votes" and self.subset_users is not None:
-            raise ValueError("user subsetting applies to ratings datasets only")
+            raise ValueError("subset_users applies to ratings datasets only")
+        if self.min_user_degree < 0:
+            raise ValueError(f"min_user_degree must be >= 0, got {self.min_user_degree}")
+        if self.rng_seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.rng_seed}")
 
 
 def read_table(path, rescan, rows: int | None = None, **loadtxt_args) -> np.ndarray:
@@ -167,17 +171,22 @@ def _sample_users(users: np.ndarray, count: int, min_degree: int, seed: int) -> 
 
 
 def load_ratings(path, spec: DatasetSpec | None = None) -> np.ndarray:
-    """Load a ratings CSV as events, thresholding and optionally subsetting users."""
+    """Load a ratings CSV as events, thresholding and optionally subsetting users;
+    rejects a file, or a user sample, with no rating at the threshold."""
     spec = spec or DatasetSpec()
     table = _read_csv(path, RATINGS_HEADER)
     _check_ratings(path, table["rating"], 2)
     events = _events(table)
     keep = table["rating"] >= spec.threshold
     dropped = int(keep.size - np.count_nonzero(keep))
+    sampled = ""
     if spec.subset_users is not None:
         counted = events[:, 0] if spec.eligibility_pre_threshold else events[keep, 0]
         chosen = _sample_users(counted, spec.subset_users, spec.min_user_degree, spec.rng_seed)
         keep &= np.isin(events[:, 0], chosen)
+        sampled = " of the sampled users"
+    if keep.size and not keep.any():
+        raise ValueError(f"{path}: no rating{sampled} reaches the threshold {spec.threshold}")
     events = events[keep]
     log.info(
         "%s: %d events kept, %d below threshold %.1f%s",
@@ -193,9 +202,11 @@ def load_votes(path) -> np.ndarray:
 
 
 def load_dataset(path, spec: DatasetSpec) -> np.ndarray:
-    if spec.format == "votes":
-        return load_votes(path)
-    return load_ratings(path, spec)
+    """Load ``path`` as ``spec`` says; unlike the loaders, reject a header-only file."""
+    events = load_votes(path) if spec.format == "votes" else load_ratings(path, spec)
+    if not len(events):
+        raise ValueError(f"{path}: no data rows")
+    return events
 
 
 def subset_users(events: np.ndarray, num_users: int, min_degree: int = 20, seed: int = 0):
@@ -208,17 +219,20 @@ def subset_users(events: np.ndarray, num_users: int, min_degree: int = 20, seed:
     return events[np.isin(events[:, 0], chosen)]
 
 
-def write_votes_csv(events, path) -> None:
-    """Write an ``(N, 3)`` array-like of (user, item, timestamp) rows as a votes CSV."""
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as a UTF-8 CSV with LF line ends. Pass
+    Python scalars: ``csv`` writes a numpy float as its ``repr``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(VOTES_HEADER)
-        writer.writerows(np.asarray(events).tolist())
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_votes_csv(events, path) -> None:
+    """Write an ``(N, 3)`` array-like of (user, item, timestamp) rows as a votes CSV."""
+    write_csv(path, VOTES_HEADER, np.asarray(events).tolist())
 
 
 def write_ratings_csv(records, path) -> None:
     """Write ``(user, item, rating, timestamp)`` rows as a ratings CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RATINGS_HEADER)
-        writer.writerows(records)
+    write_csv(path, RATINGS_HEADER, records)

@@ -69,7 +69,8 @@ class PredictorSpec:
             if self.eta is None:
                 raise ValueError("ibp needs eta")
             if self.centrality not in MEASURES:
-                raise ValueError(f"ibp needs a centrality from {MEASURES}, got {self.centrality}")
+                raise ValueError(
+                    f"ibp needs a centrality from {tuple(MEASURES)}, got {self.centrality}")
         elif self.centrality is not None:
             raise ValueError("centrality is only meaningful for ibp")
         if self.kind in _WINDOWED and self.t_past is not None and self.t_past <= 0:
@@ -97,7 +98,7 @@ class Window:
     Each array is computed on first use and then shared by every spec
     scored at that (date, window), so do not mutate one. ``influence`` maps
     a centrality to the influence of every user, aligned with
-    ``graph.user_ids``.
+    ``graph.user_ids``, as :func:`align` returns it.
     """
 
     def __init__(self, graph: TemporalBipartiteGraph, test_date, t_past, influence: dict):
@@ -106,7 +107,6 @@ class Window:
         self.t_past = t_past
         self.influence = influence
         self._weights = {}
-        self._zero = {}
 
     @cached_property
     def now(self) -> np.ndarray:
@@ -144,10 +144,8 @@ class Window:
 
     def zero_influence_users(self, centrality) -> int:
         """Distinct users collecting inside the window with influence 0."""
-        if centrality not in self._zero:
-            _, nonzero = self.influence_weights(centrality)
-            self._zero[centrality] = len(np.unique(self.events[0][~nonzero]))
-        return self._zero[centrality]
+        _, nonzero = self.influence_weights(centrality)
+        return len(np.unique(self.events[0][~nonzero]))
 
 
 def score_vector(spec: PredictorSpec, window: Window) -> np.ndarray:
@@ -178,11 +176,22 @@ def score_vector(spec: PredictorSpec, window: Window) -> np.ndarray:
     return np.bincount(window.events[1], weights=contrib, minlength=window.graph.num_items)
 
 
-def check_measure(influence: InfluenceVector, centrality: str) -> None:
-    """Raise ``ValueError`` unless ``influence`` holds the ``centrality`` measure."""
-    if influence.measure != centrality:
-        raise ValueError(f"influence vector holds {influence.measure!r} values, "
-                         f"not the {centrality!r} centrality it is used for")
+def align(graph: TemporalBipartiteGraph, vectors, specs) -> dict[str, np.ndarray]:
+    """Map each vector's ``measure`` to its values aligned with ``graph.user_ids``,
+    skipping ``None``. Two vectors of one measure, or an ibp spec of ``specs``
+    whose centrality no vector holds, are a ``ValueError``."""
+    aligned = {}
+    for vector in vectors:
+        if vector is None:
+            continue
+        if vector.measure in aligned:
+            raise ValueError(f"two influence vectors of {vector.measure!r}")
+        aligned[vector.measure] = vector.lookup(graph.user_ids)
+    missing = sorted({s.centrality for s in specs if s.kind == "ibp"} - aligned.keys())
+    if missing:
+        raise ValueError(f"influence vectors given for {sorted(aligned)}, but ibp needs "
+                         f"{missing}: compute them on a social graph")
+    return aligned
 
 
 def score(
@@ -197,22 +206,16 @@ def score(
     Every kind except ``total_pop`` needs ``spec.t_past``. ibp takes the
     precomputed ``influence`` vector if given (pass one when sweeping eta:
     the centrality is the expensive part), else computes ``spec.centrality``
-    on ``social_graph``; a given vector of another measure is a
-    ``ValueError``. Users absent from the social graph carry influence 0:
+    on ``social_graph``; :func:`align` rejects a vector of another measure.
+    Users absent from the social graph carry influence 0:
     they contribute 0 for eta > 0, 1 for eta = 0 (the plain degree
     increase), and by definition 0 for eta < 0, which is logged.
     """
     if spec.kind != "total_pop" and spec.t_past is None:
         raise ValueError(f"{spec.kind} needs t_past")
-    aligned = {}
-    if spec.kind == "ibp":
-        if influence is None:
-            if social_graph is None:
-                raise ValueError("ibp needs a social graph or a precomputed influence vector")
-            influence = compute_influence(social_graph, spec.centrality)
-        check_measure(influence, spec.centrality)
-        aligned[spec.centrality] = influence.lookup(graph.user_ids)
-    window = Window(graph, test_date, spec.t_past, aligned)
+    if spec.kind == "ibp" and influence is None and social_graph is not None:
+        influence = compute_influence(social_graph, spec.centrality)
+    window = Window(graph, test_date, spec.t_past, align(graph, [influence], [spec]))
     if spec.kind == "ibp" and spec.eta < 0:
         affected = window.zero_influence_users(spec.centrality)
         if affected:

@@ -31,8 +31,6 @@ from .ingestion import parse_field, read_table
 
 log = logging.getLogger(__name__)
 
-MEASURES = ("in_degree", "pagerank", "leaderrank")
-
 
 class SocialGraph:
     """Directed user-user graph, immutable after construction.
@@ -163,8 +161,8 @@ class InfluenceVector:
         return out
 
 
-def influence_in_degree(graph: SocialGraph) -> InfluenceVector:
-    """Influence = number of followers."""
+def influence_in_degree(graph: SocialGraph, **_) -> InfluenceVector:
+    """Influence = number of followers; exact, so a stop rule is ignored."""
     return InfluenceVector("in_degree", graph.user_ids, graph.in_degrees.copy())
 
 
@@ -261,12 +259,13 @@ def influence_leaderrank(
     return InfluenceVector("leaderrank", graph.user_ids, s[:n] + s[g] / n, *stats)
 
 
+# measure name -> the function computing it on a SocialGraph
+MEASURES = {"in_degree": influence_in_degree, "pagerank": influence_pagerank,
+            "leaderrank": influence_leaderrank}
+
+
 def compute_influence(graph: SocialGraph, measure: str, **kwargs) -> InfluenceVector:
     """Dispatch by measure name; see ``MEASURES``."""
-    if measure == "in_degree":
-        return influence_in_degree(graph)
-    if measure == "pagerank":
-        return influence_pagerank(graph, **kwargs)
-    if measure == "leaderrank":
-        return influence_leaderrank(graph, **kwargs)
-    raise ValueError(f"unknown influence measure {measure!r} (choose from {MEASURES})")
+    if measure not in MEASURES:
+        raise ValueError(f"unknown influence measure {measure!r} (choose from {tuple(MEASURES)})")
+    return MEASURES[measure](graph, **kwargs)

@@ -318,3 +318,63 @@ class TestRunAndValidateVerbs:
             assert f"n = {items + 1} exceeds the {items} items" in warnings[0]
         assert capsys.readouterr().out == ""
         assert (tmp_path / "out" / "sweep.csv").exists()
+
+
+class TestDatasetProblems:
+    """Dataset rules and inputs that hold no events: exit 1 with one error
+    line that names the config key or the file, and nothing written."""
+
+    def write_cfg(self, tmp_path, dataset, format, extra=""):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"dataset = {dataset}\nformat = {format}\npredictor = recent_pop\nt_past = 200\n"
+            f"t_future = 200\nn = 5\ntest_dates = 2\nout = {tmp_path / 'out'}\n{extra}"
+        )
+        return cfg
+
+    def check(self, tmp_path, capsys, caplog, verb, cfg, problem):
+        assert main([verb, str(cfg)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        if verb == "validate":
+            assert capsys.readouterr().out == problem + "\n"
+        else:
+            assert errors == [f"config: {problem}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("format, extra, problem", [
+        ("ratings", "subset_users = 5\nmin_user_degree = 3\nseed = -1\n",
+         "seed must be non-negative, got -1"),
+        ("votes", "seed = -1\n", "seed must be non-negative, got -1"),
+        ("votes", "min_user_degree = -3\n", "min_user_degree must be >= 0, got -3"),
+        ("ratings", "threshold = 7\n", "threshold must lie in [0.5, 5.0], got 7.0"),
+        ("votes", "subset_users = 5\n", "subset_users applies to ratings datasets only"),
+    ], ids=["seed-subsetting", "seed", "min_user_degree", "threshold", "subset_users-votes"])
+    def test_dataset_rule_is_a_config_problem(self, tmp_path, dataset, capsys, caplog, verb,
+                                              format, extra, problem):
+        if format == "ratings":
+            dataset = tmp_path / "ratings.csv"
+            write_ratings_csv([(k % 10, k, 4.0, 10 * k) for k in range(100)], dataset)
+        cfg = self.write_cfg(tmp_path, dataset, format, extra)
+        self.check(tmp_path, capsys, caplog, verb, cfg, problem)
+
+    @pytest.mark.parametrize("verb", ["validate", "run", "rank"])
+    @pytest.mark.parametrize("format, rows, problem", [
+        ("votes", [], "no data rows"),
+        ("ratings", [], "no data rows"),
+        ("ratings", [(1, 10, 2.5, 100), (2, 11, 1.0, 200)], "no rating reaches the threshold 3.0"),
+    ], ids=["votes-header-only", "ratings-header-only", "ratings-below-threshold"])
+    def test_input_without_events_names_the_file(self, tmp_path, capsys, caplog, verb,
+                                                 format, rows, problem):
+        path = tmp_path / f"{format}.csv"
+        (write_votes_csv if format == "votes" else write_ratings_csv)(rows, path)
+        if verb == "rank":
+            argv = ["rank", str(path), "--format", format, "--spec", "total_pop"]
+            assert main(argv) == 1
+            assert capsys.readouterr().out == ""
+            errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+            assert errors == [f"{path}: {problem}"]
+        else:
+            cfg = self.write_cfg(tmp_path, path, format)
+            problem = f"cannot load dataset: {path}: {problem}"
+            self.check(tmp_path, capsys, caplog, verb, cfg, problem)

@@ -290,10 +290,24 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="'in_degree'.*'pagerank'"):
             evaluate(g, spec, cfg, in_degree)
         with pytest.raises(ValueError, match="'in_degree'.*'pagerank'"):
-            evaluate_many(g, [spec], cfg, {"pagerank": in_degree})
-        # filed under the wrong key, even where no spec reads it
-        with pytest.raises(ValueError, match="'in_degree'.*'leaderrank'"):
-            evaluate_many(g, [PredictorSpec("recent_pop")], cfg, {"leaderrank": in_degree})
+            evaluate_many(g, [spec], cfg, [in_degree])
+
+    def test_two_vectors_of_one_measure_rejected(self, rng):
+        g = self.graph(rng)
+        cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=5)
+        in_degree = influence_in_degree(SocialGraph([(1, 2), (3, 2)], users=range(80)))
+        spec = PredictorSpec("ibp", eta=1.0, centrality="in_degree")
+        with pytest.raises(ValueError, match="two influence vectors of 'in_degree'"):
+            evaluate_many(g, [spec], cfg, [in_degree, in_degree])
+
+    def test_missing_centrality_named(self, rng):
+        g = self.graph(rng)
+        cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=5)
+        in_degree = influence_in_degree(SocialGraph([(1, 2), (3, 2)], users=range(80)))
+        specs = [PredictorSpec("ibp", eta=1.0, centrality=m) for m in ("in_degree", "pagerank")]
+        with pytest.raises(ValueError, match=r"given for \['in_degree'\], but ibp needs "
+                                             r"\['pagerank'\]: compute them on a social graph"):
+            evaluate_many(g, specs, cfg, [in_degree])
 
 
 def test_degenerate_window_numbers_are_pinned():
@@ -347,7 +361,7 @@ class TestSharedWindow:
             cfg = EvalConfig(t_past, 500, dates, n=10)
             caplog.clear()
             with caplog.at_level(logging.WARNING):
-                many = evaluate_many(g, self.SPECS, cfg, influence)
+                many = evaluate_many(g, self.SPECS, cfg, influence.values())
             many_warnings = self.zero_influence_warnings(caplog)
             caplog.clear()
             with caplog.at_level(logging.WARNING):

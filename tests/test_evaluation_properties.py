@@ -67,7 +67,7 @@ def test_evaluate_many_matches_oracles(raw, t_past, t_future, n, date_picks, inf
                                 np.array([influence_picks[u] for u in users]))
     config = EvalConfig(t_past, t_future, dates, n)
 
-    reports = evaluate_many(graph, SPECS, config, {"in_degree": influence})
+    reports = evaluate_many(graph, SPECS, config, [influence])
 
     for report in reports:
         for t, got in zip(dates, report.per_date):

@@ -41,6 +41,14 @@ class TestDatasetSpec:
         with pytest.raises(ValueError):
             DatasetSpec(format="parquet")
 
+    def test_negative_seed_rejected_without_subsetting(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            DatasetSpec(format="votes", rng_seed=-1)
+
+    def test_negative_min_user_degree_rejected(self):
+        with pytest.raises(ValueError, match="min_user_degree must be >= 0, got -3"):
+            DatasetSpec(min_user_degree=-3)
+
 
 class TestLoadRatings:
     def test_threshold_boundary_kept(self, tmp_path):
@@ -128,6 +136,7 @@ RATINGS_CASES = [
     ("1,10,3.5,100\n1,10,inf,100\n", r":3: rating inf outside"),
     ("1,10,6.0,100\n1,10,oops,100\n", r":2: rating 6.0 outside"),
     (f"1,10,3.5,{BIG}\n", r":2: integer outside int64"),
+    ("1,10,2.5,100\n2,11,1.0,200\n", r": no rating reaches the threshold 3.0"),
 ]
 
 
@@ -227,9 +236,22 @@ class TestLoadWithSubsetting:
         assert (events[:, 1] >= 100).all()
         assert set(counts[users >= 100].tolist()) == {5}
 
+    def test_sample_without_ratings_at_the_threshold_names_the_file(self, tmp_path):
+        rows = [f"{u},{100 + k},2.0,{k}" for u in range(3) for k in range(20)]
+        spec = DatasetSpec(subset_users=2, min_user_degree=20, eligibility_pre_threshold=True)
+        with pytest.raises(ValueError, match="ratings.csv: no rating of the sampled users "
+                                             "reaches the threshold 3.0"):
+            load_ratings(ratings_file(tmp_path, rows), spec)
+
     def test_load_dataset_dispatch(self, tmp_path):
         votes = votes_file(tmp_path, ["1,2,3"])
         assert load_dataset(votes, DatasetSpec(format="votes")).tolist() == [[1, 2, 3]]
+
+    @pytest.mark.parametrize("format", ["votes", "ratings"])
+    def test_load_dataset_names_a_header_only_file(self, tmp_path, format):
+        path = (votes_file if format == "votes" else ratings_file)(tmp_path, [])
+        with pytest.raises(ValueError, match=f"{format}.csv: no data rows"):
+            load_dataset(path, DatasetSpec(format=format))
 
 
 class TestWriters:

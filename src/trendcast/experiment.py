@@ -38,6 +38,7 @@ import logging
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 
 from . import ingestion, predictors, social
@@ -154,6 +155,52 @@ def predictor_specs(cfg: ExperimentConfig) -> list[PredictorSpec]:
     return specs
 
 
+class Background:
+    """``fn(*args)``, started on its own thread as the object is made.
+
+    :meth:`result` joins the thread, logs on the calling thread the records
+    ``fn`` logged on ``social``'s logger, then returns what ``fn`` returned
+    or raises what it raised. So a set-up branch runs beside another, yet
+    logs and fails where it would in series, whatever the threads' timing.
+    """
+
+    def __init__(self, fn, *args):
+        self._records = []
+        self._value = self._error = None
+        self._thread = threading.Thread(target=self._run, args=(fn, args), daemon=True)
+        self._thread.start()
+
+    def _run(self, fn, args):
+        _held.records = self._records
+        try:
+            self._value = fn(*args)
+        except BaseException as exc:
+            self._error = exc
+
+    def result(self):
+        self._thread.join()
+        for record in self._records:
+            logging.getLogger(record.name).callHandlers(record)
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+_held = threading.local()
+
+
+def _hold_back(record) -> bool:
+    """Logger filter: keep a record made on a :class:`Background` thread for its ``result()``."""
+    records = getattr(_held, "records", None)
+    if records is None:
+        return True
+    records.append(record)
+    return False
+
+
+social.log.addFilter(_hold_back)
+
+
 def validate(cfg: ExperimentConfig) -> list[str]:
     """Collect every problem with the config; empty list means runnable."""
     return _check(cfg)[0]
@@ -213,6 +260,9 @@ def _check(cfg: ExperimentConfig):
 
     graph = social_graph = None
     if not problems:
+        social_load = None
+        if "ibp" in cfg.predictors:  # only ibp reads the social graph; it loads beside the dataset
+            social_load = Background(social.load_social_graph, cfg.social)
         try:
             graph = build(ingestion.load_dataset(cfg.dataset, spec))
         except (ValueError, OSError) as exc:
@@ -228,9 +278,9 @@ def _check(cfg: ExperimentConfig):
                         make_test_dates(graph, cfg.num_test_dates, t_past, t_future)
                     except ValueError as exc:
                         problems.append(str(exc))
-        if "ibp" in cfg.predictors:  # only ibp reads the social graph
+        if social_load is not None:
             try:
-                social_graph = social.load_social_graph(cfg.social)
+                social_graph = social_load.result()
             except (ValueError, OSError) as exc:
                 problems.append(f"cannot load social graph: {exc}")
     return problems, graph, social_graph
@@ -240,8 +290,10 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
     """Validate, evaluate the whole grid, write the CSV outputs.
 
     ``workers`` is accepted for compatibility and ignored: the sweep runs in
-    this process. Returns a process exit status: 0 on success, 1 when
-    validation or any evaluation failed.
+    this process. The set-up uses threads regardless: the social graph
+    loads beside the dataset, and each centrality is computed on its own
+    thread. Returns a process exit status: 0 on success, 1 when validation
+    or any evaluation failed.
     """
     problems, graph, social_graph = _check(cfg)
     if problems:
@@ -252,10 +304,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
     log.info("loaded %r", graph)
     influence = {}
     if social_graph is not None:  # loaded only for ibp
-        for measure in cfg.centralities:
-            infl = influence[measure] = social.compute_influence(social_graph, measure)
-            log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
-                     measure, infl.iterations_used, infl.residual, infl.converged)
+        influence = _influence(social_graph, cfg.centralities)
 
     specs = predictor_specs(cfg)
     grid = []  # one report per spec for each (t_past, t_future, n), in that nesting
@@ -300,6 +349,20 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
             }
             sys.stdout.write(json.dumps(line) + "\n")
     return 0
+
+
+def _influence(social_graph, measures) -> dict:
+    """``{measure: social.compute_influence(social_graph, measure)}``, every
+    measure computed at once on its own thread; numpy's ``take`` and
+    ``bincount`` release the GIL. Each is logged, and raises, in the order
+    given."""
+    jobs = [Background(social.compute_influence, social_graph, m) for m in measures]
+    influence = {}
+    for measure, job in zip(measures, jobs):
+        infl = influence[measure] = job.result()
+        log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
+                 measure, infl.iterations_used, infl.residual, infl.converged)
+    return influence
 
 
 def _write_heatmap(reports: list[EvaluationReport], path) -> None:

@@ -64,6 +64,8 @@ class DatasetSpec:
             )
         if self.format == "votes" and self.subset_users is not None:
             raise ValueError("subset_users applies to ratings datasets only")
+        if self.subset_users is not None and self.subset_users < 1:
+            raise ValueError(f"subset_users must be >= 1, got {self.subset_users}")
         if self.min_user_degree < 0:
             raise ValueError(f"min_user_degree must be >= 0, got {self.min_user_degree}")
         if self.rng_seed < 0:
@@ -156,16 +158,18 @@ def _events(table) -> np.ndarray:
     return np.column_stack([table["user"], table["item"], table["timestamp"]])
 
 
-def _sample_users(users: np.ndarray, count: int, min_degree: int, seed: int) -> np.ndarray:
-    """``count`` distinct ids drawn from those listed >= ``min_degree`` times in ``users``."""
+def _sample_users(users: np.ndarray, count: int, min_degree: int, seed: int,
+                  path=None) -> np.ndarray:
+    """``count`` distinct ids drawn from those listed >= ``min_degree`` times in ``users``,
+    read from ``path`` if given; the error when too few qualify names it."""
     if count <= 0:
         raise ValueError(f"cannot subset to {count} users")
     ids, counts = np.unique(users, return_counts=True)
     eligible = ids[counts >= min_degree]
     if len(eligible) < count:
-        raise ValueError(
-            f"requested {count} users but only {len(eligible)} meet the degree criterion"
-        )
+        where = f"{path}: " if path is not None else ""
+        raise ValueError(f"{where}subset_users = {count}, but only {len(eligible)} users "
+                         f"have min_user_degree = {min_degree} ratings")
     # PCG64 via default_rng: stable across platforms for a fixed seed.
     return np.random.default_rng(seed).choice(eligible, size=count, replace=False)
 
@@ -182,7 +186,8 @@ def load_ratings(path, spec: DatasetSpec | None = None) -> np.ndarray:
     sampled = ""
     if spec.subset_users is not None:
         counted = events[:, 0] if spec.eligibility_pre_threshold else events[keep, 0]
-        chosen = _sample_users(counted, spec.subset_users, spec.min_user_degree, spec.rng_seed)
+        chosen = _sample_users(counted, spec.subset_users, spec.min_user_degree, spec.rng_seed,
+                               path)
         keep &= np.isin(events[:, 0], chosen)
         sampled = " of the sampled users"
     if keep.size and not keep.any():

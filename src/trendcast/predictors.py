@@ -145,7 +145,9 @@ class Window:
     def zero_influence_users(self, centrality) -> int:
         """Distinct users collecting inside the window with influence 0."""
         _, nonzero = self.influence_weights(centrality)
-        return len(np.unique(self.events[0][~nonzero]))
+        zero = np.zeros(self.graph.num_users, dtype=bool)
+        zero[self.events[0][~nonzero]] = True
+        return int(np.count_nonzero(zero))
 
 
 def score_vector(spec: PredictorSpec, window: Window) -> np.ndarray:

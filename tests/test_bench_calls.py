@@ -2,7 +2,8 @@
 
 ``bench/tracer.py`` skips an entry point whose name no longer exists, so a
 changed signature next to these calls would leave the traced benchmark
-timing nothing instead of failing; these tests fail instead.
+timing nothing instead of failing; these tests fail instead. They also run
+the tracer itself over the threaded set-up of ``run_sweep``.
 """
 
 import os
@@ -20,6 +21,9 @@ from trendcast.synthgen import GenConfig, generate, generate_social
 
 ROOT = Path(__file__).resolve().parents[1]
 T_PAST = 200
+sys.path.insert(0, str(ROOT / "bench"))
+
+from tracer import Tracer  # noqa: E402
 
 
 @pytest.fixture
@@ -74,3 +78,50 @@ def test_positional_spec_scored_on_the_social_graph(config, kind, lam, gamma, et
     influence = compute_influence(social_graph, centrality) if centrality else None
     assert len(top) == 10
     assert top == predictors.score(graph, spec, graph.t_last, influence=influence).top(10)
+
+
+def test_concurrent_influence_equals_sequential(config):
+    cfg = experiment.parse_experiment_config(config)
+    social_graph = load_social_graph(cfg.social)
+    influence = experiment._influence(social_graph, cfg.centralities)
+    assert list(influence) == cfg.centralities == ["in_degree", "pagerank", "leaderrank"]
+    for measure, got in influence.items():
+        want = compute_influence(social_graph, measure)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.measure, got.iterations_used, got.residual, got.converged) == (
+            want.measure, want.iterations_used, want.residual, want.converged)
+
+
+class CountingTracer(Tracer):
+    """The bench's tracer, also listing every call made through a patched name."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = []
+
+    def call(self, name, fn, args=(), kwargs=None, hook=None):
+        self.entered.append(name)  # one append is atomic across threads
+        return super().call(name, fn, args, kwargs, hook)
+
+
+def test_tracer_spans_add_up_over_the_threaded_set_up(config, tmp_path):
+    cfg = experiment.parse_experiment_config(config)
+    tracer = CountingTracer()
+    tracer.install()
+    try:
+        status = tracer.call("experiment.run_sweep", experiment.run_sweep, (cfg,))
+    finally:
+        tracer.uninstall()
+    assert status == 0
+    root, *rest = tracer.spans
+    assert root.name == "experiment.run_sweep" and all(s.parent is not None for s in rest)
+    self_sum = sum(s.self_time for s in tracer.spans)
+    assert abs(self_sum - root.duration) <= 0.01 * root.duration
+    for name in ("ingestion.load_dataset", "events.build", "social.load_social_graph"):
+        assert len(tracer.named(name)) == 1, name
+    # every centrality goes through the traced name, on its own thread; the
+    # tracer's one span stack folds a call that starts while another call of
+    # the same name is on top of it into that call, so up to two may fold
+    assert tracer.entered.count("social.compute_influence") == 3
+    measures = [s.attrs["measure"] for s in tracer.named("social.compute_influence")]
+    assert 1 <= len(measures) == len(set(measures)) and set(measures) <= set(cfg.centralities)

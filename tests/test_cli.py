@@ -1,17 +1,20 @@
+import functools
 import json
 import logging
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from trendcast import experiment, ingestion, social
 from trendcast.cli import _parse_spec_string, main
 from trendcast.events import build
 from trendcast.ingestion import load_votes, write_ratings_csv, write_votes_csv
-from trendcast.social import load_social_graph
-from trendcast.synthgen import GenConfig, generate
+from trendcast.social import load_social_graph, write_edge_list
+from trendcast.synthgen import GenConfig, generate, generate_social
 
 
 @pytest.fixture
@@ -349,13 +352,25 @@ class TestDatasetProblems:
         ("votes", "min_user_degree = -3\n", "min_user_degree must be >= 0, got -3"),
         ("ratings", "threshold = 7\n", "threshold must lie in [0.5, 5.0], got 7.0"),
         ("votes", "subset_users = 5\n", "subset_users applies to ratings datasets only"),
-    ], ids=["seed-subsetting", "seed", "min_user_degree", "threshold", "subset_users-votes"])
+        ("ratings", "subset_users = 0\n", "subset_users must be >= 1, got 0"),
+    ], ids=["seed-subsetting", "seed", "min_user_degree", "threshold", "subset_users-votes",
+            "subset_users-zero"])
     def test_dataset_rule_is_a_config_problem(self, tmp_path, dataset, capsys, caplog, verb,
                                               format, extra, problem):
         if format == "ratings":
             dataset = tmp_path / "ratings.csv"
             write_ratings_csv([(k % 10, k, 4.0, 10 * k) for k in range(100)], dataset)
         cfg = self.write_cfg(tmp_path, dataset, format, extra)
+        self.check(tmp_path, capsys, caplog, verb, cfg, problem)
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_too_few_users_to_subset_names_the_file_and_keys(self, tmp_path, capsys, caplog,
+                                                             verb):
+        ratings = tmp_path / "ratings.csv"
+        write_ratings_csv([(k % 10, k, 4.0, 10 * k) for k in range(100)], ratings)  # 10 each
+        cfg = self.write_cfg(tmp_path, ratings, "ratings", "subset_users = 50\n")
+        problem = (f"cannot load dataset: {ratings}: subset_users = 50, but only 0 users have "
+                   "min_user_degree = 20 ratings")
         self.check(tmp_path, capsys, caplog, verb, cfg, problem)
 
     @pytest.mark.parametrize("verb", ["validate", "run", "rank"])
@@ -378,3 +393,127 @@ class TestDatasetProblems:
             cfg = self.write_cfg(tmp_path, path, format)
             problem = f"cannot load dataset: {path}: {problem}"
             self.check(tmp_path, capsys, caplog, verb, cfg, problem)
+
+
+class InSeries:
+    """``experiment.Background`` as the serial set-up ran it: the call is made,
+    on the calling thread, by ``result()``."""
+
+    def __init__(self, fn, *args):
+        self.call = functools.partial(fn, *args)
+
+    def result(self):
+        return self.call()
+
+
+def delayed(fn, seconds=0.3):
+    @functools.wraps(fn)
+    def slow(*args, **kwargs):
+        time.sleep(seconds)
+        return fn(*args, **kwargs)
+    return slow
+
+
+class TestConcurrentSetUp:
+    """The social graph loads beside the dataset, and each centrality on its own
+    thread; stderr, errors and exit statuses stay those of the serial set-up."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, dataset):
+        ratings, edges = tmp_path / "ratings.csv", tmp_path / "edges.txt"
+        rows = load_votes(dataset).tolist()
+        write_ratings_csv([(u, i, 1.0 if k % 5 == 0 else 4.0, t)
+                           for k, (u, i, t) in enumerate(rows)], ratings)
+        write_edge_list(generate_social(100, 300, attach_exponent=1.0, seed=4).tolist()
+                        + [[7, 7]], edges)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"dataset = {ratings}\nformat = ratings\nsocial = {edges}\npredictor = ibp\n"
+            "eta = 1\ncentrality = pagerank\ncentrality = leaderrank\nt_past = 200\n"
+            f"t_future = 200\nn = 5\ntest_dates = 2\nout = {tmp_path / 'out'}\n"
+        )
+        return ratings, edges, cfg
+
+    @staticmethod
+    def rank_argv(ratings, edges):
+        return ["rank", str(ratings), "--format", "ratings", "--social", str(edges),
+                "--spec", "ibp,eta=1,t_past=200,centrality=leaderrank"]
+
+    def test_stderr_keeps_the_serial_order(self, tmp_path, inputs, caplog, monkeypatch):
+        _, _, cfg = inputs
+        for measure in ("pagerank", "leaderrank"):  # each logs a non-convergence warning
+            monkeypatch.setitem(social.MEASURES, measure,
+                                functools.partial(social.MEASURES[measure], max_iter=1))
+        runs = {}
+        with caplog.at_level(logging.INFO, logger="trendcast"):
+            with monkeypatch.context() as serial:
+                serial.setattr(experiment, "Background", InSeries)
+                assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+            runs["serial"] = list(caplog.records)
+            caplog.clear()
+            # the social branch finishes before the dataset, LeaderRank before PageRank
+            monkeypatch.setattr(ingestion, "load_dataset", delayed(ingestion.load_dataset))
+            monkeypatch.setitem(social.MEASURES, "pagerank", delayed(social.MEASURES["pagerank"]))
+            assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+            runs["threads"] = list(caplog.records)
+
+        lines = {run: [f"{r.levelname} {r.name}: {r.getMessage()}" for r in records]
+                 for run, records in runs.items()}
+        assert lines["threads"] == lines["serial"]
+        assert [line.split(":")[0] for line in lines["serial"]] == [
+            "INFO trendcast.ingestion",  # events kept
+            "INFO trendcast.social",  # dropped 1 self-loops
+            "INFO trendcast.experiment",  # loaded
+            "WARNING trendcast.social", "INFO trendcast.experiment",  # pagerank
+            "WARNING trendcast.social", "INFO trendcast.experiment",  # leaderrank
+            "INFO trendcast.experiment",  # wrote
+        ]
+        made = [r.created for r in runs["threads"]]
+        assert made[1] < made[0] and made[5] < made[3]  # logged out of order, shown in order
+
+    @pytest.mark.parametrize("verb", ["run", "validate", "rank"])
+    def test_bad_edge_line_is_one_error(self, inputs, capsys, caplog, verb):
+        ratings, edges, cfg = inputs
+        edges.write_text("1 2\n3 x\n")
+        problem = f"{edges}:2: non-integer id in '3 x'"
+        argv = self.rank_argv(ratings, edges) if verb == "rank" else [verb, str(cfg)]
+        assert main(argv) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        out = capsys.readouterr().out
+        if verb == "validate":
+            assert (out, errors) == (f"cannot load social graph: {problem}\n", [])
+        else:
+            expected = f"config: cannot load social graph: {problem}" if verb == "run" else problem
+            assert (out, errors) == ("", [expected])
+
+    @pytest.mark.parametrize("verb", ["run", "rank"])
+    def test_leaderrank_without_users_is_one_error(self, tmp_path, inputs, capsys, caplog, verb):
+        # validate computes no centrality, so it passes this graph
+        ratings, edges, cfg = inputs
+        edges.write_text("1 1\n2 2\n")
+        argv = self.rank_argv(ratings, edges) if verb == "rank" else [verb, str(cfg)]
+        assert main(argv) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert (capsys.readouterr().out, errors) == ("", ["leaderrank needs at least one user"])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "rank"])
+    def test_both_inputs_bad_report_the_dataset_first(self, inputs, capsys, caplog, monkeypatch,
+                                                      verb):
+        ratings, edges, cfg = inputs
+        ratings.write_text("user,item,rating,timestamp\n1,2,x,4\n")
+        edges.write_text("3 x\n")
+        with pytest.raises(ValueError) as data_error:
+            ingestion.load_dataset(ratings, ingestion.DatasetSpec())
+        # the social graph fails first
+        monkeypatch.setattr(ingestion, "load_dataset", delayed(ingestion.load_dataset))
+        argv = self.rank_argv(ratings, edges) if verb == "rank" else [verb, str(cfg)]
+        assert main(argv) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        out = capsys.readouterr().out
+        if verb == "validate":
+            assert out.splitlines() == [f"cannot load dataset: {data_error.value}",
+                                        f"cannot load social graph: {edges}:1: non-integer id "
+                                        "in '3 x'"]
+        else:
+            assert (out, errors) == ("", [str(data_error.value)])

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import Event, dedup_earliest, entry, random_events
 from trendcast.events import build
-from trendcast.predictors import PredictorSpec, score
+from trendcast.predictors import PredictorSpec, Window, score
 from trendcast.social import SocialGraph, influence_in_degree
 
 
@@ -154,6 +156,22 @@ class TestIbp:
         # user 4 has no followers: its event adds nothing; user 1 adds 2**-1
         assert dict(r.entries)[5] == pytest.approx(0.5)
         assert any("zero-influence" in m for m in caplog.messages)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        events=st.lists(st.builds(Event, st.integers(0, 20), st.integers(0, 6),
+                                  st.integers(0, 40)), min_size=1, max_size=60),
+        zero=st.sets(st.integers(0, 20)),
+        test_date=st.integers(0, 50),
+        t_past=st.integers(1, 50),
+    )
+    def test_zero_influence_users_counts_distinct_users(self, events, zero, test_date, t_past):
+        g = build(events)
+        influence = np.where(np.isin(g.user_ids, sorted(zero)), 0.0, 1.5)
+        window = Window(g, test_date, t_past, {"pagerank": influence})
+        _, nonzero = window.influence_weights("pagerank")
+        want = np.unique(window.events[0][~nonzero]).size
+        assert window.zero_influence_users("pagerank") == want
 
     def test_precomputed_influence_reused(self):
         g = build([Event(1, 5, 8)])

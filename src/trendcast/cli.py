@@ -21,8 +21,8 @@ import sys
 
 from . import ingestion, predictors, social, synthgen
 from .events import build
-from .experiment import (SWEEP_KEYS, Background, parse_experiment_config, parse_kv_file,
-                         parse_value, run_sweep, validate)
+from .experiment import (SWEEP_KEYS, parse_experiment_config, parse_kv_file, parse_value,
+                         run_sweep, start_social_load, validate)
 
 log = logging.getLogger(__name__)
 
@@ -144,9 +144,9 @@ def _cmd_rank(args) -> int:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     spec = _parse_spec_string(args.spec)
     dataset_spec = ingestion.DatasetSpec(format=args.format, threshold=args.threshold)
-    social_load = Background(social.load_social_graph, args.social) if args.social else None
+    social_load = start_social_load(args.social) if args.social else None
     graph = build(ingestion.load_dataset(args.dataset, dataset_spec))
-    social_graph = social_load.result() if social_load else None
+    social_graph = social_load() if social_load else None
     test_date = args.t_star if args.t_star is not None else graph.t_last
     ranking = predictors.score(graph, spec, test_date, social_graph)
     for item, value in ranking.entries[: args.n]:

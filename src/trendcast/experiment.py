@@ -39,6 +39,7 @@ import math
 import os
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import ingestion, predictors, social
@@ -155,42 +156,40 @@ def predictor_specs(cfg: ExperimentConfig) -> list[PredictorSpec]:
     return specs
 
 
-class Background:
-    """``fn(*args)``, started on its own thread as the object is made.
+def start_social_load(path):
+    """Start ``social.load_social_graph(path)`` on a worker thread; return a
+    function that waits for it.
 
-    :meth:`result` joins the thread, logs on the calling thread the records
-    ``fn`` logged on ``social``'s logger, then returns what ``fn`` returned
-    or raises what it raised. So a set-up branch runs beside another, yet
-    logs and fails where it would in series, whatever the threads' timing.
+    The waiting function hands what the load logged to the handlers, on the
+    calling thread, then returns the graph or raises the load's error. So
+    the load runs beside the dataset's, yet logs and fails where it would in
+    series, whatever the threads' timing.
     """
+    records = []
 
-    def __init__(self, fn, *args):
-        self._records = []
-        self._value = self._error = None
-        self._thread = threading.Thread(target=self._run, args=(fn, args), daemon=True)
-        self._thread.start()
+    def load():
+        _held.records = records
+        return social.load_social_graph(path)
 
-    def _run(self, fn, args):
-        _held.records = self._records
+    pool = ThreadPoolExecutor(max_workers=1)
+    future = pool.submit(load)
+    pool.shutdown(wait=False)  # its one thread ends with the load
+
+    def wait():
         try:
-            self._value = fn(*args)
-        except BaseException as exc:
-            self._error = exc
+            return future.result()
+        finally:
+            for record in records:
+                logging.getLogger(record.name).callHandlers(record)
 
-    def result(self):
-        self._thread.join()
-        for record in self._records:
-            logging.getLogger(record.name).callHandlers(record)
-        if self._error is not None:
-            raise self._error
-        return self._value
+    return wait
 
 
 _held = threading.local()
 
 
 def _hold_back(record) -> bool:
-    """Logger filter: keep a record made on a :class:`Background` thread for its ``result()``."""
+    """Logger filter: keep a record made on a :func:`start_social_load` thread for its waiter."""
     records = getattr(_held, "records", None)
     if records is None:
         return True
@@ -198,6 +197,8 @@ def _hold_back(record) -> bool:
     return False
 
 
+# Only social's logger is held back: the social graph load, the one call made
+# off the calling thread, logs on no other.
 social.log.addFilter(_hold_back)
 
 
@@ -262,7 +263,7 @@ def _check(cfg: ExperimentConfig):
     if not problems:
         social_load = None
         if "ibp" in cfg.predictors:  # only ibp reads the social graph; it loads beside the dataset
-            social_load = Background(social.load_social_graph, cfg.social)
+            social_load = start_social_load(cfg.social)
         try:
             graph = build(ingestion.load_dataset(cfg.dataset, spec))
         except (ValueError, OSError) as exc:
@@ -280,7 +281,7 @@ def _check(cfg: ExperimentConfig):
                         problems.append(str(exc))
         if social_load is not None:
             try:
-                social_graph = social_load.result()
+                social_graph = social_load()
             except (ValueError, OSError) as exc:
                 problems.append(f"cannot load social graph: {exc}")
     return problems, graph, social_graph
@@ -290,10 +291,9 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
     """Validate, evaluate the whole grid, write the CSV outputs.
 
     ``workers`` is accepted for compatibility and ignored: the sweep runs in
-    this process. The set-up uses threads regardless: the social graph
-    loads beside the dataset, and each centrality is computed on its own
-    thread. Returns a process exit status: 0 on success, 1 when validation
-    or any evaluation failed.
+    this process. The set-up uses a thread regardless: the social graph
+    loads on it beside the dataset. Returns a process exit status: 0 on
+    success, 1 when validation or any evaluation failed.
     """
     problems, graph, social_graph = _check(cfg)
     if problems:
@@ -304,7 +304,10 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
     log.info("loaded %r", graph)
     influence = {}
     if social_graph is not None:  # loaded only for ibp
-        influence = _influence(social_graph, cfg.centralities)
+        for measure in cfg.centralities:
+            infl = influence[measure] = social.compute_influence(social_graph, measure)
+            log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
+                     measure, infl.iterations_used, infl.residual, infl.converged)
 
     specs = predictor_specs(cfg)
     grid = []  # one report per spec for each (t_past, t_future, n), in that nesting
@@ -349,20 +352,6 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
             }
             sys.stdout.write(json.dumps(line) + "\n")
     return 0
-
-
-def _influence(social_graph, measures) -> dict:
-    """``{measure: social.compute_influence(social_graph, measure)}``, every
-    measure computed at once on its own thread; numpy's ``take`` and
-    ``bincount`` release the GIL. Each is logged, and raises, in the order
-    given."""
-    jobs = [Background(social.compute_influence, social_graph, m) for m in measures]
-    influence = {}
-    for measure, job in zip(measures, jobs):
-        infl = influence[measure] = job.result()
-        log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
-                 measure, infl.iterations_used, infl.residual, infl.converged)
-    return influence
 
 
 def _write_heatmap(reports: list[EvaluationReport], path) -> None:

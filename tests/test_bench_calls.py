@@ -80,33 +80,9 @@ def test_positional_spec_scored_on_the_social_graph(config, kind, lam, gamma, et
     assert top == predictors.score(graph, spec, graph.t_last, influence=influence).top(10)
 
 
-def test_concurrent_influence_equals_sequential(config):
+def test_tracer_spans_add_up_over_the_threaded_set_up(config):
     cfg = experiment.parse_experiment_config(config)
-    social_graph = load_social_graph(cfg.social)
-    influence = experiment._influence(social_graph, cfg.centralities)
-    assert list(influence) == cfg.centralities == ["in_degree", "pagerank", "leaderrank"]
-    for measure, got in influence.items():
-        want = compute_influence(social_graph, measure)
-        assert got.values.tobytes() == want.values.tobytes()
-        assert (got.measure, got.iterations_used, got.residual, got.converged) == (
-            want.measure, want.iterations_used, want.residual, want.converged)
-
-
-class CountingTracer(Tracer):
-    """The bench's tracer, also listing every call made through a patched name."""
-
-    def __init__(self):
-        super().__init__()
-        self.entered = []
-
-    def call(self, name, fn, args=(), kwargs=None, hook=None):
-        self.entered.append(name)  # one append is atomic across threads
-        return super().call(name, fn, args, kwargs, hook)
-
-
-def test_tracer_spans_add_up_over_the_threaded_set_up(config, tmp_path):
-    cfg = experiment.parse_experiment_config(config)
-    tracer = CountingTracer()
+    tracer = Tracer()
     tracer.install()
     try:
         status = tracer.call("experiment.run_sweep", experiment.run_sweep, (cfg,))
@@ -119,9 +95,12 @@ def test_tracer_spans_add_up_over_the_threaded_set_up(config, tmp_path):
     assert abs(self_sum - root.duration) <= 0.01 * root.duration
     for name in ("ingestion.load_dataset", "events.build", "social.load_social_graph"):
         assert len(tracer.named(name)) == 1, name
-    # every centrality goes through the traced name, on its own thread; the
-    # tracer's one span stack folds a call that starts while another call of
-    # the same name is on top of it into that call, so up to two may fold
-    assert tracer.entered.count("social.compute_influence") == 3
-    measures = [s.attrs["measure"] for s in tracer.named("social.compute_influence")]
-    assert 1 <= len(measures) == len(set(measures)) and set(measures) <= set(cfg.centralities)
+    # one span per centrality, in config order, with the sweeps of a call made alone
+    social_graph = load_social_graph(cfg.social)
+    spans = tracer.named("social.compute_influence")
+    assert [s.attrs["measure"] for s in spans] == cfg.centralities == [
+        "in_degree", "pagerank", "leaderrank"]
+    for span in spans:
+        want = compute_influence(social_graph, span.attrs["measure"])
+        assert (span.attrs["iterations"], span.attrs["converged"]) == (
+            want.iterations_used, want.converged)

@@ -1,3 +1,8 @@
+import sys
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,7 @@ from trendcast.ingestion import (
     write_ratings_csv,
     write_votes_csv,
 )
+from trendcast.social import load_social_graph, write_edge_list
 
 
 def ratings_file(tmp_path, rows, name="ratings.csv"):
@@ -265,3 +271,27 @@ class TestWriters:
         path = tmp_path / "out.csv"
         write_ratings_csv([(1, 2, 4.5, 3)], path)
         assert load_ratings(path).tolist() == [[1, 2, 3]]
+
+
+def test_tables_read_at_once_leave_the_warning_filters_alone(tmp_path):
+    # the social graph loads beside the dataset; np.loadtxt warns on an empty
+    # input, and read_table's filter against that must neither leak nor lapse
+    empty, edges = tmp_path / "empty.txt", tmp_path / "edges.txt"
+    empty.write_text("# only a comment\n")
+    write_edge_list(np.random.default_rng(0).integers(0, 1000, size=(5000, 2)), edges)
+    interval = sys.getswitchinterval()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        filters = list(warnings.filters)
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.perf_counter() + 1.5
+            while time.perf_counter() < deadline and not caught and warnings.filters == filters:
+                other = threading.Thread(target=load_social_graph, args=(edges,))
+                other.start()
+                while other.is_alive():
+                    load_social_graph(empty)
+                other.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert ([str(w.message) for w in caught], warnings.filters) == ([], filters)

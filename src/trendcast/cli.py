@@ -3,7 +3,7 @@
 Verbs:
 
 * ``trendcast run <config>``      - run the configured parameter sweep;
-* ``trendcast validate <config>`` - print config diagnostics, run nothing;
+* ``trendcast validate <config>`` - do run's set-up, print its problems;
 * ``trendcast gen <gen-config>``  - generate synthetic datasets;
 * ``trendcast rank <dataset>``    - one-shot prediction, print the top n.
 
@@ -24,7 +24,7 @@ from .events import build
 from .experiment import (SWEEP_KEYS, parse_experiment_config, parse_kv_file, parse_value,
                          run_sweep, start_social_load, validate)
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("trendcast.cli")  # not __name__, which is "__main__" under python -m
 
 
 def _setup_logging() -> None:

@@ -91,7 +91,8 @@ def make_test_dates(graph: TemporalBipartiteGraph, count, t_past, t_future) -> l
     """Regularly spaced test dates with a t_past margin after the data start
     and a t_future margin before its end (so every window is fully covered).
     Raises ``ValueError`` when the span holds fewer than ``count`` distinct
-    integer dates.
+    integer dates, or when the dates, spaced in float64, do not come out
+    strictly increasing inside the span (as they may beyond 2**53).
     """
     if count < 1:
         raise ValueError(f"need at least one test date, got {count}")
@@ -108,8 +109,14 @@ def make_test_dates(graph: TemporalBipartiteGraph, count, t_past, t_future) -> l
             f"[{lo}, {hi}] (the data span less t_past={t_past}, t_future={t_future})"
         )
     if count == 1:
-        return [int((lo + hi) // 2)]
-    return [int(round(t)) for t in np.linspace(lo, hi, count)]
+        dates = [int((lo + hi) // 2)]
+    else:
+        dates = [int(round(t)) for t in np.linspace(lo, hi, count)]
+    if dates[0] < lo or dates[-1] > hi or any(a >= b for a, b in zip(dates, dates[1:])):
+        raise ValueError(f"cannot space test_dates = {count} strictly increasing in [{lo}, {hi}] "
+                         f"at float64 precision (the data span less t_past={t_past}, "
+                         f"t_future={t_future})")
+    return dates
 
 
 def evaluate(

@@ -38,7 +38,6 @@ import logging
 import math
 import os
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -160,56 +159,39 @@ def start_social_load(path):
     """Start ``social.load_social_graph(path)`` on a worker thread; return a
     function that waits for it.
 
-    The waiting function hands what the load logged to the handlers, on the
-    calling thread, then returns the graph or raises the load's error. So
-    the load runs beside the dataset's, yet logs and fails where it would in
-    series, whatever the threads' timing.
+    The waiting function returns the graph, after logging on the calling
+    thread what the load dropped, or raises the load's error. So the load
+    runs beside the dataset's, yet logs and fails where it would in series.
     """
-    records = []
-
-    def load():
-        _held.records = records
-        return social.load_social_graph(path)
-
     pool = ThreadPoolExecutor(max_workers=1)
-    future = pool.submit(load)
+    future = pool.submit(social.load_social_graph, path)
     pool.shutdown(wait=False)  # its one thread ends with the load
 
     def wait():
-        try:
-            return future.result()
-        finally:
-            for record in records:
-                logging.getLogger(record.name).callHandlers(record)
+        graph = future.result()
+        if graph.self_loops_dropped or graph.duplicates_dropped:
+            social.log.info("%s: dropped %d self-loops, collapsed %d duplicate edges",
+                            path, graph.self_loops_dropped, graph.duplicates_dropped)
+        return graph
 
     return wait
 
 
-_held = threading.local()
-
-
-def _hold_back(record) -> bool:
-    """Logger filter: keep a record made on a :func:`start_social_load` thread for its waiter."""
-    records = getattr(_held, "records", None)
-    if records is None:
-        return True
-    records.append(record)
-    return False
-
-
-# Only social's logger is held back: the social graph load, the one call made
-# off the calling thread, logs on no other.
-social.log.addFilter(_hold_back)
-
-
 def validate(cfg: ExperimentConfig) -> list[str]:
-    """Collect every problem with the config; empty list means runnable."""
+    """Collect every problem with the config; empty list means runnable.
+
+    This is all of :func:`run_sweep`'s set-up: it loads the dataset and the
+    social graph and computes the centralities, logging as a run does.
+    """
     return _check(cfg)[0]
 
 
 def _check(cfg: ExperimentConfig):
-    """The problems :func:`validate` reports, the dataset graph and, when ibp
-    is configured, the social graph (each None unless it loaded)."""
+    """The whole set-up of :func:`run_sweep`: returns the problems
+    :func:`validate` reports, the dataset graph and the ``{measure:
+    InfluenceVector}`` map of the configured centralities (empty unless ibp
+    is configured). The graph is None and the map empty unless the config,
+    the dataset, its test dates and the social graph passed."""
     problems = []
     for key in cfg.unknown_keys:
         problems.append(f"unknown config key {key!r}")
@@ -259,55 +241,63 @@ def _check(cfg: ExperimentConfig):
     except ValueError as exc:
         problems.append(str(exc))
 
-    graph = social_graph = None
-    if not problems:
-        social_load = None
-        if "ibp" in cfg.predictors:  # only ibp reads the social graph; it loads beside the dataset
-            social_load = start_social_load(cfg.social)
+    if problems:
+        return problems, None, {}
+
+    # only ibp reads the social graph; it loads beside the dataset
+    social_load = start_social_load(cfg.social) if "ibp" in cfg.predictors else None
+    try:
+        graph = build(ingestion.load_dataset(cfg.dataset, spec))
+    except (ValueError, OSError) as exc:
+        problems.append(f"cannot load dataset: {exc}")
+    else:
+        for n in sorted({n for n in cfg.n_values if n > graph.num_items}):
+            log.warning("n = %d exceeds the %d items of %s: the true top-n holds every "
+                        "item, so P_n stays below 1", n, graph.num_items, cfg.dataset)
+        # the dates keep a t_future margin, so every future window is covered
+        for t_past in cfg.t_past_values:
+            for t_future in cfg.t_future_values:
+                try:
+                    make_test_dates(graph, cfg.num_test_dates, t_past, t_future)
+                except ValueError as exc:
+                    problems.append(str(exc))
+    social_graph = None
+    if social_load is not None:
         try:
-            graph = build(ingestion.load_dataset(cfg.dataset, spec))
+            social_graph = social_load()
         except (ValueError, OSError) as exc:
-            problems.append(f"cannot load dataset: {exc}")
-        else:
-            for n in sorted({n for n in cfg.n_values if n > graph.num_items}):
-                log.warning("n = %d exceeds the %d items of %s: the true top-n holds every "
-                            "item, so P_n stays below 1", n, graph.num_items, cfg.dataset)
-            # the dates keep a t_future margin, so every future window is covered
-            for t_past in cfg.t_past_values:
-                for t_future in cfg.t_future_values:
-                    try:
-                        make_test_dates(graph, cfg.num_test_dates, t_past, t_future)
-                    except ValueError as exc:
-                        problems.append(str(exc))
-        if social_load is not None:
+            problems.append(f"cannot load social graph: {exc}")
+    if problems:
+        return problems, None, {}
+
+    log.info("loaded %r", graph)
+    influence = {}
+    if social_graph is not None:
+        for measure in cfg.centralities:
             try:
-                social_graph = social_load()
-            except (ValueError, OSError) as exc:
-                problems.append(f"cannot load social graph: {exc}")
-    return problems, graph, social_graph
+                infl = influence[measure] = social.compute_influence(social_graph, measure)
+            except ValueError as exc:
+                problems.append(str(exc))
+            else:
+                log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
+                         measure, infl.iterations_used, infl.residual, infl.converged)
+    return problems, graph, influence
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: bool = False) -> int:
-    """Validate, evaluate the whole grid, write the CSV outputs.
+    """Set up as :func:`validate` does, then evaluate the whole grid and
+    write the CSV outputs.
 
     ``workers`` is accepted for compatibility and ignored: the sweep runs in
     this process. The set-up uses a thread regardless: the social graph
     loads on it beside the dataset. Returns a process exit status: 0 on
-    success, 1 when validation or any evaluation failed.
+    success, 1 when the set-up found a problem or any evaluation failed.
     """
-    problems, graph, social_graph = _check(cfg)
+    problems, graph, influence = _check(cfg)
     if problems:
         for p in problems:
             log.error("config: %s", p)
         return 1
-
-    log.info("loaded %r", graph)
-    influence = {}
-    if social_graph is not None:  # loaded only for ibp
-        for measure in cfg.centralities:
-            infl = influence[measure] = social.compute_influence(social_graph, measure)
-            log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
-                     measure, infl.iterations_used, infl.residual, infl.converged)
 
     specs = predictor_specs(cfg)
     grid = []  # one report per spec for each (t_past, t_future, n), in that nesting

@@ -97,19 +97,13 @@ def load_social_graph(path) -> SocialGraph:
     Blank lines are ignored, and so is everything from a ``#`` to the end of
     its line, whether the comment fills the line or follows an edge
     (``1 2  # note``). Raises ``ValueError`` (with the line number) on
-    anything else that does not parse as two int64 ids.
+    anything else that does not parse as two int64 ids. Logs nothing: the
+    graph's ``self_loops_dropped`` and ``duplicates_dropped`` hold what the
+    load dropped.
     """
     table = read_table(path, _rescan_edges, dtype=[("follower", np.int64), ("leader", np.int64)],
                        comments="#", ndmin=1)
-    graph = SocialGraph(np.column_stack([table["follower"], table["leader"]]))
-    if graph.self_loops_dropped or graph.duplicates_dropped:
-        log.info(
-            "%s: dropped %d self-loops, collapsed %d duplicate edges",
-            path,
-            graph.self_loops_dropped,
-            graph.duplicates_dropped,
-        )
-    return graph
+    return SocialGraph(np.column_stack([table["follower"], table["leader"]]))
 
 
 def _rescan_edges(path) -> None:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from trendcast import experiment, ingestion, social
+from trendcast import ingestion, social
 from trendcast.cli import _parse_spec_string, main
 from trendcast.events import build
 from trendcast.ingestion import load_votes, write_ratings_csv, write_votes_csv
@@ -25,12 +25,16 @@ def dataset(tmp_path):
     return path
 
 
+def child_env():
+    """The environment for a child interpreter that imports trendcast from ``src/``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy costs ~0.3 s of import and serves only the tests, so neither the
     # import nor the iterative centralities may load it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     code = (
         "import trendcast, trendcast.cli, sys\n"
         "from trendcast.social import SocialGraph, compute_influence\n"
@@ -39,9 +43,18 @@ def test_import_leaves_scipy_unloaded():
         "    assert compute_influence(graph, measure).converged\n"
         "assert 'scipy' not in sys.modules\n"
     )
-    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                           timeout=60)
+    child = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                           text=True, timeout=60)
     assert child.returncode == 0, child.stderr
+
+
+def test_errors_name_the_cli_logger_under_python_m(tmp_path):
+    # the bench runs the CLI as a module, where __name__ is "__main__"
+    child = subprocess.run([sys.executable, "-m", "trendcast.cli", "validate",
+                            str(tmp_path / "missing.cfg")],
+                           env=child_env(), capture_output=True, text=True, timeout=60)
+    assert child.returncode == 1
+    assert child.stderr.startswith("ERROR trendcast.cli: "), child.stderr
 
 
 class TestSpecString:
@@ -308,6 +321,27 @@ class TestRunAndValidateVerbs:
             assert errors == [f"config: {problem}"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_dates_beyond_float_precision_are_one_problem(self, tmp_path, capsys, caplog, verb):
+        # float64 spaces 2**62 + 11 .. 2**62 + 91 as seven copies of 2**62
+        votes = tmp_path / "votes.csv"
+        write_votes_csv([(k % 20, k % 7, 2**62 + k) for k in range(1, 102)], votes)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"dataset = {votes}\npredictor = recent_pop\nt_past = 10\nt_future = 10\nn = 5\n"
+            f"test_dates = 7\nout = {tmp_path / 'out'}\n"
+        )
+        assert main([verb, str(cfg)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        problem = (f"cannot space test_dates = 7 strictly increasing in [{2**62 + 11}, "
+                   f"{2**62 + 91}] at float64 precision (the data span less t_past=10, "
+                   "t_future=10)")
+        if verb == "validate":
+            assert (capsys.readouterr().out, errors) == (problem + "\n", [])
+        else:
+            assert (capsys.readouterr().out, errors) == ("", [f"config: {problem}"])
+        assert not (tmp_path / "out").exists()
+
     def test_n_above_the_item_count_warns(self, tmp_path, dataset, capsys, caplog):
         items = build(load_votes(dataset)).num_items
         cfg = self.write_cfg(tmp_path, dataset, tmp_path / "out")
@@ -395,12 +429,6 @@ class TestDatasetProblems:
             self.check(tmp_path, capsys, caplog, verb, cfg, problem)
 
 
-def in_series(path):
-    """``experiment.start_social_load`` as the serial set-up ran it: the load
-    is made, on the calling thread, when its result is asked for."""
-    return lambda: social.load_social_graph(path)
-
-
 def after(event, fn):
     """``fn``, made to wait until ``event`` is set."""
     @functools.wraps(fn)
@@ -421,11 +449,22 @@ def setting(event, fn):
     return then_set
 
 
+def hold(monkeypatch, first, then):
+    """Hold every call of ``then`` until a call of ``first`` has finished;
+    each is a ``(module, name)`` pair."""
+    done = threading.Event()
+    monkeypatch.setattr(*first, setting(done, getattr(*first)))
+    monkeypatch.setattr(*then, after(done, getattr(*then)))
+
+
 def social_load_first(monkeypatch):
     """Hold every dataset load until the social graph load has finished."""
-    done = threading.Event()
-    monkeypatch.setattr(social, "load_social_graph", setting(done, social.load_social_graph))
-    monkeypatch.setattr(ingestion, "load_dataset", after(done, ingestion.load_dataset))
+    hold(monkeypatch, (social, "load_social_graph"), (ingestion, "load_dataset"))
+
+
+def dataset_load_first(monkeypatch):
+    """Hold the social graph load until a dataset load has finished."""
+    hold(monkeypatch, (ingestion, "load_dataset"), (social, "load_social_graph"))
 
 
 class TestConcurrentSetUp:
@@ -454,34 +493,39 @@ class TestConcurrentSetUp:
                 "--spec", "ibp,eta=1,t_past=200,centrality=leaderrank"]
 
     def test_stderr_keeps_the_serial_order(self, tmp_path, inputs, caplog, monkeypatch):
-        _, _, cfg = inputs
+        ratings, edges, cfg = inputs
         for measure in ("pagerank", "leaderrank"):  # each logs a non-convergence warning
             monkeypatch.setitem(social.MEASURES, measure,
                                 functools.partial(social.MEASURES[measure], max_iter=1))
-        runs = {}
-        with caplog.at_level(logging.INFO, logger="trendcast"):
-            with monkeypatch.context() as serial:
-                serial.setattr(experiment, "start_social_load", in_series)
-                assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-            runs["serial"] = list(caplog.records)
-            caplog.clear()
-            social_load_first(monkeypatch)
-            assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-            runs["threads"] = list(caplog.records)
+        expected = {
+            "run": [
+                "INFO trendcast.ingestion",  # events kept
+                "INFO trendcast.social",  # dropped 1 self-loops
+                "INFO trendcast.experiment",  # loaded
+                "WARNING trendcast.social", "INFO trendcast.experiment",  # pagerank
+                "WARNING trendcast.social", "INFO trendcast.experiment",  # leaderrank
+                "INFO trendcast.experiment",  # wrote
+            ],
+            "rank": [
+                "INFO trendcast.ingestion",  # events kept
+                "INFO trendcast.social",  # dropped 1 self-loops
+                "WARNING trendcast.social",  # leaderrank
+            ],
+        }
+        dropped = f"{edges}: dropped 1 self-loops, collapsed 0 duplicate edges"
+        for order in (social_load_first, dataset_load_first):
+            for verb, argv in (("run", ["run", str(cfg)]), ("rank", self.rank_argv(ratings, edges))):
+                caplog.clear()
+                with monkeypatch.context() as held, caplog.at_level(logging.INFO, logger="trendcast"):
+                    order(held)
+                    assert main(argv) == 0
+                lines = [f"{r.levelname} {r.name}" for r in caplog.records]
+                assert lines == expected[verb], (order.__name__, verb)
+                assert caplog.records[1].getMessage() == dropped
 
-        lines = {run: [f"{r.levelname} {r.name}: {r.getMessage()}" for r in records]
-                 for run, records in runs.items()}
-        assert lines["threads"] == lines["serial"]
-        assert [line.split(":")[0] for line in lines["serial"]] == [
-            "INFO trendcast.ingestion",  # events kept
-            "INFO trendcast.social",  # dropped 1 self-loops
-            "INFO trendcast.experiment",  # loaded
-            "WARNING trendcast.social", "INFO trendcast.experiment",  # pagerank
-            "WARNING trendcast.social", "INFO trendcast.experiment",  # leaderrank
-            "INFO trendcast.experiment",  # wrote
-        ]
-        made = [r.created for r in runs["threads"]]
-        assert made[1] <= made[0]  # logged out of order, shown in order
+    def test_import_leaves_the_social_logger_unfiltered(self):
+        # trendcast.cli, imported above, imports trendcast.experiment
+        assert logging.getLogger("trendcast.social").filters == []
 
     @pytest.mark.parametrize("verb", ["run", "validate", "rank"])
     def test_bad_edge_line_is_one_error(self, inputs, capsys, caplog, verb):
@@ -498,15 +542,17 @@ class TestConcurrentSetUp:
             expected = f"config: cannot load social graph: {problem}" if verb == "run" else problem
             assert (out, errors) == ("", [expected])
 
-    @pytest.mark.parametrize("verb", ["run", "rank"])
+    @pytest.mark.parametrize("verb", ["run", "validate", "rank"])
     def test_leaderrank_without_users_is_one_error(self, tmp_path, inputs, capsys, caplog, verb):
-        # validate computes no centrality, so it passes this graph
         ratings, edges, cfg = inputs
         edges.write_text("1 1\n2 2\n")
+        problem = "leaderrank needs at least one user"
         argv = self.rank_argv(ratings, edges) if verb == "rank" else [verb, str(cfg)]
         assert main(argv) == 1
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        assert (capsys.readouterr().out, errors) == ("", ["leaderrank needs at least one user"])
+        expected = {"run": ("", [f"config: {problem}"]), "validate": (problem + "\n", []),
+                    "rank": ("", [problem])}[verb]
+        assert (capsys.readouterr().out, errors) == expected
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb", ["validate", "rank"])

@@ -144,31 +144,58 @@ def build(events) -> TemporalBipartiteGraph:
 
     user_ids, users = compact(users)
     item_ids, items = compact(items)
+    time_ids, ranks = compact(ts)
+    del arr, ts
     # Collapse duplicate (user, item) pairs keeping the earliest timestamp.
-    # The pair key is below U * I <= links**2 and orders pairs by (user, item).
-    pairs = users * len(item_ids) + items
-    del users, items  # the dead temporaries go early to keep the peak low
-    order = np.argsort(pairs)
-    pairs, ts = pairs[order], ts[order]
-    del order
-    starts = np.flatnonzero(np.concatenate(([True], pairs[1:] != pairs[:-1])))
-    collapsed = int(pairs.size - starts.size)
-    pairs, ts = pairs[starts], np.minimum.reduceat(ts, starts)
+    # The pair key user * I + item is below U * I and orders pairs by (user,
+    # item). Sorting values is several times faster than sorting indices, so
+    # when the pair key times T plus the time rank fits in int64, one value
+    # sort of that key orders each pair's events by time and the first is
+    # the earliest. The keys reuse one array in place to keep the peak low.
+    num_items, num_times = len(item_ids), len(time_ids)
+    key = users
+    key *= num_items
+    key += items
+    del users, items
+    if len(user_ids) * num_items * num_times <= np.iinfo(np.int64).max:  # Python ints
+        key *= num_times
+        key += ranks
+        del ranks
+        key.sort()
+        ranks = key % num_times
+        key //= num_times
+        first = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        pairs, ranks = key[first], ranks[first]
+    else:
+        order = np.argsort(key)
+        pairs, ranks = key[order], ranks[order]
+        del order
+        first = np.concatenate(([True], pairs[1:] != pairs[:-1]))
+        starts = np.flatnonzero(first)
+        pairs, ranks = pairs[starts], np.minimum.reduceat(ranks, starts)
+    del key
+    collapsed = int(first.size - pairs.size)
+    del first
     if collapsed:
         log.debug("collapsed %d duplicate user-item events", collapsed)
 
     # Order by (timestamp, user, item). The pairs are ascending, so the key
-    # time rank * L + position is unique and below L**2 (no overflow for
-    # L < 3e9), and the default unstable sort returns the stable order.
+    # time rank * L + position is unique and below T * L (no overflow below
+    # 3e9 rows): its value sort is the stable time order, with each
+    # position recovered by % L.
     links = pairs.size
-    _, key = compact(ts)
+    key = ranks
     key *= links
     key += np.arange(links)
-    order = np.argsort(key)
-    del key
-    pairs, ts = pairs[order], ts[order]
+    key.sort()
+    order = key % links
+    key //= links
+    pairs = pairs[order]
     del order
-    users, items = np.divmod(pairs, len(item_ids))
+    ts = time_ids[key]
+    del key, ranks
+    users, items = np.divmod(pairs, num_items)
     return TemporalBipartiteGraph(user_ids, item_ids, users, items, ts,
                                   duplicates_collapsed=collapsed)
 

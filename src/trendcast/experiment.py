@@ -78,15 +78,14 @@ class ExperimentConfig:
 def parse_kv_file(path) -> list[tuple[int, str, str]]:
     """Parse a flat key=value file into (lineno, key, value) triples."""
     triples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
-            triples.append((lineno, key.strip(), value.strip()))
+    for lineno, raw in enumerate(ingestion.text_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, value = line.split("=", 1)
+        triples.append((lineno, key.strip(), value.strip()))
     return triples
 
 

@@ -1,6 +1,6 @@
 """Loaders for the canonical dataset files.
 
-Two CSV schemas are supported (comma-separated, UTF-8, LF or CRLF endings):
+Two CSV schemas are supported (comma-separated, UTF-8, LF, CRLF or CR line ends):
 
 * ratings: header ``user,item,rating,timestamp`` - a record becomes an
   event iff its rating clears the threshold (default 3.0);
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 import threading
 import warnings
 from dataclasses import dataclass
@@ -124,12 +125,30 @@ def _check_ratings(path, ratings: np.ndarray, first_line: int) -> None:
         )
 
 
+def text_lines(path):
+    """Yield the lines of ``path``, decoded from UTF-8 with their line ends.
+
+    Lines end at LF, CRLF or a lone CR, as text mode splits them. A line
+    that is not UTF-8 raises ``ValueError("<path>:<line>: not valid UTF-8")``.
+    """
+    with open(path, "rb") as fh:
+        lineno = 0
+        for chunk in fh:  # binary lines end at LF, so no CRLF straddles two
+            for raw in chunk.splitlines(keepends=True):
+                lineno += 1
+                try:
+                    yield raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
+
+
 def _rescan_csv(path, dtype) -> None:
     """Raise the ``file:line`` error for the first CSV row that does not parse."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(text_lines(path))
+    try:
         next(reader)
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             try:
                 if len(row) != len(dtype):
                     raise ValueError("field count")
@@ -140,21 +159,34 @@ def _rescan_csv(path, dtype) -> None:
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
             if "rating" in values:
                 _check_ratings(path, np.array([values["rating"]]), lineno)
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: malformed row ({exc})") from None
 
 
 def _read_csv(path, header) -> np.ndarray:
     """Parse a CSV with ``header`` into a structured array, one field per column."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        body = fh.read()
-    if not first:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data:
         raise ValueError(f"{path}: missing header row")
-    found = next(csv.reader([first]), [])
+    # Count the lines on the bytes, as text mode ends them: at LF, CRLF or a
+    # lone CR. np.loadtxt decodes the file.
+    ends = np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    if b"\r" in data:
+        ends += data.count(b"\r") - data.count(b"\r\n")
+    rows = ends + (not data.endswith((b"\n", b"\r"))) - 1
+    first = re.match(rb"[^\r\n]*", data).group()
+    try:
+        found = next(csv.reader([first.decode("utf-8")]), [])
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}:1: not valid UTF-8") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}:1: malformed header ({exc})") from None
     if [h.strip() for h in found] != header:
         raise ValueError(
             f"{path}: expected header {','.join(header)!r}, got {','.join(found)!r}"
         )
-    rows = body.count("\n") + (len(body) > 0 and not body.endswith("\n"))
+    del data
     dtype = [(name, np.float64 if name == "rating" else np.int64) for name in header]
     return read_table(
         path, lambda p: _rescan_csv(p, dtype), rows, dtype=dtype, delimiter=",",

@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .events import compact
-from .ingestion import parse_field, read_table
+from .ingestion import parse_field, read_table, text_lines
 
 log = logging.getLogger(__name__)
 
@@ -108,21 +108,20 @@ def load_social_graph(path) -> SocialGraph:
 
 def _rescan_edges(path) -> None:
     """Raise the ``file:line`` error for the first edge line that does not parse."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'follower leader', got {line!r}")
-            try:
-                for part in parts:
-                    parse_field(part)
-            except OverflowError:
-                raise ValueError(f"{path}:{lineno}: id outside int64 in {line!r}") from None
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer id in {line!r}") from None
+    for lineno, line in enumerate(text_lines(path), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'follower leader', got {line!r}")
+        try:
+            for part in parts:
+                parse_field(part)
+        except OverflowError:
+            raise ValueError(f"{path}:{lineno}: id outside int64 in {line!r}") from None
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-integer id in {line!r}") from None
 
 
 def write_edge_list(edges: np.ndarray | list[tuple], path) -> None:

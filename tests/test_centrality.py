@@ -59,6 +59,12 @@ class TestLoadEdgeList:
         with pytest.raises(ValueError, match="edges.txt:3"):
             load_social_graph(path)
 
+    def test_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(b"1 2\r3 4\r5 \xff6\r")
+        with pytest.raises(ValueError, match=r"edges.txt:3: not valid UTF-8$"):
+            load_social_graph(path)
+
     @pytest.mark.parametrize("text, expected", [
         ("1 2\n3 4\n", [[1, 2], [3, 4]]),
         ("1 2\r\n3\t4", [[1, 2], [3, 4]]),

@@ -62,6 +62,22 @@ class TestBuild:
         assert events_of(g) == want
         assert g.duplicates_collapsed == num - len(want) > 0
 
+    def test_keys_past_int64_take_the_index_sort(self):
+        # distinct users, items and timestamps: U * I * T exceeds int64, so the
+        # duplicates collapse on an argsort of the pair key; the five
+        # duplicates come first in the file but carry later timestamps
+        n, dup = 2_100_000, 5
+        rng = np.random.default_rng(14)
+        users, items, ts = (rng.permutation(n) for _ in range(3))
+        later = np.column_stack([users[:dup], items[:dup], n + np.arange(dup)])
+        g = build(np.vstack([later, np.column_stack([users, items, ts])]))
+        assert g.num_users * g.num_items * (n + dup) > INT64.max
+        assert g.duplicates_collapsed == dup
+        order = np.argsort(ts)
+        assert np.array_equal(g._ts, ts[order])
+        assert np.array_equal(g.user_ids[g._users], users[order])
+        assert np.array_equal(g.item_ids[g._items], items[order])
+
     def test_seeded_build_digest(self):
         # sha256 of the five arrays, recorded at the time-sort implementation
         # this build replaced; the time and id orders must not move

@@ -61,6 +61,12 @@ class TestParsing:
         with pytest.raises(ValueError, match=":2"):
             parse_kv_file(path)
 
+    def test_kv_file_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "f.cfg"
+        path.write_bytes(b"a = 1\r\n# caf\xe9\r\nb = 2\r\n")
+        with pytest.raises(ValueError, match=r"f.cfg:2: not valid UTF-8$"):
+            parse_kv_file(path)
+
     def test_repeatable_keys_build_grids(self, tmp_path, dataset):
         cfg = parse_experiment_config(write_config(tmp_path, (
             f"dataset = {dataset}\npredictor = pbp\n"

@@ -105,6 +105,12 @@ class TestLoadVotes:
         with pytest.raises(ValueError, match=":2"):
             load_votes(path)
 
+    def test_header_field_over_csv_limit(self, tmp_path):
+        path = tmp_path / "votes.csv"
+        path.write_text(f"user,{'x' * 131_073}\n1,10,100\n")
+        with pytest.raises(ValueError, match=r"votes.csv:1: malformed header \(field larger"):
+            load_votes(path)
+
 
 BIG = "99999999999999999999"  # outside int64
 
@@ -127,6 +133,9 @@ VOTES_CASES = [
     ("1,10,100,\n", r":2: malformed row"),
     ("1,10,100\n1,10,100,7\n", r":3: malformed row"),
     (f"1,{BIG},100\n", r":2: integer outside int64"),
+    pytest.param(f"1,10,100\n2,{'1' * 131_073},200\n",
+                 r":3: malformed row \(field larger than field limit", id="field-over-csv-limit"),
+    ("1,10,100\r2,11,200\r", [[1, 10, 100], [2, 11, 200]]),
 ]
 
 RATINGS_CASES = [
@@ -143,6 +152,7 @@ RATINGS_CASES = [
     ("1,10,6.0,100\n1,10,oops,100\n", r":2: rating 6.0 outside"),
     (f"1,10,3.5,{BIG}\n", r":2: integer outside int64"),
     ("1,10,2.5,100\n2,11,1.0,200\n", r": no rating reaches the threshold 3.0"),
+    ("1,10,3.5,100\r2,11,4,200\r", [[1, 10, 100], [2, 11, 200]]),
 ]
 
 
@@ -158,7 +168,7 @@ class TestRowRules:
     @staticmethod
     def check(tmp_path, header, body, expected, load):
         path = tmp_path / "data.csv"
-        newline = "\r\n" if "\r\n" in body else "\n"
+        newline = "\r\n" if "\r\n" in body else "\r" if "\r" in body else "\n"
         path.write_bytes((header + newline + body).encode())
         if isinstance(expected, str):
             with pytest.raises(ValueError, match=f"data.csv{expected}"):
@@ -167,6 +177,20 @@ class TestRowRules:
             events = load(path)
             assert events.dtype == np.int64 and events.shape == (len(expected), 3)
             assert events.tolist() == expected
+
+
+@pytest.mark.parametrize("load, head", [
+    (load_votes, "user,item,timestamp\n1,10,100\n"),
+    (load_ratings, "user,item,rating,timestamp\n1,10,4.0,100\n"),
+], ids=["votes", "ratings"])
+def test_dataset_not_utf8_names_the_line(tmp_path, load, head):
+    path = tmp_path / "data.csv"
+    path.write_bytes(head.encode() + b"2,1\xff1,200\n")
+    with pytest.raises(ValueError, match=r"data.csv:3: not valid UTF-8$"):
+        load(path)
+    path.write_bytes(b"user,\xffitem\n")
+    with pytest.raises(ValueError, match=r"data.csv:1: not valid UTF-8$"):
+        load(path)
 
 
 class TestSubsetUsers:

@@ -143,6 +143,9 @@ def _cmd_rank(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     spec = _parse_spec_string(args.spec)
+    if spec.kind == "ibp" and not args.social:
+        raise ValueError(f"--spec ibp weighs users by {spec.centrality} on a social graph: "
+                         "pass its edge list with --social")
     dataset_spec = ingestion.DatasetSpec(format=args.format, threshold=args.threshold)
     social_load = start_social_load(args.social) if args.social else None
     graph = build(ingestion.load_dataset(args.dataset, dataset_spec))

@@ -134,9 +134,9 @@ def build(events) -> TemporalBipartiteGraph:
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("events must be (user_id, item_id, timestamp) triples")
     users, items, ts = arr.T
-    neg = np.flatnonzero(ts < 0)
-    if neg.size:
-        k = neg[0]
+    t_min, t_max = int(ts.min()), int(ts.max())
+    if t_min < 0:
+        k = np.flatnonzero(ts < 0)[0]
         raise ValueError(
             "negative timestamp in event "
             f"(user={users[k]}, item={items[k]}, timestamp={ts[k]})"
@@ -144,7 +144,14 @@ def build(events) -> TemporalBipartiteGraph:
 
     user_ids, users = compact(users)
     item_ids, items = compact(items)
-    time_ids, ranks = compact(ts)
+    # A timestamp's rank is its offset from the first when T = span + 1
+    # times the row count fits in int64, as the time sort below needs, and
+    # otherwise its index among the T distinct timestamps (then T <= rows).
+    if (t_max - t_min + 1) * len(ts) <= np.iinfo(np.int64).max:  # Python ints
+        time_ids, ranks, num_times = None, ts - t_min, t_max - t_min + 1
+    else:
+        time_ids, ranks = compact(ts)
+        num_times = len(time_ids)
     del arr, ts
     # Collapse duplicate (user, item) pairs keeping the earliest timestamp.
     # The pair key user * I + item is below U * I and orders pairs by (user,
@@ -152,7 +159,7 @@ def build(events) -> TemporalBipartiteGraph:
     # when the pair key times T plus the time rank fits in int64, one value
     # sort of that key orders each pair's events by time and the first is
     # the earliest. The keys reuse one array in place to keep the peak low.
-    num_items, num_times = len(item_ids), len(time_ids)
+    num_items = len(item_ids)
     key = users
     key *= num_items
     key += items
@@ -181,9 +188,10 @@ def build(events) -> TemporalBipartiteGraph:
         log.debug("collapsed %d duplicate user-item events", collapsed)
 
     # Order by (timestamp, user, item). The pairs are ascending, so the key
-    # time rank * L + position is unique and below T * L (no overflow below
-    # 3e9 rows): its value sort is the stable time order, with each
-    # position recovered by % L.
+    # time rank * L + position is unique and below T * L, which the choice
+    # of ranks above keeps in int64 (below 3e9 rows for distinct-timestamp
+    # ranks): its value sort is the stable time order, with each position
+    # recovered by % L.
     links = pairs.size
     key = ranks
     key *= links
@@ -193,7 +201,7 @@ def build(events) -> TemporalBipartiteGraph:
     key //= links
     pairs = pairs[order]
     del order
-    ts = time_ids[key]
+    ts = np.add(key, t_min, out=key) if time_ids is None else time_ids[key]
     del key, ranks
     users, items = np.divmod(pairs, num_items)
     return TemporalBipartiteGraph(user_ids, item_ids, users, items, ts,

@@ -147,8 +147,12 @@ def _rescan_csv(path, dtype) -> None:
     reader = csv.reader(text_lines(path))
     try:
         next(reader)
+        end = reader.line_num
         for row in reader:
-            lineno = reader.line_num
+            lineno, end = end + 1, reader.line_num  # the row's first and last lines
+            if end > lineno:  # _read_csv counted it as more than one row
+                raise ValueError(f"{path}:{lineno}: malformed row "
+                                 "(line break inside a quoted field)")
             try:
                 if len(row) != len(dtype):
                     raise ValueError("field count")
@@ -194,10 +198,6 @@ def _read_csv(path, header) -> np.ndarray:
     )
 
 
-def _events(table) -> np.ndarray:
-    return np.column_stack([table["user"], table["item"], table["timestamp"]])
-
-
 def _sample_users(users: np.ndarray, count: int, min_degree: int, seed: int,
                   path=None) -> np.ndarray:
     """``count`` distinct ids drawn from those listed >= ``min_degree`` times in ``users``,
@@ -220,7 +220,7 @@ def load_ratings(path, spec: DatasetSpec | None = None) -> np.ndarray:
     spec = spec or DatasetSpec()
     table = _read_csv(path, RATINGS_HEADER)
     _check_ratings(path, table["rating"], 2)
-    events = _events(table)
+    events = np.column_stack([table["user"], table["item"], table["timestamp"]])
     keep = table["rating"] >= spec.threshold
     dropped = int(keep.size - np.count_nonzero(keep))
     sampled = ""
@@ -243,7 +243,8 @@ def load_ratings(path, spec: DatasetSpec | None = None) -> np.ndarray:
 
 def load_votes(path) -> np.ndarray:
     """Load a votes CSV: every row is an event."""
-    return _events(_read_csv(path, VOTES_HEADER))
+    # the table's three int64 fields are packed, so it views as the event rows
+    return _read_csv(path, VOTES_HEADER).view(np.int64).reshape(-1, 3)
 
 
 def load_dataset(path, spec: DatasetSpec) -> np.ndarray:

@@ -11,11 +11,11 @@ shares among its leaders. Influence therefore accrues to followed users, and
 a "dangling" user is one who follows nobody (zero out-degree), not one
 without followers.
 
-:class:`SocialGraph` stores its deduplicated edges sorted by (leader,
-follower), which is the row order of the flow matrix ``M[leader, follower]``:
-one ``np.bincount`` over the edges then adds each leader's incoming shares
-in ascending follower order, as a CSR matrix-vector product would, so the
-centralities need no sparse-matrix library.
+:class:`SocialGraph` stores its deduplicated edges sorted by (follower,
+leader), so a sweep gathers the followers' scores in memory order. One
+``np.bincount`` over the edges then adds each leader's incoming shares in
+that order, ascending by follower, and the centralities need no
+sparse-matrix library.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ class SocialGraph:
     ids passed via ``users`` (so isolated users can exist).
 
     The edges are kept as compact ``_src`` (follower) and ``_dst`` (leader)
-    arrays sorted by (leader, follower). The power iterations add up each
-    leader's incoming score in this order, ascending by follower, and a
-    floating-point sum depends on its order: another order would change the
-    centralities in their last bits.
+    arrays sorted by (follower, leader). The power iterations add up each
+    leader's incoming score in edge order, which is ascending by follower,
+    and a floating-point sum depends on its order: another order would
+    change the centralities in their last bits.
     """
 
     def __init__(self, edges: np.ndarray | list[tuple], users: Iterable[int] | None = None):
@@ -64,18 +64,18 @@ class SocialGraph:
         self.user_ids, index = compact(np.concatenate(ids))
 
         # Collapse duplicates on compact pair keys, which stay below n**2 and
-        # sort in (leader, follower) order.
+        # sort in (follower, leader) order.
         n = len(self.user_ids)
         m = follower.size
-        pairs = index[m: 2 * m] * n
-        pairs += index[:m]
+        pairs = index[:m] * n
+        pairs += index[m: 2 * m]
         del index
         pairs.sort()
         first = np.ones(pairs.size, dtype=bool)
         first[1:] = pairs[1:] != pairs[:-1]
         pairs = pairs[first]
         self.duplicates_dropped = int(m - pairs.size)
-        self._dst, self._src = np.divmod(pairs, n)
+        self._src, self._dst = np.divmod(pairs, n)
         self.out_degrees = np.bincount(self._src, minlength=n)
         self.in_degrees = np.bincount(self._dst, minlength=n)
 
@@ -103,7 +103,7 @@ def load_social_graph(path) -> SocialGraph:
     """
     table = read_table(path, _rescan_edges, dtype=[("follower", np.int64), ("leader", np.int64)],
                        comments="#", ndmin=1)
-    return SocialGraph(np.column_stack([table["follower"], table["leader"]]))
+    return SocialGraph(table.view(np.int64).reshape(-1, 2))
 
 
 def _rescan_edges(path) -> None:
@@ -162,7 +162,8 @@ def influence_in_degree(graph: SocialGraph, **_) -> InfluenceVector:
 def _spread(graph: SocialGraph, moved: np.ndarray) -> np.ndarray:
     """What each user receives when every follower ``i`` sends ``moved[i]``
     to each of its leaders. With ``moved = s * share`` this is ``M @ s`` for
-    ``M[j, i] = share[i]`` on every edge ``i -> j``, summed in CSR order."""
+    ``M[j, i] = share[i]`` on every edge ``i -> j``, each leader's shares
+    added in ascending follower order."""
     return np.bincount(graph._dst, weights=moved.take(graph._src), minlength=graph.num_users)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,7 @@ from trendcast.social import (
     influence_leaderrank,
     influence_pagerank,
     load_social_graph,
+    _spread,
 )
 
 
@@ -280,6 +283,49 @@ class TestMatchesSparseMatrixIteration:
             edges, users, measure, tol=0.0, max_iter=7)
         assert np.array_equal(got.values, values)
         assert (got.iterations_used, got.residual, got.converged) == (7, residual, False)
+
+
+class TestSummationOrder:
+    """A sweep adds each leader's shares in ascending follower order, whatever
+    order the edges are stored or given in."""
+
+    def test_spread_is_the_ascending_follower_sum(self):
+        # leaders 0 and 5 both take 1.0, 1e16 and -1e16: added from the first
+        # follower the 1.0 is lost to rounding, from the last it survives
+        edges = [(3, 0), (1, 0), (2, 0), (4, 5), (2, 5), (3, 5), (1, 5), (0, 4)]
+        g = SocialGraph(edges, users=range(6))
+        moved = np.array([0.0, 1.0, 1e16, -1e16, 2.0, 0.0])
+        ascending, descending = np.zeros(6), np.zeros(6)
+        for follower, leader in sorted(edges):
+            ascending[leader] += moved[follower]
+        for follower, leader in sorted(edges, reverse=True):
+            descending[leader] += moved[follower]
+        assert (ascending != descending)[[0, 5]].all()
+        assert np.array_equal(_spread(g, moved), ascending)
+        assert (np.diff(g._src) >= 0).all()
+
+    @staticmethod
+    def seeded_graph():
+        # about 2e4 users and 1e5 edges with heavy-tailed, shuffled leaders
+        rng = np.random.default_rng(15)
+        n, m = 20_000, 100_000
+        leaders = np.minimum((rng.pareto(1.1, size=m) * 40).astype(np.int64), n - 1)
+        edges = np.column_stack([rng.integers(0, n, size=m), rng.permutation(n)[leaders]])
+        return SocialGraph(edges, users=range(n))
+
+    @pytest.mark.parametrize("measure, sweeps, residual, digest", [
+        ("pagerank", 25, 6.486804855980845e-11,
+         "3e50057b3576ed74bc2a37c94ca990b98031b1149aa70d1a617318a82ff63ebb"),
+        ("leaderrank", 24, 5.6379589775945593e-11,
+         "5d5f56c1197ac818fd274a9c77c6868a5cfc9ad2794af6b4c8d497f0ac0ffb6f"),
+    ])
+    def test_seeded_values_digest(self, measure, sweeps, residual, digest):
+        # recorded with the edges stored in (leader, follower) order
+        g = self.seeded_graph()
+        assert (g.num_links, g.duplicates_dropped, g.self_loops_dropped) == (97_695, 2_294, 11)
+        got = compute_influence(g, measure)
+        assert (got.iterations_used, got.residual, got.converged) == (sweeps, residual, True)
+        assert hashlib.sha256(got.values.tobytes()).hexdigest() == digest
 
 
 class TestStopRule:

@@ -210,6 +210,18 @@ class TestRankVerb:
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert len(errors) == 1 and "--n" in errors[0]
 
+    @pytest.mark.parametrize("exists", [True, False], ids=["dataset", "no-dataset"])
+    def test_ibp_without_social_fails_before_loading(self, dataset, tmp_path, capsys, caplog,
+                                                     exists):
+        path = dataset if exists else tmp_path / "missing.csv"
+        argv = ["rank", str(path), "--spec", "ibp,eta=1,centrality=pagerank,t_past=100"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+            "--spec ibp weighs users by pagerank on a social graph: "
+            "pass its edge list with --social"]
+        assert not any(r.name == "trendcast.ingestion" for r in caplog.records)
+
     @pytest.mark.parametrize("vote, edge, error", [
         ("1,99999999999999999999,100", "1 2", "votes.csv:3: integer outside int64"),
         ("1,10,100", "1 99999999999999999999", "edges.txt:2: id outside int64"),

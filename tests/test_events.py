@@ -62,6 +62,21 @@ class TestBuild:
         assert events_of(g) == want
         assert g.duplicates_collapsed == num - len(want) > 0
 
+    @pytest.mark.parametrize("extra", [0, 1], ids=["offsets-fit", "offsets-overflow"])
+    def test_time_ranks_at_the_int64_limit(self, extra):
+        # (span + 1) * rows just below int64's maximum ranks timestamps by
+        # their offset from the first; one more second ranks them by index
+        rows, t0 = 8, 5
+        span = INT64.max // rows - 1 + extra
+        assert ((span + 1) * rows <= INT64.max) == (extra == 0)
+        ts = [t0 + span, t0, t0 + span // 2, t0 + span, t0 + 1, t0 + span - 1, t0 + span // 3, t0]
+        pairs = [(1, 7), (2, 7), (1, 9), (2, 9)] * 2
+        events = [Event(u, i, t) for (u, i), t in zip(pairs, ts)]
+        g = build(events)
+        want = sorted(dedup_earliest(events), key=lambda e: (e.timestamp, e.user_id, e.item_id))
+        assert events_of(g) == want
+        assert g._ts.dtype == np.int64 and g.duplicates_collapsed == 4
+
     def test_keys_past_int64_take_the_index_sort(self):
         # distinct users, items and timestamps: U * I * T exceeds int64, so the
         # duplicates collapse on an argsort of the pair key; the five

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import Event, events_of
+from trendcast import social
 from trendcast.events import build
 from trendcast.ingestion import (
     DatasetSpec,
@@ -136,6 +137,8 @@ VOTES_CASES = [
     pytest.param(f"1,10,100\n2,{'1' * 131_073},200\n",
                  r":3: malformed row \(field larger than field limit", id="field-over-csv-limit"),
     ("1,10,100\r2,11,200\r", [[1, 10, 100], [2, 11, 200]]),
+    ('"1\n",10,100\n2,11,200\n', r":2: malformed row \(line break inside a quoted field\)"),
+    ('1,10,100\n2,"11\n\n",200\n', r":3: malformed row \(line break inside a quoted field\)"),
 ]
 
 RATINGS_CASES = [
@@ -153,6 +156,7 @@ RATINGS_CASES = [
     (f"1,10,3.5,{BIG}\n", r":2: integer outside int64"),
     ("1,10,2.5,100\n2,11,1.0,200\n", r": no rating reaches the threshold 3.0"),
     ("1,10,3.5,100\r2,11,4,200\r", [[1, 10, 100], [2, 11, 200]]),
+    ('1,10,"3.5\n",100\n2,11,4.0,200\n', r":2: malformed row \(line break inside a quoted field\)"),
 ]
 
 
@@ -191,6 +195,20 @@ def test_dataset_not_utf8_names_the_line(tmp_path, load, head):
     path.write_bytes(b"user,\xffitem\n")
     with pytest.raises(ValueError, match=r"data.csv:1: not valid UTF-8$"):
         load(path)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 500])
+def test_loaders_return_contiguous_int64_rows(tmp_path, monkeypatch, rows):
+    events = np.random.default_rng(rows).integers(0, 2**62, size=(rows, 3))
+    write_votes_csv(events, tmp_path / "votes.csv")
+    loaded = load_votes(tmp_path / "votes.csv")
+    write_edge_list(events[:, :2], tmp_path / "edges.txt")
+    edges = []
+    monkeypatch.setattr(social, "SocialGraph", edges.append)
+    load_social_graph(tmp_path / "edges.txt")
+    for got, want in ((loaded, events), (edges[0], events[:, :2])):
+        assert got.dtype == np.int64 and got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
 
 class TestSubsetUsers:

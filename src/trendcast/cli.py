@@ -22,7 +22,7 @@ import sys
 from . import ingestion, predictors, social, synthgen
 from .events import build
 from .experiment import (SWEEP_KEYS, parse_experiment_config, parse_kv_file, parse_value,
-                         run_sweep, start_social_load, validate)
+                         run_sweep, validate)
 
 log = logging.getLogger("trendcast.cli")  # not __name__, which is "__main__" under python -m
 
@@ -147,9 +147,8 @@ def _cmd_rank(args) -> int:
         raise ValueError(f"--spec ibp weighs users by {spec.centrality} on a social graph: "
                          "pass its edge list with --social")
     dataset_spec = ingestion.DatasetSpec(format=args.format, threshold=args.threshold)
-    social_load = start_social_load(args.social) if args.social else None
     graph = build(ingestion.load_dataset(args.dataset, dataset_spec))
-    social_graph = social_load() if social_load else None
+    social_graph = social.load_social_graph(args.social) if spec.kind == "ibp" else None
     test_date = args.t_star if args.t_star is not None else graph.t_last
     ranking = predictors.score(graph, spec, test_date, social_graph)
     for item, value in ranking.entries[: args.n]:

@@ -38,7 +38,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import ingestion, predictors, social
@@ -154,28 +153,6 @@ def predictor_specs(cfg: ExperimentConfig) -> list[PredictorSpec]:
     return specs
 
 
-def start_social_load(path):
-    """Start ``social.load_social_graph(path)`` on a worker thread; return a
-    function that waits for it.
-
-    The waiting function returns the graph, after logging on the calling
-    thread what the load dropped, or raises the load's error. So the load
-    runs beside the dataset's, yet logs and fails where it would in series.
-    """
-    pool = ThreadPoolExecutor(max_workers=1)
-    future = pool.submit(social.load_social_graph, path)
-    pool.shutdown(wait=False)  # its one thread ends with the load
-
-    def wait():
-        graph = future.result()
-        if graph.self_loops_dropped or graph.duplicates_dropped:
-            social.log.info("%s: dropped %d self-loops, collapsed %d duplicate edges",
-                            path, graph.self_loops_dropped, graph.duplicates_dropped)
-        return graph
-
-    return wait
-
-
 def validate(cfg: ExperimentConfig) -> list[str]:
     """Collect every problem with the config; empty list means runnable.
 
@@ -243,8 +220,6 @@ def _check(cfg: ExperimentConfig):
     if problems:
         return problems, None, {}
 
-    # only ibp reads the social graph; it loads beside the dataset
-    social_load = start_social_load(cfg.social) if "ibp" in cfg.predictors else None
     try:
         graph = build(ingestion.load_dataset(cfg.dataset, spec))
     except (ValueError, OSError) as exc:
@@ -261,9 +236,9 @@ def _check(cfg: ExperimentConfig):
                 except ValueError as exc:
                     problems.append(str(exc))
     social_graph = None
-    if social_load is not None:
+    if "ibp" in cfg.predictors:  # only ibp reads the social graph
         try:
-            social_graph = social_load()
+            social_graph = social.load_social_graph(cfg.social)
         except (ValueError, OSError) as exc:
             problems.append(f"cannot load social graph: {exc}")
     if problems:
@@ -288,9 +263,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
     write the CSV outputs.
 
     ``workers`` is accepted for compatibility and ignored: the sweep runs in
-    this process. The set-up uses a thread regardless: the social graph
-    loads on it beside the dataset. Returns a process exit status: 0 on
-    success, 1 when the set-up found a problem or any evaluation failed.
+    this process. Returns a process exit status: 0 on success, 1 when the
+    set-up found a problem or any evaluation failed.
     """
     problems, graph, influence = _check(cfg)
     if problems:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import logging
 import re
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -74,13 +73,6 @@ class DatasetSpec:
             raise ValueError(f"seed must be non-negative, got {self.rng_seed}")
 
 
-# warnings.catch_warnings swaps process-wide state: two tables read at once
-# (the dataset and the social graph load side by side) would restore each
-# other's filters and let loadtxt's empty-input warning through. The parse
-# holds the GIL, so taking turns costs the overlap little.
-_loadtxt_lock = threading.Lock()
-
-
 def read_table(path, rescan, rows: int | None = None, **loadtxt_args) -> np.ndarray:
     """``np.loadtxt(path, **loadtxt_args)``, expected to give ``rows`` rows if set.
 
@@ -88,7 +80,7 @@ def read_table(path, rescan, rows: int | None = None, **loadtxt_args) -> np.ndar
     ``rescan(path)`` raises the ``file:line`` error of the first bad line;
     should it find none, loadtxt's own complaint is raised.
     """
-    with _loadtxt_lock, warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             table = np.loadtxt(path, encoding="utf-8", **loadtxt_args)

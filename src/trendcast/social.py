@@ -97,13 +97,17 @@ def load_social_graph(path) -> SocialGraph:
     Blank lines are ignored, and so is everything from a ``#`` to the end of
     its line, whether the comment fills the line or follows an edge
     (``1 2  # note``). Raises ``ValueError`` (with the line number) on
-    anything else that does not parse as two int64 ids. Logs nothing: the
-    graph's ``self_loops_dropped`` and ``duplicates_dropped`` hold what the
-    load dropped.
+    anything else that does not parse as two int64 ids. Logs what the load
+    dropped, which the graph's ``self_loops_dropped`` and
+    ``duplicates_dropped`` also hold.
     """
     table = read_table(path, _rescan_edges, dtype=[("follower", np.int64), ("leader", np.int64)],
                        comments="#", ndmin=1)
-    return SocialGraph(table.view(np.int64).reshape(-1, 2))
+    graph = SocialGraph(table.view(np.int64).reshape(-1, 2))
+    if graph.self_loops_dropped or graph.duplicates_dropped:
+        log.info("%s: dropped %d self-loops, collapsed %d duplicate edges",
+                 path, graph.self_loops_dropped, graph.duplicates_dropped)
+    return graph
 
 
 def _rescan_edges(path) -> None:

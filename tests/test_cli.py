@@ -4,7 +4,6 @@ import logging
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -221,6 +220,18 @@ class TestRankVerb:
             "--spec ibp weighs users by pagerank on a social graph: "
             "pass its edge list with --social"]
         assert not any(r.name == "trendcast.ingestion" for r in caplog.records)
+
+    @pytest.mark.parametrize("edges", ["1 2\n3 x\n", None], ids=["bad-edge-line", "no-file"])
+    def test_social_is_read_only_for_ibp(self, dataset, tmp_path, capsys, caplog, edges):
+        path = tmp_path / "bad.txt"
+        if edges is not None:
+            path.write_text(edges)
+        argv = ["rank", str(dataset), "--spec", "total_pop"]
+        assert main(argv) == 0
+        without = capsys.readouterr().out
+        assert main(argv + ["--social", str(path)]) == 0
+        assert capsys.readouterr().out == without
+        assert not any(r.levelno >= logging.WARNING for r in caplog.records)
 
     @pytest.mark.parametrize("vote, edge, error", [
         ("1,99999999999999999999,100", "1 2", "votes.csv:3: integer outside int64"),
@@ -441,47 +452,10 @@ class TestDatasetProblems:
             self.check(tmp_path, capsys, caplog, verb, cfg, problem)
 
 
-def after(event, fn):
-    """``fn``, made to wait until ``event`` is set."""
-    @functools.wraps(fn)
-    def waiting(*args, **kwargs):
-        assert event.wait(30)
-        return fn(*args, **kwargs)
-    return waiting
-
-
-def setting(event, fn):
-    """``fn``, setting ``event`` once it has returned or raised."""
-    @functools.wraps(fn)
-    def then_set(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            event.set()
-    return then_set
-
-
-def hold(monkeypatch, first, then):
-    """Hold every call of ``then`` until a call of ``first`` has finished;
-    each is a ``(module, name)`` pair."""
-    done = threading.Event()
-    monkeypatch.setattr(*first, setting(done, getattr(*first)))
-    monkeypatch.setattr(*then, after(done, getattr(*then)))
-
-
-def social_load_first(monkeypatch):
-    """Hold every dataset load until the social graph load has finished."""
-    hold(monkeypatch, (social, "load_social_graph"), (ingestion, "load_dataset"))
-
-
-def dataset_load_first(monkeypatch):
-    """Hold the social graph load until a dataset load has finished."""
-    hold(monkeypatch, (ingestion, "load_dataset"), (social, "load_social_graph"))
-
-
 class TestConcurrentSetUp:
-    """The social graph loads beside the dataset; stderr, errors and exit
-    statuses stay those of the serial set-up."""
+    """The set-up is serial: the dataset loads first, then the social graph
+    when an ibp predictor reads it, so stderr, errors and exit statuses
+    come in that order."""
 
     @pytest.fixture
     def inputs(self, tmp_path, dataset):
@@ -525,15 +499,13 @@ class TestConcurrentSetUp:
             ],
         }
         dropped = f"{edges}: dropped 1 self-loops, collapsed 0 duplicate edges"
-        for order in (social_load_first, dataset_load_first):
-            for verb, argv in (("run", ["run", str(cfg)]), ("rank", self.rank_argv(ratings, edges))):
-                caplog.clear()
-                with monkeypatch.context() as held, caplog.at_level(logging.INFO, logger="trendcast"):
-                    order(held)
-                    assert main(argv) == 0
-                lines = [f"{r.levelname} {r.name}" for r in caplog.records]
-                assert lines == expected[verb], (order.__name__, verb)
-                assert caplog.records[1].getMessage() == dropped
+        for verb, argv in (("run", ["run", str(cfg)]), ("rank", self.rank_argv(ratings, edges))):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="trendcast"):
+                assert main(argv) == 0
+            lines = [f"{r.levelname} {r.name}" for r in caplog.records]
+            assert lines == expected[verb], verb
+            assert caplog.records[1].getMessage() == dropped
 
     def test_import_leaves_the_social_logger_unfiltered(self):
         # trendcast.cli, imported above, imports trendcast.experiment
@@ -568,14 +540,12 @@ class TestConcurrentSetUp:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb", ["validate", "rank"])
-    def test_both_inputs_bad_report_the_dataset_first(self, inputs, capsys, caplog, monkeypatch,
-                                                      verb):
+    def test_both_inputs_bad_report_the_dataset_first(self, inputs, capsys, caplog, verb):
         ratings, edges, cfg = inputs
         ratings.write_text("user,item,rating,timestamp\n1,2,x,4\n")
         edges.write_text("3 x\n")
         with pytest.raises(ValueError) as data_error:
             ingestion.load_dataset(ratings, ingestion.DatasetSpec())
-        social_load_first(monkeypatch)  # the social graph fails first
         argv = self.rank_argv(ratings, edges) if verb == "rank" else [verb, str(cfg)]
         assert main(argv) == 1
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]

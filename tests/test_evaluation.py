@@ -314,7 +314,7 @@ def test_degenerate_window_numbers_are_pinned():
     # 7 items, all collected at t=1; items 1 and 2 gain a link in (1, 5] and
     # only item 3 gains one in (5, 9]. The true top-5 at date 5 is item 3 and
     # four zero-gain items in id order, which both predictors "hit". These are
-    # today's numbers; item 4 of ROADMAP.md (a truth of positive-gain items
+    # today's numbers; item 5 of ROADMAP.md (a truth of positive-gain items
     # only) changes them on purpose.
     events = ([Event(item, item, 1) for item in range(1, 8)]
               + [Event(10, 1, 3), Event(11, 2, 4), Event(12, 3, 9)])

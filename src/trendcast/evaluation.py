@@ -19,7 +19,6 @@ predictor can never hit a new entry (its top-n *is* the past top-n).
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -150,8 +149,9 @@ def evaluate_many(
     spec is counted against. ``influence`` holds one vector per measure,
     aligned by :func:`trendcast.predictors.align`, and must cover the
     centrality of every ibp spec. ``spec.t_past`` is resolved as in
-    :func:`evaluate`. Zero-influence users, left out by ibp under a negative
-    eta, get one warning per centrality.
+    :func:`evaluate`. It does not warn about the zero-influence users that
+    ibp leaves out under a negative eta: ``trendcast validate``/``run`` and
+    :func:`trendcast.predictors.score` count them.
     """
     for spec in specs:
         if spec.t_past is not None and spec.t_past != config.t_past:
@@ -162,9 +162,6 @@ def evaluate_many(
     aligned = align(graph, influence, specs)
 
     reports = [EvaluationReport(spec, config) for spec in specs]
-    # the zero-influence count depends on the centrality and the window, not on eta
-    negative = Counter(s.centrality for s in specs if s.kind == "ibp" and s.eta < 0)
-    dropped = {measure: [] for measure in negative}  # zero-influence users, per date
     n = config.n
     for date in config.test_dates:
         if date + config.t_future > graph.t_last:
@@ -189,17 +186,6 @@ def evaluate_many(
             p_n = np.count_nonzero(in_truth[predicted]) / n
             c_n = np.count_nonzero(is_new[predicted])
             report.per_date.append(DateMetrics(int(date), p_n, e_n, c_n))
-        for measure, users in dropped.items():
-            users.append(window.zero_influence_users(measure))
-
-    for measure, users in dropped.items():
-        if any(users):
-            log.warning(
-                "ibp(%s, %d eta < 0) T_P=%d T_F=%d n=%d: zero-influence users contribute 0 "
-                "on %d of %d test dates (up to %d users in one window)",
-                measure, negative[measure], config.t_past, config.t_future, n,
-                sum(map(bool, users)), len(users), max(users),
-            )
     return reports
 
 

@@ -164,10 +164,12 @@ def validate(cfg: ExperimentConfig) -> list[str]:
 
 def _check(cfg: ExperimentConfig):
     """The whole set-up of :func:`run_sweep`: returns the problems
-    :func:`validate` reports, the dataset graph and the ``{measure:
+    :func:`validate` reports, the dataset graph, the ``{measure:
     InfluenceVector}`` map of the configured centralities (empty unless ibp
-    is configured). The graph is None and the map empty unless the config,
-    the dataset, its test dates and the social graph passed."""
+    is configured) and the ``(t_past, t_future, test dates)`` of every
+    window, t_past outermost. The graph is None, the map and the windows
+    empty unless the config, the dataset, its test dates and the social
+    graph passed. A negative eta logs each centrality's zero-influence count."""
     problems = []
     for key in cfg.unknown_keys:
         problems.append(f"unknown config key {key!r}")
@@ -207,6 +209,14 @@ def _check(cfg: ExperimentConfig):
         problems.append("n must be >= 1")
     if cfg.num_test_dates < 1:
         problems.append("test_dates must be >= 1")
+    # run makes the output directory only after evaluating the whole grid
+    ancestor = os.path.normpath(cfg.out_dir)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor) or "."
+    if not cfg.out_dir:
+        problems.append("no out directory given")
+    elif not os.path.isdir(ancestor):
+        problems.append(f"cannot make out directory {cfg.out_dir}: {ancestor} is not a directory")
 
     try:
         spec = ingestion.DatasetSpec(
@@ -218,7 +228,7 @@ def _check(cfg: ExperimentConfig):
         problems.append(str(exc))
 
     if problems:
-        return problems, None, {}
+        return problems, None, {}, []
 
     try:
         graph = build(ingestion.load_dataset(cfg.dataset, spec))
@@ -229,12 +239,15 @@ def _check(cfg: ExperimentConfig):
             log.warning("n = %d exceeds the %d items of %s: the true top-n holds every "
                         "item, so P_n stays below 1", n, graph.num_items, cfg.dataset)
         # the dates keep a t_future margin, so every future window is covered
+        windows = []
         for t_past in cfg.t_past_values:
             for t_future in cfg.t_future_values:
                 try:
-                    make_test_dates(graph, cfg.num_test_dates, t_past, t_future)
+                    dates = make_test_dates(graph, cfg.num_test_dates, t_past, t_future)
                 except ValueError as exc:
                     problems.append(str(exc))
+                else:
+                    windows.append((t_past, t_future, dates))
     social_graph = None
     if "ibp" in cfg.predictors:  # only ibp reads the social graph
         try:
@@ -242,7 +255,7 @@ def _check(cfg: ExperimentConfig):
         except (ValueError, OSError) as exc:
             problems.append(f"cannot load social graph: {exc}")
     if problems:
-        return problems, None, {}
+        return problems, None, {}, []
 
     log.info("loaded %r", graph)
     influence = {}
@@ -255,7 +268,9 @@ def _check(cfg: ExperimentConfig):
             else:
                 log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
                          measure, infl.iterations_used, infl.residual, infl.converged)
-    return problems, graph, influence
+                if min(cfg.etas or DEFAULT_ETA_GRID) < 0:
+                    predictors.warn_zero_influence(graph, infl)
+    return problems, graph, influence, windows
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: bool = False) -> int:
@@ -266,7 +281,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
     this process. Returns a process exit status: 0 on success, 1 when the
     set-up found a problem or any evaluation failed.
     """
-    problems, graph, influence = _check(cfg)
+    problems, graph, influence, windows = _check(cfg)
     if problems:
         for p in problems:
             log.error("config: %s", p)
@@ -276,17 +291,15 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
     grid = []  # one report per spec for each (t_past, t_future, n), in that nesting
     heat_reports = []
     try:
-        for t_past in cfg.t_past_values:
-            for t_future in cfg.t_future_values:
-                dates = make_test_dates(graph, cfg.num_test_dates, t_past, t_future)
-                for j, n in enumerate(cfg.n_values):
-                    # the heatmap's recent_pop is scored along with the first n
-                    heat = [PredictorSpec("recent_pop")] if j == 0 else []
-                    config = EvalConfig(t_past, t_future, dates, n)
-                    reports = evaluate_many(graph, specs + heat, config, influence.values())
-                    if heat:
-                        heat_reports.append(reports.pop())
-                    grid.append(reports)
+        for t_past, t_future, dates in windows:
+            for j, n in enumerate(cfg.n_values):
+                # the heatmap's recent_pop is scored along with the first n
+                heat = [PredictorSpec("recent_pop")] if j == 0 else []
+                config = EvalConfig(t_past, t_future, dates, n)
+                reports = evaluate_many(graph, specs + heat, config, influence.values())
+                if heat:
+                    heat_reports.append(reports.pop())
+                grid.append(reports)
     except ValueError as exc:
         log.error("evaluation failed: %s", exc)
         return 1
@@ -327,7 +340,7 @@ def _write_scatter(graph, report: EvaluationReport, influence, path) -> None:
     the first grid predictor's top-n picks flagged."""
     config, spec = report.config, report.spec
     date = config.test_dates[len(config.test_dates) // 2]
-    # scored as in the sweep, which has already logged any zero-influence users
+    # scored as in the sweep; the set-up has counted any zero-influence users
     aligned = align(graph, [influence.get(spec.centrality)], [spec])
     window = Window(graph, date, config.t_past, aligned)
     picked = set(graph.rank_items(score_vector(spec, window), window.seen)[: config.n].tolist())

@@ -226,7 +226,7 @@ def load_ratings(path, spec: DatasetSpec | None = None) -> np.ndarray:
         raise ValueError(f"{path}: no rating{sampled} reaches the threshold {spec.threshold}")
     events = events[keep]
     log.info(
-        "%s: %d events kept, %d below threshold %.1f%s",
+        "%s: %d events kept, %d below threshold %s%s",
         path, len(events), dropped, spec.threshold,
         f", subset to {spec.subset_users} users" if spec.subset_users is not None else "",
     )

@@ -142,13 +142,6 @@ class Window:
             self._weights[centrality] = weight, weight != 0.0
         return self._weights[centrality]
 
-    def zero_influence_users(self, centrality) -> int:
-        """Distinct users collecting inside the window with influence 0."""
-        _, nonzero = self.influence_weights(centrality)
-        zero = np.zeros(self.graph.num_users, dtype=bool)
-        zero[self.events[0][~nonzero]] = True
-        return int(np.count_nonzero(zero))
-
 
 def score_vector(spec: PredictorSpec, window: Window) -> np.ndarray:
     """Float64 score of every item at ``window.test_date``, aligned with ``item_ids``.
@@ -176,6 +169,16 @@ def score_vector(spec: PredictorSpec, window: Window) -> np.ndarray:
             # reduction to the plain degree increase requires.
             contrib = weight**spec.eta
     return np.bincount(window.events[1], weights=contrib, minlength=window.graph.num_items)
+
+
+def warn_zero_influence(graph: TemporalBipartiteGraph, influence: InfluenceVector) -> None:
+    """Log one warning counting the users of ``graph`` whose influence is 0,
+    users absent from the social graph included: ibp leaves them out under a
+    negative eta. Nothing is logged when there are none."""
+    zero = int(np.count_nonzero(influence.lookup(graph.user_ids) == 0.0))
+    if zero:
+        log.warning("ibp(%s): %d of %d users are zero-influence and contribute 0 under eta < 0",
+                    influence.measure, zero, graph.num_users)
 
 
 def align(graph: TemporalBipartiteGraph, vectors, specs) -> dict[str, np.ndarray]:
@@ -211,7 +214,8 @@ def score(
     on ``social_graph``; :func:`align` rejects a vector of another measure.
     Users absent from the social graph carry influence 0:
     they contribute 0 for eta > 0, 1 for eta = 0 (the plain degree
-    increase), and by definition 0 for eta < 0, which is logged.
+    increase), and by definition 0 for eta < 0, where
+    :func:`warn_zero_influence` counts the users of ``graph`` that drops.
     """
     if spec.kind != "total_pop" and spec.t_past is None:
         raise ValueError(f"{spec.kind} needs t_past")
@@ -219,10 +223,7 @@ def score(
         influence = compute_influence(social_graph, spec.centrality)
     window = Window(graph, test_date, spec.t_past, align(graph, [influence], [spec]))
     if spec.kind == "ibp" and spec.eta < 0:
-        affected = window.zero_influence_users(spec.centrality)
-        if affected:
-            log.warning("ibp: %d zero-influence users in the window contribute 0 under eta=%g",
-                        affected, spec.eta)
+        warn_zero_influence(graph, influence)
     scores = score_vector(spec, window)
     order = graph.rank_items(scores, window.seen)
     entries = list(zip(graph.item_ids[order].tolist(), scores[order].tolist()))

@@ -13,13 +13,10 @@ window lengths are measured in ticks.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 _MAX_RESAMPLES = 10_000
 

@@ -3,7 +3,7 @@
 ``bench/tracer.py`` skips an entry point whose name no longer exists, so a
 changed signature next to these calls would leave the traced benchmark
 timing nothing instead of failing; these tests fail instead. They also run
-the tracer itself over the threaded set-up of ``run_sweep``.
+the tracer itself over the set-up and the sweep of ``run_sweep``.
 """
 
 import os
@@ -80,7 +80,7 @@ def test_positional_spec_scored_on_the_social_graph(config, kind, lam, gamma, et
     assert top == predictors.score(graph, spec, graph.t_last, influence=influence).top(10)
 
 
-def test_tracer_spans_add_up_over_the_threaded_set_up(config):
+def test_tracer_spans_add_up_over_the_set_up(config):
     cfg = experiment.parse_experiment_config(config)
     tracer = Tracer()
     tracer.install()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from trendcast import ingestion, social
+from trendcast import cli, ingestion, social
 from trendcast.cli import _parse_spec_string, main
 from trendcast.events import build
 from trendcast.ingestion import load_votes, write_ratings_csv, write_votes_csv
@@ -196,7 +196,9 @@ class TestRankVerb:
         ("pbp,lambda=x,t_past=400", "lambda must be a number, got 'x'"),
         ("wpp,gamma=nan,t_past=400", "gamma must be finite, got nan"),
         ("ibp,eta=-inf,t_past=400,centrality=in_degree", "eta must be finite, got -inf"),
-    ], ids=["lambda-not-number", "gamma-nan", "eta-inf"])
+        ("", "empty predictor spec"),
+        ("pbp,lambda", "expected key=value in predictor spec, got 'lambda'"),
+    ], ids=["lambda-not-number", "gamma-nan", "eta-inf", "empty", "key-without-value"])
     def test_bad_spec_value_is_one_error_line(self, dataset, capsys, caplog, spec, error):
         assert main(["rank", str(dataset), "--spec", spec]) == 1
         assert capsys.readouterr().out == ""
@@ -279,6 +281,57 @@ class TestRunAndValidateVerbs:
         assert errors == [f"{cfg}:9: {error}"]
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("drop, extra, problem", [
+        ("dataset", "", "no dataset configured"),
+        ("", "social = {tmp}/gone.txt\n", "social graph file not found: {tmp}/gone.txt"),
+        ("predictor", "", "no predictors configured"),
+        ("", "predictor = pbp\n", "pbp requested but no lambda values given"),
+        ("", "predictor = ibp\nsocial = {dataset}\n", "ibp requested but no centrality given"),
+        ("", "predictor = pbp\nlambda = 1.5\n", "lambda 1.5 outside [0, 1]"),
+        ("", "t_future = 0\n", "window lengths must be positive"),
+        ("", "n = 0\n", "n must be >= 1"),
+        ("", "test_dates = 0\n", "test_dates must be >= 1"),
+    ], ids=["no-dataset", "no-social-file", "no-predictors", "pbp-no-lambda",
+            "ibp-no-centrality", "lambda-range", "window", "n", "test_dates"])
+    def test_config_rule_is_one_problem_line(self, tmp_path, dataset, capsys, drop, extra,
+                                             problem):
+        cfg = self.write_cfg(tmp_path, dataset, tmp_path / "out")
+        kept = [line for line in cfg.read_text().splitlines(keepends=True)
+                if not line.startswith(f"{drop} =")]
+        cfg.write_text("".join(kept) + extra.format(tmp=tmp_path, dataset=dataset))
+        assert main(["validate", str(cfg)]) == 1
+        assert capsys.readouterr().out == problem.format(tmp=tmp_path) + "\n"
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("out", ["taken", "taken/results", ""],
+                             ids=["file", "under-a-file", "empty"])
+    def test_out_that_cannot_be_a_directory_is_one_problem(self, tmp_path, dataset, capsys,
+                                                           caplog, verb, out):
+        (tmp_path / "taken").write_text("kept\n")
+        out = str(tmp_path / out) if out else out
+        cfg = self.write_cfg(tmp_path, dataset, out)
+        before = sorted(tmp_path.rglob("*"))
+        assert main([verb, str(cfg)]) == 1
+        problem = (f"cannot make out directory {out}: {tmp_path / 'taken'} is not a directory"
+                   if out else "no out directory given")
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        if verb == "validate":
+            assert (capsys.readouterr().out, errors) == (problem + "\n", [])
+        else:
+            assert (capsys.readouterr().out, errors) == ("", [f"config: {problem}"])
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
+    def test_seed_flag_overrides_config(self, tmp_path, dataset, monkeypatch):
+        cfg = self.write_cfg(tmp_path, dataset, tmp_path / "out")
+        with open(cfg, "a") as fh:
+            fh.write("seed = 4\n")
+        seeds = []
+        monkeypatch.setattr(cli, "run_sweep", lambda config, **_: seeds.append(config.seed) or 0)
+        for argv in (["run", str(cfg)], ["run", str(cfg), "--seed", "9"]):
+            assert main(argv) == 0
+        assert seeds == [4, 9]
 
     def test_validate_reports_problems(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -435,11 +488,16 @@ class TestDatasetProblems:
         ("votes", [], "no data rows"),
         ("ratings", [], "no data rows"),
         ("ratings", [(1, 10, 2.5, 100), (2, 11, 1.0, 200)], "no rating reaches the threshold 3.0"),
-    ], ids=["votes-header-only", "ratings-header-only", "ratings-below-threshold"])
+        ("votes", None, "missing header row"),
+    ], ids=["votes-header-only", "ratings-header-only", "ratings-below-threshold",
+            "votes-empty-file"])
     def test_input_without_events_names_the_file(self, tmp_path, capsys, caplog, verb,
                                                  format, rows, problem):
         path = tmp_path / f"{format}.csv"
-        (write_votes_csv if format == "votes" else write_ratings_csv)(rows, path)
+        if rows is None:
+            path.write_bytes(b"")
+        else:
+            (write_votes_csv if format == "votes" else write_ratings_csv)(rows, path)
         if verb == "rank":
             argv = ["rank", str(path), "--format", format, "--spec", "total_pop"]
             assert main(argv) == 1

@@ -1,6 +1,4 @@
 import csv
-import logging
-import re
 
 import pytest
 
@@ -338,18 +336,7 @@ class TestSharedWindow:
           for measure in ("in_degree", "pagerank") for eta in (-1.0, -0.3, 0.0, 0.7)),
     ]
 
-    @staticmethod
-    def zero_influence_warnings(caplog):
-        return [r.getMessage() for r in caplog.records
-                if r.levelno == logging.WARNING and "zero-influence" in r.getMessage()]
-
-    @staticmethod
-    def counts(warnings):
-        """The set of (centrality, test dates, most users in one window)."""
-        return {re.search(r"ibp\((\w+),.* on (\d+ of \d+) test dates \(up to (\d+) users",
-                          message).groups() for message in warnings}
-
-    def test_many_specs_equal_one_at_a_time(self, rng, caplog):
+    def test_many_specs_equal_one_at_a_time(self, rng):
         g = build(random_events(rng, num_users=80, num_items=40, num_events=2000, t_max=5000))
         # users 60-79 are not in the social graph, and followerless users have
         # in-degree 0, so the two centralities zero out different users
@@ -359,21 +346,9 @@ class TestSharedWindow:
         dates = make_test_dates(g, 4, 700, 500)
         for t_past in (300, 700):
             cfg = EvalConfig(t_past, 500, dates, n=10)
-            caplog.clear()
-            with caplog.at_level(logging.WARNING):
-                many = evaluate_many(g, self.SPECS, cfg, influence.values())
-            many_warnings = self.zero_influence_warnings(caplog)
-            caplog.clear()
-            with caplog.at_level(logging.WARNING):
-                one = [evaluate(g, spec, cfg, influence.get(spec.centrality))
-                       for spec in self.SPECS]
+            many = evaluate_many(g, self.SPECS, cfg, influence.values())
+            one = [evaluate(g, spec, cfg, influence.get(spec.centrality)) for spec in self.SPECS]
             assert many == one
-            # one line per centrality, whose date count and user maximum
-            # every negative-eta spec of it reports when evaluated alone
-            assert len(many_warnings) == 2
-            assert self.counts(many_warnings) == self.counts(self.zero_influence_warnings(caplog))
-            # the two centralities zero out different users
-            assert many_warnings[0].replace("in_degree", "pagerank") != many_warnings[1]
 
 
 class TestCsvOutput:

@@ -14,7 +14,8 @@ from trendcast.experiment import (
     run_sweep,
     validate,
 )
-from trendcast.ingestion import write_votes_csv
+from trendcast.events import build
+from trendcast.ingestion import load_votes, write_votes_csv
 from trendcast.social import write_edge_list
 from trendcast.synthgen import GenConfig, generate, generate_social
 
@@ -80,6 +81,16 @@ class TestParsing:
     def test_module_docstring_lists_every_key(self):
         documented = re.findall(r"^    (\w+) = ", experiment.__doc__, re.M)
         assert documented == list(SWEEP_KEYS)
+
+    @pytest.mark.parametrize("word, pre", [("pre", True), ("post", False), ("early", None)])
+    def test_eligibility_words(self, tmp_path, word, pre):
+        path = write_config(tmp_path, f"seed = 1\neligibility = {word}\n")
+        if pre is None:
+            with pytest.raises(ValueError) as info:
+                parse_experiment_config(path)
+            assert str(info.value) == f"{path}:2: eligibility must be 'post' or 'pre', got 'early'"
+        else:
+            assert parse_experiment_config(path).eligibility_pre_threshold is pre
 
     def test_bad_value_reports_line(self, tmp_path):
         path = write_config(tmp_path, "t_past = soon\n")
@@ -218,18 +229,22 @@ class TestRunSweep:
         # users 150-199 are not in the social graph: influence 0 under every measure
         edges = tmp_path / "edges.txt"
         write_edge_list(generate_social(150, 900, attach_exponent=1.0, seed=3), edges)
-        cfg = parse_experiment_config(write_config(tmp_path, (
-            f"dataset = {dataset}\nsocial = {edges}\npredictor = ibp\npredictor = recent_pop\n"
-            "eta = -1\neta = -0.5\neta = 1\ncentrality = in_degree\n"
-            f"t_past = 600\nt_future = 600\nn = 50\ntest_dates = 3\nout = {tmp_path / 'out'}\n"
-        )))
-        with caplog.at_level(logging.WARNING, logger="trendcast"):
-            assert run_sweep(cfg) == 0
-        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        # the scatter rescoring of the first spec, ibp at eta=-1, logs nothing
-        assert [r.name for r in warnings] == ["trendcast.evaluation"]
-        assert warnings[0].getMessage().startswith(
-            "ibp(in_degree, 2 eta < 0) T_P=600 T_F=600 n=50: zero-influence users contribute 0")
+        body = (f"dataset = {dataset}\nsocial = {edges}\npredictor = ibp\npredictor = recent_pop\n"
+                "centrality = in_degree\nt_past = 300\nt_past = 600\nt_future = 600\nn = 50\n"
+                f"test_dates = 3\nout = {tmp_path / 'out'}\n")
+        line = (rf"ibp\(in_degree\): \d+ of {build(load_votes(dataset)).num_users} users are "
+                r"zero-influence and contribute 0 under eta < 0")
+        for etas, lines in (("eta = -1\neta = -0.5\neta = 1\n", 1), ("eta = 0\neta = 1\n", 0)):
+            cfg = parse_experiment_config(write_config(tmp_path, body + etas))
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="trendcast"):
+                assert run_sweep(cfg) == 0
+                assert validate(cfg) == []
+            warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+            # counted once in each set-up, not per window, eta or test date; the
+            # scatter rescoring of the first spec, ibp at eta=-1, logs nothing
+            assert [r.name for r in warnings] == ["trendcast.predictors"] * 2 * lines
+            assert all(re.fullmatch(line, r.getMessage()) for r in warnings)
 
     def test_social_graph_loads_once(self, tmp_path, dataset, monkeypatch):
         edges = tmp_path / "edges.txt"

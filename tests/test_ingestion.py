@@ -1,3 +1,4 @@
+import logging
 import warnings
 
 import numpy as np
@@ -60,6 +61,15 @@ class TestLoadRatings:
         events = load_ratings(path)
         assert events.dtype == np.int64
         assert events.tolist() == [[1, 10, 100]]
+
+    @pytest.mark.parametrize("threshold", [3.0, 3.25])
+    def test_kept_line_prints_the_threshold(self, tmp_path, caplog, threshold):
+        path = ratings_file(tmp_path, ["1,10,3.5,100", "2,10,3.0,200"])
+        with caplog.at_level(logging.INFO, logger="trendcast.ingestion"):
+            load_ratings(path, DatasetSpec(threshold=threshold))
+        dropped = int(threshold > 3.0)
+        assert caplog.messages == [
+            f"{path}: {2 - dropped} events kept, {dropped} below threshold {threshold}"]
 
     def test_drop_count(self, tmp_path):
         rows = [f"{u},1,{r},{10 * u}" for u, r in enumerate([1, 2, 2.5, 2, 3, 3.5, 4, 5, 4.5, 3])]

@@ -1,15 +1,12 @@
 import logging
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from conftest import Event, dedup_earliest, entry, random_events
 from trendcast.events import build
-from trendcast.predictors import PredictorSpec, Window, score
+from trendcast.predictors import PredictorSpec, score
 from trendcast.social import SocialGraph, influence_in_degree
 
 
@@ -157,21 +154,18 @@ class TestIbp:
         assert dict(r.entries)[5] == pytest.approx(0.5)
         assert any("zero-influence" in m for m in caplog.messages)
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        events=st.lists(st.builds(Event, st.integers(0, 20), st.integers(0, 6),
-                                  st.integers(0, 40)), min_size=1, max_size=60),
-        zero=st.sets(st.integers(0, 20)),
-        test_date=st.integers(0, 50),
-        t_past=st.integers(1, 50),
-    )
-    def test_zero_influence_users_counts_distinct_users(self, events, zero, test_date, t_past):
-        g = build(events)
-        influence = np.where(np.isin(g.user_ids, sorted(zero)), 0.0, 1.5)
-        window = Window(g, test_date, t_past, {"pagerank": influence})
-        _, nonzero = window.influence_weights("pagerank")
-        want = np.unique(window.events[0][~nonzero]).size
-        assert window.zero_influence_users("pagerank") == want
+    @pytest.mark.parametrize("users, eta, counted", [
+        ([1, 3, 5], -1.0, 2),  # user 3 has no followers, user 5 is not in the social graph
+        ([1, 3, 5], 0.0, None),
+        ([1, 2], -1.0, None),
+    ], ids=["two-zero", "eta-zero", "none-zero"])
+    def test_zero_influence_users_of_the_graph_counted(self, caplog, users, eta, counted):
+        g = build([Event(user, 7, 1) for user in users])
+        with caplog.at_level(logging.WARNING):
+            score(g, self.spec(eta, 5), 10, self.social())
+        assert caplog.messages == ([] if counted is None else [
+            f"ibp(in_degree): {counted} of {len(users)} users are zero-influence and "
+            "contribute 0 under eta < 0"])
 
     def test_precomputed_influence_reused(self):
         g = build([Event(1, 5, 8)])

@@ -121,14 +121,14 @@ def _cmd_gen(args) -> int:
                     raise ValueError(f"{where}: {key}{str(exc)[len(param):]}") from None
             raise
 
-    # everything is checked, and the edges drawn, before the output directory exists
+    # every value is checked before either draw; both draws precede the output directory
     config = make(synthgen.GenConfig, EVENT_KEYS) if "events" in values else None
     edges = make(synthgen.generate_social, SOCIAL_KEYS) if "social_edges" in values else None
+    events = make(lambda **_: synthgen.generate(config), EVENT_KEYS) if config else None
     out_dir = args.out or values.get("out", ".")
     os.makedirs(out_dir, exist_ok=True)
 
-    if config is not None:
-        events = synthgen.generate(config)
+    if events is not None:
         target = os.path.join(out_dir, values.get("votes_out", "events.csv"))
         ingestion.write_votes_csv(events, target)
         log.info("wrote %d events to %s", len(events), target)

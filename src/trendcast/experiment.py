@@ -278,8 +278,9 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
     write the CSV outputs.
 
     ``workers`` is accepted for compatibility and ignored: the sweep runs in
-    this process. Returns a process exit status: 0 on success, 1 when the
-    set-up found a problem or any evaluation failed.
+    this process. Returns 1 when the set-up found a problem, each logged as
+    one ``config:`` error line, else 0 once the outputs are written. Nothing
+    else is caught: an exception from the grid or the writes propagates.
     """
     problems, graph, influence, windows = _check(cfg)
     if problems:
@@ -290,19 +291,15 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
     specs = predictor_specs(cfg)
     grid = []  # one report per spec for each (t_past, t_future, n), in that nesting
     heat_reports = []
-    try:
-        for t_past, t_future, dates in windows:
-            for j, n in enumerate(cfg.n_values):
-                # the heatmap's recent_pop is scored along with the first n
-                heat = [PredictorSpec("recent_pop")] if j == 0 else []
-                config = EvalConfig(t_past, t_future, dates, n)
-                reports = evaluate_many(graph, specs + heat, config, influence.values())
-                if heat:
-                    heat_reports.append(reports.pop())
-                grid.append(reports)
-    except ValueError as exc:
-        log.error("evaluation failed: %s", exc)
-        return 1
+    for t_past, t_future, dates in windows:
+        for j, n in enumerate(cfg.n_values):
+            # the heatmap's recent_pop is scored along with the first n
+            heat = [PredictorSpec("recent_pop")] if j == 0 else []
+            config = EvalConfig(t_past, t_future, dates, n)
+            reports = evaluate_many(graph, specs + heat, config, influence.values())
+            if heat:
+                heat_reports.append(reports.pop())
+            grid.append(reports)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     sweep_reports = [reports[k] for k in range(len(specs)) for reports in grid]

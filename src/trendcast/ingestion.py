@@ -65,6 +65,8 @@ class DatasetSpec:
             )
         if self.format == "votes" and self.subset_users is not None:
             raise ValueError("subset_users applies to ratings datasets only")
+        if self.format == "votes" and self.eligibility_pre_threshold:
+            raise ValueError("eligibility applies to ratings datasets only")
         if self.subset_users is not None and self.subset_users < 1:
             raise ValueError(f"subset_users must be >= 1, got {self.subset_users}")
         if self.min_user_degree < 0:

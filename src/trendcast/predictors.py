@@ -85,8 +85,6 @@ class ScoredRanking:
     """Items with scores, sorted by decreasing score then ascending id."""
 
     entries: list[tuple[int, float]]
-    test_date: int
-    spec: PredictorSpec
 
     def top(self, n: int) -> list[int]:
         return [item for item, _ in self.entries[:n]]
@@ -226,7 +224,4 @@ def score(
         warn_zero_influence(graph, influence)
     scores = score_vector(spec, window)
     order = graph.rank_items(scores, window.seen)
-    entries = list(zip(graph.item_ids[order].tolist(), scores[order].tolist()))
-    if math.isfinite(test_date):
-        test_date = int(test_date)
-    return ScoredRanking(entries, test_date, spec)
+    return ScoredRanking(list(zip(graph.item_ids[order].tolist(), scores[order].tolist())))

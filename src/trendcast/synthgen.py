@@ -75,8 +75,8 @@ def generate(config: GenConfig) -> np.ndarray:
     user (uniform, or activity-weighted), pick an item with probability
     proportional to ``(degree + pa_offset) * exp(-age / theta)`` among the
     items already born, resample the pair on a duplicate collision. Raises
-    ``RuntimeError`` if a tick cannot place an event after many resamples
-    (the alive catalogue is saturated).
+    ``ValueError("num_events: tick ...")`` if a tick cannot place an event
+    after many resamples (the alive catalogue is saturated).
     """
     rng = np.random.default_rng(config.rng_seed)
     birth = _birth_times(config)
@@ -112,9 +112,9 @@ def generate(config: GenConfig) -> np.ndarray:
             if key not in seen:
                 break
         else:
-            raise RuntimeError(
-                f"tick {t}: could not place an event after {_MAX_RESAMPLES} resamples; "
-                "the alive item catalogue is saturated"
+            raise ValueError(
+                f"num_events: tick {t}: could not place an event after {_MAX_RESAMPLES} "
+                "resamples; the alive item catalogue is saturated"
             )
         seen.add(key)
         item_deg[item] += 1.0
@@ -130,7 +130,8 @@ def generate_social(num_users: int, num_edges: int, attach_exponent: float = 0.0
     order. The follower is uniform; the leader is drawn with probability
     proportional to ``(followers + 1) ** attach_exponent`` (0 gives a
     uniform random directed graph). No self-loops or duplicate edges;
-    deterministic for a fixed seed.
+    deterministic for a fixed seed. Each ``ValueError`` starts with its
+    parameter: ``num_edges: edge ...`` when the leader draw saturates.
     """
     if not num_users > 0:
         raise ValueError(f"num_users must be positive, got {num_users}")
@@ -160,7 +161,8 @@ def generate_social(num_users: int, num_edges: int, attach_exponent: float = 0.0
             if src != dst and key not in seen:
                 break
         else:
-            raise RuntimeError("edge sampling saturated; lower num_edges")
+            raise ValueError(f"num_edges: edge {k + 1} could not be placed after "
+                             f"{_MAX_RESAMPLES} resamples; the leader draw is saturated")
         seen.add(key)
         in_deg[dst] += 1.0
         edges[k] = src, dst

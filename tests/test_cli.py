@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from trendcast import cli, ingestion, social
+from trendcast import cli, experiment, ingestion, social
 from trendcast.cli import _parse_spec_string, main
 from trendcast.events import build
 from trendcast.ingestion import load_votes, write_ratings_csv, write_votes_csv
@@ -140,9 +140,14 @@ class TestGenVerb:
          "gen.cfg:1: social_users must be positive, got 0"),
         ("social_users = 5\nsocial_edges = 2\nseed = -4\n",
          "gen.cfg:3: seed must be non-negative, got -4"),
+        # the draw saturates: checked values that no stream can realise
+        ("users = 1\nitems = 100\nevents = 50\narrival_rate = 0.01\n",
+         "gen.cfg:3: events: tick 2: could not place an event after 10000 resamples"),
+        ("social_users = 3\nsocial_edges = 6\nsocial_exponent = 60\n",
+         "gen.cfg:2: social_edges: edge 3 could not be placed after 10000 resamples"),
     ], ids=["events-not-int", "zero-users", "events-over-grid", "theta-not-number",
             "zero-rate", "negative-seed", "edges-over-capacity", "zero-social-users",
-            "negative-social-seed"])
+            "negative-social-seed", "events-saturated", "social-edges-saturated"])
     def test_bad_number_names_file_line_and_key(self, tmp_path, caplog, text, error):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text(text)
@@ -358,6 +363,19 @@ class TestRunAndValidateVerbs:
         assert (override / "sweep.csv").exists()
         assert not (tmp_path / "ignored").exists()
 
+    def test_evaluation_error_is_one_error_line(self, tmp_path, dataset, capsys, caplog,
+                                                monkeypatch):
+        def fail(*args):
+            raise ValueError("no scores")
+
+        monkeypatch.setattr(experiment, "evaluate_many", fail)
+        cfg = self.write_cfg(tmp_path, dataset, tmp_path / "out")
+        assert main(["run", str(cfg)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == ["no scores"]
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_workers_flag_is_gone(self, tmp_path, dataset, capsys):
         cfg = self.write_cfg(tmp_path, dataset, tmp_path / "out")
         with pytest.raises(SystemExit) as exit_info:
@@ -463,8 +481,9 @@ class TestDatasetProblems:
         ("ratings", "threshold = 7\n", "threshold must lie in [0.5, 5.0], got 7.0"),
         ("votes", "subset_users = 5\n", "subset_users applies to ratings datasets only"),
         ("ratings", "subset_users = 0\n", "subset_users must be >= 1, got 0"),
+        ("votes", "eligibility = pre\n", "eligibility applies to ratings datasets only"),
     ], ids=["seed-subsetting", "seed", "min_user_degree", "threshold", "subset_users-votes",
-            "subset_users-zero"])
+            "subset_users-zero", "eligibility-votes"])
     def test_dataset_rule_is_a_config_problem(self, tmp_path, dataset, capsys, caplog, verb,
                                               format, extra, problem):
         if format == "ratings":

@@ -227,7 +227,6 @@ class TestDispatchAndDeterminism:
             PredictorSpec("wpp", gamma=0.5, t_past=5),
         ):
             r = score(small_graph, spec, 10)
-            assert r.spec.kind == spec.kind
             assert len(r.entries) > 0
 
     def test_windowed_kinds_need_t_past(self, small_graph):

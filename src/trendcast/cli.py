@@ -148,9 +148,17 @@ def _cmd_rank(args) -> int:
                          "pass its edge list with --social")
     dataset_spec = ingestion.DatasetSpec(format=args.format, threshold=args.threshold)
     graph = build(ingestion.load_dataset(args.dataset, dataset_spec))
-    social_graph = social.load_social_graph(args.social) if spec.kind == "ibp" else None
     test_date = args.t_star if args.t_star is not None else graph.t_last
-    ranking = predictors.score(graph, spec, test_date, social_graph)
+    if test_date < graph.t_first:
+        raise ValueError(f"--t-star {test_date} is before the first event at {graph.t_first}: "
+                         "no item is seen yet")
+    influence = None
+    if spec.kind == "ibp":
+        influence = social.compute_influence(social.load_social_graph(args.social),
+                                             spec.centrality)
+        if spec.eta < 0:
+            predictors.warn_zero_influence(graph, influence)
+    ranking = predictors.score(graph, spec, test_date, influence=influence)
     for item, value in ranking.entries[: args.n]:
         sys.stdout.write(f"{item}\t{value}\n")
     return 0

@@ -44,7 +44,7 @@ from . import ingestion, predictors, social
 from .events import build
 from .evaluation import (EvalConfig, EvaluationReport, evaluate_many, make_test_dates,
                          write_reports_csv)
-from .predictors import PredictorSpec, Window, align, score_vector
+from .predictors import PredictorSpec, score
 
 log = logging.getLogger(__name__)
 
@@ -337,13 +337,10 @@ def _write_scatter(graph, report: EvaluationReport, influence, path) -> None:
     the first grid predictor's top-n picks flagged."""
     config, spec = report.config, report.spec
     date = config.test_dates[len(config.test_dates) // 2]
-    # scored as in the sweep; the set-up has counted any zero-influence users
-    aligned = align(graph, [influence.get(spec.centrality)], [spec])
-    window = Window(graph, date, config.t_past, aligned)
-    picked = set(graph.rank_items(score_vector(spec, window), window.seen)[: config.n].tolist())
+    picked = set(score(graph, spec, date, influence=influence.get(spec.centrality)).top(config.n))
     past = graph.item_increase_vector(date, config.t_past)
     future = graph.item_increase_vector(date + config.t_future, config.t_future)
-    rows = ([int(item), int(past[pos]), int(future[pos]), int(pos in picked)]
-            for pos, item in enumerate(graph.item_ids)
-            if past[pos] or future[pos] or pos in picked)
+    rows = ([item, int(past[pos]), int(future[pos]), int(item in picked)]
+            for pos, item in enumerate(graph.item_ids.tolist())
+            if past[pos] or future[pos] or item in picked)
     ingestion.write_csv(path, ["item", "past_increase", "future_increase", "predicted_top_n"], rows)

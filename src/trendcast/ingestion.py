@@ -193,16 +193,14 @@ def _read_csv(path, header) -> np.ndarray:
 
 
 def _sample_users(users: np.ndarray, count: int, min_degree: int, seed: int,
-                  path=None) -> np.ndarray:
+                  path) -> np.ndarray:
     """``count`` distinct ids drawn from those listed >= ``min_degree`` times in ``users``,
-    read from ``path`` if given; the error when too few qualify names it."""
-    if count <= 0:
-        raise ValueError(f"cannot subset to {count} users")
+    read from ``path``; the error when too few qualify names it. Selection is
+    independent of the order of ``users`` and reproducible for a fixed seed."""
     ids, counts = np.unique(users, return_counts=True)
     eligible = ids[counts >= min_degree]
     if len(eligible) < count:
-        where = f"{path}: " if path is not None else ""
-        raise ValueError(f"{where}subset_users = {count}, but only {len(eligible)} users "
+        raise ValueError(f"{path}: subset_users = {count}, but only {len(eligible)} users "
                          f"have min_user_degree = {min_degree} ratings")
     # PCG64 via default_rng: stable across platforms for a fixed seed.
     return np.random.default_rng(seed).choice(eligible, size=count, replace=False)
@@ -247,16 +245,6 @@ def load_dataset(path, spec: DatasetSpec) -> np.ndarray:
     if not len(events):
         raise ValueError(f"{path}: no data rows")
     return events
-
-
-def subset_users(events: np.ndarray, num_users: int, min_degree: int = 20, seed: int = 0):
-    """Keep all rows of ``num_users`` randomly chosen users with >= ``min_degree`` rows.
-
-    ``events`` is an ``(N, 3)`` array as the loaders return it. Selection is
-    independent of the row order and reproducible for a fixed seed.
-    """
-    chosen = _sample_users(events[:, 0], num_users, min_degree, seed)
-    return events[np.isin(events[:, 0], chosen)]
 
 
 def write_csv(path, header, rows) -> None:

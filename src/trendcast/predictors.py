@@ -32,8 +32,10 @@ from .social import MEASURES, InfluenceVector, SocialGraph, compute_influence
 
 log = logging.getLogger(__name__)
 
-KINDS = ("total_pop", "recent_pop", "pbp", "wpp", "ibp")
-_WINDOWED = ("recent_pop", "pbp", "wpp", "ibp")
+# the parameters each kind reads; a spec may set no other
+_READS = {"total_pop": (), "recent_pop": ("t_past",), "pbp": ("lam", "t_past"),
+          "wpp": ("gamma", "t_past"), "ibp": ("eta", "centrality", "t_past")}
+KINDS = tuple(_READS)
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,8 @@ class PredictorSpec:
     ``lam`` applies to ``pbp`` (must lie in [0, 1]), ``gamma`` to ``wpp``,
     ``eta`` and ``centrality`` to ``ibp``; ``gamma`` and ``eta`` must be finite.
     ``t_past`` is the past-window length in seconds and is required by every
-    kind except ``total_pop``.
+    kind except ``total_pop``. A parameter that its kind does not read is a
+    ``ValueError``.
     """
 
     kind: str
@@ -56,6 +59,10 @@ class PredictorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown predictor kind {self.kind!r} (choose from {KINDS})")
+        for name in ("lam", "gamma", "eta", "centrality", "t_past"):
+            if getattr(self, name) is not None and name not in _READS[self.kind]:
+                readers = ", ".join(kind for kind, reads in _READS.items() if name in reads)
+                raise ValueError(f"{name} is only meaningful for {readers}")
         for name in ("gamma", "eta"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -71,9 +78,7 @@ class PredictorSpec:
             if self.centrality not in MEASURES:
                 raise ValueError(
                     f"ibp needs a centrality from {tuple(MEASURES)}, got {self.centrality}")
-        elif self.centrality is not None:
-            raise ValueError("centrality is only meaningful for ibp")
-        if self.kind in _WINDOWED and self.t_past is not None and self.t_past <= 0:
+        if self.t_past is not None and self.t_past <= 0:
             raise ValueError(f"t_past must be positive, got {self.t_past}")
 
     def with_t_past(self, t_past: int) -> "PredictorSpec":
@@ -212,16 +217,15 @@ def score(
     on ``social_graph``; :func:`align` rejects a vector of another measure.
     Users absent from the social graph carry influence 0:
     they contribute 0 for eta > 0, 1 for eta = 0 (the plain degree
-    increase), and by definition 0 for eta < 0, where
-    :func:`warn_zero_influence` counts the users of ``graph`` that drops.
+    increase), and by definition 0 for eta < 0. Nothing is logged; a caller
+    that reports the users dropped under eta < 0 calls
+    :func:`warn_zero_influence`.
     """
     if spec.kind != "total_pop" and spec.t_past is None:
         raise ValueError(f"{spec.kind} needs t_past")
     if spec.kind == "ibp" and influence is None and social_graph is not None:
         influence = compute_influence(social_graph, spec.centrality)
     window = Window(graph, test_date, spec.t_past, align(graph, [influence], [spec]))
-    if spec.kind == "ibp" and spec.eta < 0:
-        warn_zero_influence(graph, influence)
     scores = score_vector(spec, window)
     order = graph.rank_items(scores, window.seen)
     return ScoredRanking(list(zip(graph.item_ids[order].tolist(), scores[order].tolist())))

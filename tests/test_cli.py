@@ -2,6 +2,7 @@ import functools
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -203,11 +204,38 @@ class TestRankVerb:
         ("ibp,eta=-inf,t_past=400,centrality=in_degree", "eta must be finite, got -inf"),
         ("", "empty predictor spec"),
         ("pbp,lambda", "expected key=value in predictor spec, got 'lambda'"),
-    ], ids=["lambda-not-number", "gamma-nan", "eta-inf", "empty", "key-without-value"])
+        ("total_pop,t_past=-4", "t_past is only meaningful for recent_pop, pbp, wpp, ibp"),
+        ("pbp,lambda=0.5,gamma=3,t_past=100", "gamma is only meaningful for wpp"),
+    ], ids=["lambda-not-number", "gamma-nan", "eta-inf", "empty", "key-without-value",
+            "total_pop-t_past", "pbp-gamma"])
     def test_bad_spec_value_is_one_error_line(self, dataset, capsys, caplog, spec, error):
         assert main(["rank", str(dataset), "--spec", spec]) == 1
         assert capsys.readouterr().out == ""
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [error]
+
+    def test_t_star_before_first_event_is_one_error_line(self, dataset, capsys, caplog):
+        argv = ["rank", str(dataset), "--spec", "recent_pop,t_past=3000", "--t-star", "-5"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
+        t_first = build(load_votes(dataset)).t_first
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [
+            f"--t-star -5 is before the first event at {t_first}: no item is seen yet"]
+
+    @pytest.mark.parametrize("eta, lines", [("-1", 1), ("0", 0)], ids=["eta-negative", "eta-zero"])
+    def test_zero_influence_counted_once(self, dataset, tmp_path, capsys, caplog, eta, lines):
+        # users 50-99 of the dataset are not in the social graph: influence 0
+        edges = tmp_path / "edges.txt"
+        write_edge_list([(u, (u + 1) % 50) for u in range(50)], edges)
+        argv = ["rank", str(dataset), "--social", str(edges), "--n", "5",
+                "--spec", f"ibp,eta={eta},centrality=in_degree,t_past=400"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        num_users = build(load_votes(dataset)).num_users
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == lines
+        for line in warnings:
+            assert re.fullmatch(rf"ibp\(in_degree\): \d+ of {num_users} users are zero-influence "
+                                r"and contribute 0 under eta < 0", line), line
 
     @pytest.mark.parametrize("n", ["0", "-27"])
     def test_nonpositive_n_fails_cleanly(self, dataset, capsys, caplog, n):

@@ -1,10 +1,14 @@
 import hashlib
 import logging
 import re
+from collections import Counter
 
 import pytest
 
+import oracles
+from conftest import dedup_earliest, random_events
 from trendcast import experiment, social
+from trendcast.evaluation import make_test_dates
 from trendcast.experiment import (
     SWEEP_KEYS,
     ExperimentConfig,
@@ -245,6 +249,31 @@ class TestRunSweep:
             # scatter rescoring of the first spec, ibp at eta=-1, logs nothing
             assert [r.name for r in warnings] == ["trendcast.predictors"] * 2 * lines
             assert all(re.fullmatch(line, r.getMessage()) for r in warnings)
+
+    def test_scatter_flags_the_first_specs_top_n(self, tmp_path, rng):
+        # The first spec is ibp at eta = -1. User v < 20 has 19 - v followers;
+        # user 19 has none and users 20-39 are not in the social graph, so
+        # their events drop out. The flags are the oracle's top n at the
+        # middle test date.
+        events = dedup_earliest(random_events(rng))
+        data, edges, out = tmp_path / "events.csv", tmp_path / "edges.txt", tmp_path / "out"
+        write_votes_csv(events, data)
+        follows = [(u, v) for u in range(20) for v in range(u)]
+        write_edge_list(follows, edges)
+        n, t_past = 5, 200
+        cfg = parse_experiment_config(write_config(tmp_path, (
+            f"dataset = {data}\nsocial = {edges}\npredictor = ibp\npredictor = recent_pop\n"
+            f"eta = -1\ncentrality = in_degree\nt_past = {t_past}\nt_future = 200\nn = {n}\n"
+            f"test_dates = 3\nout = {out}\n"
+        )))
+        assert run_sweep(cfg) == 0
+        date = make_test_dates(build(load_votes(data)), 3, t_past, 200)[1]
+        influence = Counter(leader for _, leader in follows)
+        scores = oracles.ibp_scores(events, date, t_past, -1.0, influence)
+        ranked = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
+        assert ranked[n - 1][1] > ranked[n][1] + 1e-9  # the top n is not cut inside a tie
+        rows = [line.split(",") for line in (out / "scatter.csv").read_text().splitlines()[1:]]
+        assert {int(row[0]) for row in rows if row[3] == "1"} == {item for item, _ in ranked[:n]}
 
     def test_social_graph_loads_once(self, tmp_path, dataset, monkeypatch):
         edges = tmp_path / "edges.txt"

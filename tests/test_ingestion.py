@@ -12,7 +12,6 @@ from trendcast.ingestion import (
     load_dataset,
     load_ratings,
     load_votes,
-    subset_users,
     write_ratings_csv,
     write_votes_csv,
 )
@@ -219,48 +218,48 @@ def test_loaders_return_contiguous_int64_rows(tmp_path, monkeypatch, rows):
 
 
 class TestSubsetUsers:
-    def events(self, num_users=30, per_user=25):
-        return np.array([
-            (u, 1000 + k, u * 1000 + k)
-            for u in range(num_users)
-            for k in range(per_user)
-        ], dtype=np.int64)
+    """User sampling, whose one path is ``load_ratings`` with ``subset_users`` set."""
 
-    def test_all_eligible_users_when_count_matches(self):
-        events = self.events(num_users=5)
-        kept = subset_users(events, 5, min_degree=20, seed=1)
+    def rows(self, users=range(30), per_user=25):
+        return [f"{u},{1000 + k},4.0,{u * 1000 + k}" for u in users for k in range(per_user)]
+
+    def load(self, path, count, min_degree=20, seed=0):
+        spec = DatasetSpec(subset_users=count, min_user_degree=min_degree, rng_seed=seed)
+        return load_ratings(path, spec)
+
+    def test_all_eligible_users_when_count_matches(self, tmp_path):
+        rows = self.rows(users=range(5))
+        kept = self.load(ratings_file(tmp_path, rows), 5, seed=1)
         assert sorted(set(kept[:, 0].tolist())) == list(range(5))
-        assert len(kept) == len(events)
+        assert len(kept) == len(rows)
 
     def test_zero_users_rejected(self):
-        with pytest.raises(ValueError):
-            subset_users(self.events(), 0)
+        with pytest.raises(ValueError, match="subset_users must be >= 1, got 0"):
+            DatasetSpec(subset_users=0)
 
-    def test_too_few_eligible_reports_count(self):
-        events = self.events(num_users=3)
+    def test_too_few_eligible_reports_count(self, tmp_path):
+        path = ratings_file(tmp_path, self.rows(users=range(3)))
         with pytest.raises(ValueError, match="only 3"):
-            subset_users(events, 10)
+            self.load(path, 10)
 
-    def test_min_degree_filters(self):
-        events = np.vstack([self.events(num_users=4, per_user=25), [(99, 1, 1)]])
-        kept = subset_users(events, 4, min_degree=20, seed=0)
+    def test_min_degree_filters(self, tmp_path):
+        path = ratings_file(tmp_path, self.rows(users=range(4)) + ["99,1,4.0,1"])
+        kept = self.load(path, 4, seed=0)
         assert 99 not in set(kept[:, 0].tolist())
 
-    def test_deterministic_for_seed(self):
-        events = self.events()
-        a = subset_users(events, 10, seed=42)
-        b = subset_users(events, 10, seed=42)
-        assert a.tolist() == b.tolist()
-        c = subset_users(events, 10, seed=43)
+    def test_deterministic_for_seed(self, tmp_path):
+        path = ratings_file(tmp_path, self.rows())
+        a = self.load(path, 10, seed=42)
+        assert a.tolist() == self.load(path, 10, seed=42).tolist()
+        c = self.load(path, 10, seed=43)
         assert set(a[:, 0].tolist()) != set(c[:, 0].tolist())
 
-    def test_selection_independent_of_event_order(self, rng):
-        events = self.events()
-        shuffled = events.copy()
-        rng.shuffle(shuffled)
-        a = set(subset_users(events, 10, seed=7)[:, 0].tolist())
-        b = set(subset_users(shuffled, 10, seed=7)[:, 0].tolist())
-        assert a == b
+    def test_selection_independent_of_event_order(self, tmp_path, rng):
+        rows = self.rows()
+        shuffled = [rows[k] for k in rng.permutation(len(rows))]
+        a = set(self.load(ratings_file(tmp_path, rows), 10, seed=7)[:, 0].tolist())
+        b = self.load(ratings_file(tmp_path, shuffled, name="shuffled.csv"), 10, seed=7)
+        assert a == set(b[:, 0].tolist())
 
 
 class TestLoadWithSubsetting:

@@ -20,9 +20,8 @@ import os
 import sys
 
 from . import ingestion, predictors, social, synthgen
-from .events import build
-from .experiment import (SWEEP_KEYS, parse_experiment_config, parse_kv_file, parse_value,
-                         run_sweep, validate)
+from .experiment import (SWEEP_KEYS, load_inputs, parse_experiment_config, parse_kv_file,
+                         parse_value, run_sweep, validate)
 
 log = logging.getLogger("trendcast.cli")  # not __name__, which is "__main__" under python -m
 
@@ -147,18 +146,16 @@ def _cmd_rank(args) -> int:
         raise ValueError(f"--spec ibp weighs users by {spec.centrality} on a social graph: "
                          "pass its edge list with --social")
     dataset_spec = ingestion.DatasetSpec(format=args.format, threshold=args.threshold)
-    graph = build(ingestion.load_dataset(args.dataset, dataset_spec))
+    measures = [spec.centrality] if spec.kind == "ibp" else []
+    graph, influence, failures = load_inputs(args.dataset, dataset_spec, args.social, measures,
+                                             spec.kind == "ibp" and spec.eta < 0)
+    if failures:
+        raise failures[0][1]
     test_date = args.t_star if args.t_star is not None else graph.t_last
     if test_date < graph.t_first:
         raise ValueError(f"--t-star {test_date} is before the first event at {graph.t_first}: "
                          "no item is seen yet")
-    influence = None
-    if spec.kind == "ibp":
-        influence = social.compute_influence(social.load_social_graph(args.social),
-                                             spec.centrality)
-        if spec.eta < 0:
-            predictors.warn_zero_influence(graph, influence)
-    ranking = predictors.score(graph, spec, test_date, influence=influence)
+    ranking = predictors.score(graph, spec, test_date, influence=influence.get(spec.centrality))
     for item, value in ranking.entries[: args.n]:
         sys.stdout.write(f"{item}\t{value}\n")
     return 0

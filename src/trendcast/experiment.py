@@ -155,24 +155,56 @@ def predictor_specs(cfg: ExperimentConfig) -> list[PredictorSpec]:
 
 def validate(cfg: ExperimentConfig) -> list[str]:
     """Collect every problem with the config; empty list means runnable.
-
-    This is all of :func:`run_sweep`'s set-up: it loads the dataset and the
-    social graph and computes the centralities, logging as a run does.
-    """
+    This is all of :func:`run_sweep`'s set-up, logged as a run logs it."""
     return _check(cfg)[0]
 
 
+def load_inputs(dataset, dataset_spec, social_path, measures, negative_eta):
+    """The set-up every verb shares, logged as a run logs it: load and build
+    the dataset; for a non-empty ``measures``, load the social graph and, if
+    both loads passed, compute each measure, logging its zero-influence count
+    under ``negative_eta``. Returns ``(graph, {measure: InfluenceVector},
+    failures)``, with ``(prefix, exception)`` per failed load or centrality,
+    the dataset's first; the graph is None if the dataset failed."""
+    graph, social_graph, influence, failures = None, None, {}, []
+    try:
+        graph = build(ingestion.load_dataset(dataset, dataset_spec))
+    except (ValueError, OSError) as exc:
+        failures.append(("cannot load dataset: ", exc))
+    if measures:  # only ibp reads the social graph
+        try:
+            social_graph = social.load_social_graph(social_path)
+        except (ValueError, OSError) as exc:
+            failures.append(("cannot load social graph: ", exc))
+    if failures:
+        return graph, influence, failures
+    log.info("loaded %r", graph)
+    for measure in measures:
+        try:
+            infl = influence[measure] = social.compute_influence(social_graph, measure)
+        except ValueError as exc:
+            failures.append(("", exc))
+        else:
+            log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
+                     measure, infl.iterations_used, infl.residual, infl.converged)
+            if negative_eta:
+                predictors.warn_zero_influence(graph, infl)
+    return graph, influence, failures
+
+
 def _check(cfg: ExperimentConfig):
-    """The whole set-up of :func:`run_sweep`: returns the problems
-    :func:`validate` reports, the dataset graph, the ``{measure:
-    InfluenceVector}`` map of the configured centralities (empty unless ibp
-    is configured) and the ``(t_past, t_future, test dates)`` of every
-    window, t_past outermost. The graph is None, the map and the windows
-    empty unless the config, the dataset, its test dates and the social
-    graph passed. A negative eta logs each centrality's zero-influence count."""
+    """The whole set-up of :func:`run_sweep`: the config rules, then
+    :func:`load_inputs` and the test dates. Returns the problems and, to read
+    only when there are none, the graph, the ``{measure: InfluenceVector}``
+    map and each window's ``(t_past, t_future, test dates)``, t_past outermost."""
     problems = []
     for key in cfg.unknown_keys:
         problems.append(f"unknown config key {key!r}")
+    for key, (name, _) in SWEEP_KEYS.items():
+        values = getattr(cfg, name)  # a repeatable key's values, compared as parsed
+        if isinstance(values, list):
+            problems += [f"{key} {v} is listed more than once"
+                         for v in dict.fromkeys(values) if values.count(v) > 1]
     if not cfg.dataset:
         problems.append("no dataset configured")
     elif not os.path.exists(cfg.dataset):
@@ -230,16 +262,16 @@ def _check(cfg: ExperimentConfig):
     if problems:
         return problems, None, {}, []
 
-    try:
-        graph = build(ingestion.load_dataset(cfg.dataset, spec))
-    except (ValueError, OSError) as exc:
-        problems.append(f"cannot load dataset: {exc}")
-    else:
+    measures = cfg.centralities if "ibp" in cfg.predictors else []
+    graph, influence, failures = load_inputs(cfg.dataset, spec, cfg.social, measures,
+                                             min(cfg.etas or DEFAULT_ETA_GRID) < 0)
+    problems = [prefix + str(exc) for prefix, exc in failures]
+    windows = []
+    if graph is not None:
         for n in sorted({n for n in cfg.n_values if n > graph.num_items}):
             log.warning("n = %d exceeds the %d items of %s: the true top-n holds every "
                         "item, so P_n stays below 1", n, graph.num_items, cfg.dataset)
         # the dates keep a t_future margin, so every future window is covered
-        windows = []
         for t_past in cfg.t_past_values:
             for t_future in cfg.t_future_values:
                 try:
@@ -248,28 +280,6 @@ def _check(cfg: ExperimentConfig):
                     problems.append(str(exc))
                 else:
                     windows.append((t_past, t_future, dates))
-    social_graph = None
-    if "ibp" in cfg.predictors:  # only ibp reads the social graph
-        try:
-            social_graph = social.load_social_graph(cfg.social)
-        except (ValueError, OSError) as exc:
-            problems.append(f"cannot load social graph: {exc}")
-    if problems:
-        return problems, None, {}, []
-
-    log.info("loaded %r", graph)
-    influence = {}
-    if social_graph is not None:
-        for measure in cfg.centralities:
-            try:
-                infl = influence[measure] = social.compute_influence(social_graph, measure)
-            except ValueError as exc:
-                problems.append(str(exc))
-            else:
-                log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
-                         measure, infl.iterations_used, infl.residual, infl.converged)
-                if min(cfg.etas or DEFAULT_ETA_GRID) < 0:
-                    predictors.warn_zero_influence(graph, infl)
     return problems, graph, influence, windows
 
 

@@ -325,8 +325,18 @@ class TestRunAndValidateVerbs:
         ("", "t_future = 0\n", "window lengths must be positive"),
         ("", "n = 0\n", "n must be >= 1"),
         ("", "test_dates = 0\n", "test_dates must be >= 1"),
+        ("", "predictor = recent_pop\n", "predictor recent_pop is listed more than once"),
+        ("", "predictor = ibp\nsocial = {dataset}\ncentrality = pagerank\neta = -1\neta = -1.0\n",
+         "eta -1.0 is listed more than once"),
+        ("", "predictor = ibp\nsocial = {dataset}\ncentrality = in_degree\n"
+         "centrality = in_degree\n", "centrality in_degree is listed more than once"),
+        ("", "predictor = pbp\nlambda = 1\nlambda = 1.0\n", "lambda 1.0 is listed more than once"),
+        ("", "t_future = 200\n", "t_future 200 is listed more than once"),
+        ("", "n = 20\n", "n 20 is listed more than once"),
     ], ids=["no-dataset", "no-social-file", "no-predictors", "pbp-no-lambda",
-            "ibp-no-centrality", "lambda-range", "window", "n", "test_dates"])
+            "ibp-no-centrality", "lambda-range", "window", "n", "test_dates",
+            "repeated-predictor", "repeated-eta", "repeated-centrality", "repeated-lambda",
+            "repeated-t_future", "repeated-n"])
     def test_config_rule_is_one_problem_line(self, tmp_path, dataset, capsys, drop, extra,
                                              problem):
         cfg = self.write_cfg(tmp_path, dataset, tmp_path / "out")
@@ -557,10 +567,10 @@ class TestDatasetProblems:
             self.check(tmp_path, capsys, caplog, verb, cfg, problem)
 
 
-class TestConcurrentSetUp:
-    """The set-up is serial: the dataset loads first, then the social graph
-    when an ibp predictor reads it, so stderr, errors and exit statuses
-    come in that order."""
+class TestSetUp:
+    """validate, run and rank share one serial set-up: the dataset loads
+    first, then the social graph when an ibp predictor reads it, so stderr,
+    errors and exit statuses come in that order."""
 
     @pytest.fixture
     def inputs(self, tmp_path, dataset):
@@ -600,7 +610,8 @@ class TestConcurrentSetUp:
             "rank": [
                 "INFO trendcast.ingestion",  # events kept
                 "INFO trendcast.social",  # dropped 1 self-loops
-                "WARNING trendcast.social",  # leaderrank
+                "INFO trendcast.experiment",  # loaded
+                "WARNING trendcast.social", "INFO trendcast.experiment",  # leaderrank
             ],
         }
         dropped = f"{edges}: dropped 1 self-loops, collapsed 0 duplicate edges"
@@ -611,6 +622,23 @@ class TestConcurrentSetUp:
             lines = [f"{r.levelname} {r.name}" for r in caplog.records]
             assert lines == expected[verb], verb
             assert caplog.records[1].getMessage() == dropped
+
+    def test_rank_logs_the_set_up_of_run(self, inputs, caplog):
+        ratings, edges, cfg = inputs
+        edges.write_text("1 2\n2 3\n")  # most dataset users are absent: zero influence
+        cfg.write_text(cfg.read_text().replace("eta = 1\n", "eta = -1\n")
+                       .replace("centrality = leaderrank\n", ""))
+        argv = ["rank", str(ratings), "--format", "ratings", "--social", str(edges),
+                "--spec", "ibp,eta=-1,t_past=200,centrality=pagerank"]
+        records = {}
+        for verb, args in (("run", ["run", str(cfg)]), ("rank", argv)):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="trendcast"):
+                assert main(args) == 0
+            records[verb] = [(r.levelname, r.name, r.getMessage()) for r in caplog.records]
+        assert records["run"][-1][2].startswith("wrote ")
+        assert any("zero-influence" in message for *_, message in records["rank"])
+        assert records["rank"] == records["run"][:-1]
 
     def test_import_leaves_the_social_logger_unfiltered(self):
         # trendcast.cli, imported above, imports trendcast.experiment

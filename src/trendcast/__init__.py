@@ -12,9 +12,6 @@ from .social import (
     InfluenceVector,
     SocialGraph,
     compute_influence,
-    influence_in_degree,
-    influence_leaderrank,
-    influence_pagerank,
     load_social_graph,
 )
 

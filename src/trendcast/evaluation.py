@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .events import TemporalBipartiteGraph
-from .ingestion import write_csv
 from .predictors import PredictorSpec, Window, align, score_vector
 from .social import InfluenceVector
 
@@ -120,23 +119,6 @@ def make_test_dates(graph: TemporalBipartiteGraph, count, t_past, t_future) -> l
 
 def evaluate(
     graph: TemporalBipartiteGraph,
-    spec: PredictorSpec,
-    config: EvalConfig,
-    influence: InfluenceVector | None = None,
-) -> EvaluationReport:
-    """Run one predictor over all test dates and collect the metrics.
-
-    An ibp spec needs ``influence``, the vector of its centrality computed on
-    the social graph (:func:`trendcast.social.compute_influence`); a missing
-    vector or one of another measure is a ``ValueError``. ``spec.t_past`` may be
-    left unset, in which case the config's window is used; if both are set they
-    must agree (E_n is defined against the same past window the predictor sees).
-    """
-    return evaluate_many(graph, [spec], config, [influence])[0]
-
-
-def evaluate_many(
-    graph: TemporalBipartiteGraph,
     specs: Sequence[PredictorSpec],
     config: EvalConfig,
     influence: Iterable[InfluenceVector] = (),
@@ -148,10 +130,13 @@ def evaluate_many(
     is, become two item masks (the true top-n, the new entries) that every
     spec is counted against. ``influence`` holds one vector per measure,
     aligned by :func:`trendcast.predictors.align`, and must cover the
-    centrality of every ibp spec. ``spec.t_past`` is resolved as in
-    :func:`evaluate`. It does not warn about the zero-influence users that
-    ibp leaves out under a negative eta: ``trendcast validate``/``run`` and
-    :func:`trendcast.predictors.score` count them.
+    centrality of every ibp spec (:func:`trendcast.social.compute_influence`);
+    a missing vector, or two of one measure, is a ``ValueError``. A spec's
+    ``t_past`` may be left unset, in which case the config's window is used;
+    if both are set they must agree (E_n is defined against the same past
+    window the predictor sees). It does not warn about the zero-influence
+    users that ibp leaves out under a negative eta: the set-up of
+    ``trendcast validate``, ``run`` and ``rank`` counts them.
     """
     for spec in specs:
         if spec.t_past is not None and spec.t_past != config.t_past:
@@ -187,40 +172,3 @@ def evaluate_many(
             c_n = np.count_nonzero(is_new[predicted])
             report.per_date.append(DateMetrics(int(date), p_n, e_n, c_n))
     return reports
-
-
-SWEEP_COLUMNS = [
-    "kind", "lambda", "gamma", "eta", "centrality",
-    "T_P", "T_F", "n", "t_star", "P_n", "E_n", "C_n", "Q_n",
-]
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return str(value)
-
-
-def report_rows(report: EvaluationReport) -> list[list[str]]:
-    """Per-date rows plus one summary row (t_star column set to "mean")."""
-    spec, cfg = report.spec, report.config
-    head = [spec.kind, _fmt(spec.lam), _fmt(spec.gamma), _fmt(spec.eta),
-            _fmt(spec.centrality), _fmt(cfg.t_past), _fmt(cfg.t_future), _fmt(cfg.n)]
-    rows = []
-    for d in report.per_date:
-        rows.append(head + [
-            _fmt(d.test_date), _fmt(d.precision),
-            _fmt(d.new_entry_count), _fmt(d.correct_new_entries),
-            _fmt(d.new_entry_rate),
-        ])
-    mean_e = float(np.mean([d.new_entry_count for d in report.per_date]))
-    mean_c = float(np.mean([d.correct_new_entries for d in report.per_date]))
-    rows.append(head + [
-        "mean", _fmt(report.mean_precision), _fmt(mean_e), _fmt(mean_c),
-        _fmt(report.mean_new_entry_rate),
-    ])
-    return rows
-
-
-def write_reports_csv(reports: Sequence[EvaluationReport], path) -> None:
-    write_csv(path, SWEEP_COLUMNS, (row for report in reports for row in report_rows(report)))

@@ -39,11 +39,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from . import ingestion, predictors, social
 from .events import build
-from .evaluation import (EvalConfig, EvaluationReport, evaluate_many, make_test_dates,
-                         write_reports_csv)
+from .evaluation import EvalConfig, EvaluationReport, evaluate, make_test_dates
 from .predictors import PredictorSpec, score
 
 log = logging.getLogger(__name__)
@@ -162,8 +164,10 @@ def validate(cfg: ExperimentConfig) -> list[str]:
 def load_inputs(dataset, dataset_spec, social_path, measures, negative_eta):
     """The set-up every verb shares, logged as a run logs it: load and build
     the dataset; for a non-empty ``measures``, load the social graph and, if
-    both loads passed, compute each measure, logging its zero-influence count
-    under ``negative_eta``. Returns ``(graph, {measure: InfluenceVector},
+    both loads passed, compute each measure. Under ``negative_eta``, each
+    measure logs one warning counting the users of the dataset whose influence
+    is 0, those absent from the social graph included: ibp leaves them out
+    under a negative eta. Returns ``(graph, {measure: InfluenceVector},
     failures)``, with ``(prefix, exception)`` per failed load or centrality,
     the dataset's first; the graph is None if the dataset failed."""
     graph, social_graph, influence, failures = None, None, {}, []
@@ -187,8 +191,11 @@ def load_inputs(dataset, dataset_spec, social_path, measures, negative_eta):
         else:
             log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
                      measure, infl.iterations_used, infl.residual, infl.converged)
-            if negative_eta:
-                predictors.warn_zero_influence(graph, infl)
+            if negative_eta:  # users absent from the social graph count as zero too
+                zero = np.count_nonzero(infl.lookup(graph.user_ids) == 0.0)
+                if zero:
+                    log.warning("ibp(%s): %d of %d users are zero-influence and contribute 0 "
+                                "under eta < 0", measure, zero, graph.num_users)
     return graph, influence, failures
 
 
@@ -287,8 +294,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
     """Set up as :func:`validate` does, then evaluate the whole grid and
     write the CSV outputs.
 
-    ``workers`` is accepted for compatibility and ignored: the sweep runs in
-    this process. Returns 1 when the set-up found a problem, each logged as
+    ``workers`` is ignored, since the sweep runs in this process; it stays
+    only because the benchmark in ``bench/`` passes it. Returns 1 when the set-up found a problem, each logged as
     one ``config:`` error line, else 0 once the outputs are written. Nothing
     else is caught: an exception from the grid or the writes propagates.
     """
@@ -306,7 +313,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
             # the heatmap's recent_pop is scored along with the first n
             heat = [PredictorSpec("recent_pop")] if j == 0 else []
             config = EvalConfig(t_past, t_future, dates, n)
-            reports = evaluate_many(graph, specs + heat, config, influence.values())
+            reports = evaluate(graph, specs + heat, config, influence.values())
             if heat:
                 heat_reports.append(reports.pop())
             grid.append(reports)
@@ -320,21 +327,54 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
 
     if json_summary:
         for report in sweep_reports:
-            line = {
-                "kind": report.spec.kind,
-                "lambda": report.spec.lam,
-                "gamma": report.spec.gamma,
-                "eta": report.spec.eta,
-                "centrality": report.spec.centrality,
-                "T_P": report.config.t_past,
-                "T_F": report.config.t_future,
-                "n": report.config.n,
-                "dates": len(report.per_date),
-                "mean_P_n": report.mean_precision,
-                "mean_Q_n": report.mean_new_entry_rate,
-            }
+            line = dict(zip(SWEEP_COLUMNS, _grid_point(report)), dates=len(report.per_date),
+                        mean_P_n=report.mean_precision, mean_Q_n=report.mean_new_entry_rate)
             sys.stdout.write(json.dumps(line) + "\n")
     return 0
+
+
+SWEEP_COLUMNS = [
+    "kind", "lambda", "gamma", "eta", "centrality",
+    "T_P", "T_F", "n", "t_star", "P_n", "E_n", "C_n", "Q_n",
+]
+
+
+def _grid_point(report: EvaluationReport) -> list:
+    """The values of the first eight ``SWEEP_COLUMNS``, which name the report's
+    grid point: kind, lambda, gamma, eta, centrality, T_P, T_F and n."""
+    spec, cfg = report.spec, report.config
+    return [spec.kind, spec.lam, spec.gamma, spec.eta, spec.centrality,
+            cfg.t_past, cfg.t_future, cfg.n]
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    return str(value)
+
+
+def report_rows(report: EvaluationReport) -> list[list[str]]:
+    """Per-date rows plus one summary row (t_star column set to "mean")."""
+    head = [_fmt(v) for v in _grid_point(report)]
+    rows = []
+    for d in report.per_date:
+        rows.append(head + [
+            _fmt(d.test_date), _fmt(d.precision),
+            _fmt(d.new_entry_count), _fmt(d.correct_new_entries),
+            _fmt(d.new_entry_rate),
+        ])
+    mean_e = float(np.mean([d.new_entry_count for d in report.per_date]))
+    mean_c = float(np.mean([d.correct_new_entries for d in report.per_date]))
+    rows.append(head + [
+        "mean", _fmt(report.mean_precision), _fmt(mean_e), _fmt(mean_c),
+        _fmt(report.mean_new_entry_rate),
+    ])
+    return rows
+
+
+def write_reports_csv(reports: Sequence[EvaluationReport], path) -> None:
+    ingestion.write_csv(path, SWEEP_COLUMNS,
+                        (row for report in reports for row in report_rows(report)))
 
 
 def _write_heatmap(reports: list[EvaluationReport], path) -> None:

@@ -6,11 +6,12 @@ Two CSV schemas are supported (comma-separated, UTF-8, LF, CRLF or CR line ends)
   event iff its rating clears the threshold (default 3.0);
 * votes: header ``user,item,timestamp`` - every record is an event.
 
-Every row holds exactly the header's fields, which may be double-quoted:
-int64 ids and timestamps, a rating in [``RATING_MIN``, ``RATING_MAX``].
-Anything else, blank lines and extra fields included, is a ``file:line``
-``ValueError``. The loaders return one ``(N, 3)`` int64 array of
-``(user, item, timestamp)`` rows in file order for ``events.build``.
+Every row, a ratings row below the threshold included, holds exactly the
+header's fields, which may be double-quoted: int64 ids, an int64 timestamp
+of 0 or more, a rating in [``RATING_MIN``, ``RATING_MAX``]. Anything else,
+blank lines and extra fields included, is a ``file:line`` ``ValueError``.
+The loaders return one ``(N, 3)`` int64 array of ``(user, item,
+timestamp)`` rows in file order for ``events.build``.
 
 Raw distribution formats (per-movie rating files, ``::``-separated rating
 logs, vote dumps) are converted to these schemas up front; see the README
@@ -110,13 +111,20 @@ def parse_field(field: str, dtype=np.int64):
     return value
 
 
-def _check_ratings(path, ratings: np.ndarray, first_line: int) -> None:
-    bad = np.flatnonzero(~((ratings >= RATING_MIN) & (ratings <= RATING_MAX)))
-    if bad.size:
-        k = bad[0]
-        raise ValueError(
-            f"{path}:{first_line + k}: rating {ratings[k]} outside [{RATING_MIN}, {RATING_MAX}]"
-        )
+def _check_rows(path, table: np.ndarray, first_line: int) -> None:
+    """Raise the ``file:line`` error of the first row of the structured ``table``
+    with a rating off the scale or a negative timestamp; row k is on line
+    ``first_line + k``."""
+    bad = table["timestamp"] < 0
+    rated = "rating" in table.dtype.names
+    if rated:
+        bad |= ~((table["rating"] >= RATING_MIN) & (table["rating"] <= RATING_MAX))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if rated and not RATING_MIN <= table["rating"][k] <= RATING_MAX:
+            raise ValueError(f"{path}:{first_line + k}: rating {table['rating'][k]} outside "
+                             f"[{RATING_MIN}, {RATING_MAX}]")
+        raise ValueError(f"{path}:{first_line + k}: negative timestamp {table['timestamp'][k]}")
 
 
 def text_lines(path):
@@ -150,19 +158,19 @@ def _rescan_csv(path, dtype) -> None:
             try:
                 if len(row) != len(dtype):
                     raise ValueError("field count")
-                values = {name: parse_field(f, kind) for (name, kind), f in zip(dtype, row)}
+                values = tuple(parse_field(f, kind) for (_, kind), f in zip(dtype, row))
             except OverflowError:
                 raise ValueError(f"{path}:{lineno}: integer outside int64 in row {row!r}") from None
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
-            if "rating" in values:
-                _check_ratings(path, np.array([values["rating"]]), lineno)
+            _check_rows(path, np.array([values], dtype=dtype), lineno)
     except csv.Error as exc:
         raise ValueError(f"{path}:{reader.line_num}: malformed row ({exc})") from None
 
 
 def _read_csv(path, header) -> np.ndarray:
-    """Parse a CSV with ``header`` into a structured array, one field per column."""
+    """Parse a CSV with ``header`` into a structured array, one field per column,
+    and check every row's rating and timestamp with :func:`_check_rows`."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data:
@@ -186,10 +194,12 @@ def _read_csv(path, header) -> np.ndarray:
         )
     del data
     dtype = [(name, np.float64 if name == "rating" else np.int64) for name in header]
-    return read_table(
+    table = read_table(
         path, lambda p: _rescan_csv(p, dtype), rows, dtype=dtype, delimiter=",",
         quotechar='"', comments=None, skiprows=1, ndmin=1,
     )
+    _check_rows(path, table, 2)
+    return table
 
 
 def _sample_users(users: np.ndarray, count: int, min_degree: int, seed: int,
@@ -211,7 +221,6 @@ def load_ratings(path, spec: DatasetSpec | None = None) -> np.ndarray:
     rejects a file, or a user sample, with no rating at the threshold."""
     spec = spec or DatasetSpec()
     table = _read_csv(path, RATINGS_HEADER)
-    _check_ratings(path, table["rating"], 2)
     events = np.column_stack([table["user"], table["item"], table["timestamp"]])
     keep = table["rating"] >= spec.threshold
     dropped = int(keep.size - np.count_nonzero(keep))
@@ -259,8 +268,3 @@ def write_csv(path, header, rows) -> None:
 def write_votes_csv(events, path) -> None:
     """Write an ``(N, 3)`` array-like of (user, item, timestamp) rows as a votes CSV."""
     write_csv(path, VOTES_HEADER, np.asarray(events).tolist())
-
-
-def write_ratings_csv(records, path) -> None:
-    """Write ``(user, item, rating, timestamp)`` rows as a ratings CSV."""
-    write_csv(path, RATINGS_HEADER, records)

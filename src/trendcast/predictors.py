@@ -20,7 +20,6 @@ ascending item id, so identical inputs give bit-identical rankings.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,8 +28,6 @@ import numpy as np
 
 from .events import TemporalBipartiteGraph
 from .social import MEASURES, InfluenceVector, SocialGraph, compute_influence
-
-log = logging.getLogger(__name__)
 
 # the parameters each kind reads; a spec may set no other
 _READS = {"total_pop": (), "recent_pop": ("t_past",), "pbp": ("lam", "t_past"),
@@ -174,16 +171,6 @@ def score_vector(spec: PredictorSpec, window: Window) -> np.ndarray:
     return np.bincount(window.events[1], weights=contrib, minlength=window.graph.num_items)
 
 
-def warn_zero_influence(graph: TemporalBipartiteGraph, influence: InfluenceVector) -> None:
-    """Log one warning counting the users of ``graph`` whose influence is 0,
-    users absent from the social graph included: ibp leaves them out under a
-    negative eta. Nothing is logged when there are none."""
-    zero = int(np.count_nonzero(influence.lookup(graph.user_ids) == 0.0))
-    if zero:
-        log.warning("ibp(%s): %d of %d users are zero-influence and contribute 0 under eta < 0",
-                    influence.measure, zero, graph.num_users)
-
-
 def align(graph: TemporalBipartiteGraph, vectors, specs) -> dict[str, np.ndarray]:
     """Map each vector's ``measure`` to its values aligned with ``graph.user_ids``,
     skipping ``None``. Two vectors of one measure, or an ibp spec of ``specs``
@@ -217,9 +204,9 @@ def score(
     on ``social_graph``; :func:`align` rejects a vector of another measure.
     Users absent from the social graph carry influence 0:
     they contribute 0 for eta > 0, 1 for eta = 0 (the plain degree
-    increase), and by definition 0 for eta < 0. Nothing is logged; a caller
-    that reports the users dropped under eta < 0 calls
-    :func:`warn_zero_influence`.
+    increase), and by definition 0 for eta < 0. Nothing is logged. The
+    ``social_graph`` parameter stays only because the benchmark in ``bench/``
+    passes it.
     """
     if spec.kind != "total_pop" and spec.t_past is None:
         raise ValueError(f"{spec.kind} needs t_past")

@@ -158,7 +158,7 @@ class InfluenceVector:
         return out
 
 
-def influence_in_degree(graph: SocialGraph, **_) -> InfluenceVector:
+def _in_degree(graph: SocialGraph, **_) -> InfluenceVector:
     """Influence = number of followers; exact, so a stop rule is ignored."""
     return InfluenceVector("in_degree", graph.user_ids, graph.in_degrees.copy())
 
@@ -190,7 +190,7 @@ def _power_iterate(step, s: np.ndarray, mass: float, tol: float, max_iter: int, 
     return s, iterations, residual, converged
 
 
-def influence_pagerank(
+def _pagerank(
     graph: SocialGraph, delta: float = 0.85, tol: float = 1e-10, max_iter: int = 1000
 ) -> InfluenceVector:
     """PageRank-style influence over the follower->leader flow.
@@ -220,9 +220,7 @@ def influence_pagerank(
     return InfluenceVector("pagerank", graph.user_ids, s, *stats)
 
 
-def influence_leaderrank(
-    graph: SocialGraph, tol: float = 1e-10, max_iter: int = 1000
-) -> InfluenceVector:
+def _leaderrank(graph: SocialGraph, tol: float = 1e-10, max_iter: int = 1000) -> InfluenceVector:
     """LeaderRank influence: damping-free score flow with a ground node.
 
     The graph is augmented with a ground node linked bidirectionally to all
@@ -258,12 +256,15 @@ def influence_leaderrank(
 
 
 # measure name -> the function computing it on a SocialGraph
-MEASURES = {"in_degree": influence_in_degree, "pagerank": influence_pagerank,
-            "leaderrank": influence_leaderrank}
+MEASURES = {"in_degree": _in_degree, "pagerank": _pagerank, "leaderrank": _leaderrank}
 
 
 def compute_influence(graph: SocialGraph, measure: str, **kwargs) -> InfluenceVector:
-    """Dispatch by measure name; see ``MEASURES``."""
+    """The influence of every user of ``graph`` under ``measure``, one of
+    ``MEASURES``. The keyword arguments set the stop rule of the iterative
+    measures, ``tol`` and ``max_iter`` (defaults 1e-10 and 1000), and
+    PageRank's damping ``delta`` (default 0.85); in-degree is exact and
+    ignores them."""
     if measure not in MEASURES:
         raise ValueError(f"unknown influence measure {measure!r} (choose from {tuple(MEASURES)})")
     return MEASURES[measure](graph, **kwargs)

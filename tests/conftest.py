@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from trendcast.events import build
+from trendcast.ingestion import RATINGS_HEADER, write_csv
 
 
 class Event(NamedTuple):
@@ -25,6 +26,11 @@ def events_of(graph):
     users = graph.user_ids[graph._users].tolist()
     items = graph.item_ids[graph._items].tolist()
     return [Event(*e) for e in zip(users, items, graph._ts.tolist())]
+
+
+def write_ratings_csv(records, path):
+    """Write ``(user, item, rating, timestamp)`` rows as a ratings CSV."""
+    write_csv(path, RATINGS_HEADER, records)
 
 
 def entry(ids, vector, key):

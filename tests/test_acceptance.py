@@ -14,11 +14,11 @@ import numpy as np
 import oracles
 from conftest import dedup_earliest, entry, random_events
 from trendcast.events import build
-from trendcast.evaluation import EvalConfig, evaluate, evaluate_many, make_test_dates
+from trendcast.evaluation import EvalConfig, evaluate, make_test_dates
 from trendcast.experiment import parse_experiment_config, run_sweep
 from trendcast.ingestion import write_votes_csv
 from trendcast.predictors import PredictorSpec, score
-from trendcast.social import SocialGraph, influence_leaderrank, influence_pagerank
+from trendcast.social import SocialGraph, compute_influence
 from trendcast.synthgen import GenConfig, generate
 
 AGING = dict(
@@ -113,7 +113,7 @@ def test_2_oracle_equivalence(rng):
             truth_events, t + t_future, t_future, n)]
         oracle_new = oracles.new_entries(truth_events, t, t_past, t_future, n)
         specs = [PredictorSpec("recent_pop"), PredictorSpec("total_pop")]
-        reports = evaluate_many(g, specs, EvalConfig(t_past, t_future, [t], n))
+        reports = evaluate(g, specs, EvalConfig(t_past, t_future, [t], n))
         for spec, rep in zip(specs, reports):
             scored = spec if spec.kind == "total_pop" else spec.with_t_past(t_past)
             predicted = score(g, scored, t).top(n)
@@ -140,13 +140,13 @@ def test_3_centrality_correctness(rng):
             edges = [(0, 1 % n)]
         g = SocialGraph(edges, users=range(n))
 
-        pr = influence_pagerank(g)
+        pr = compute_influence(g, "pagerank")
         assert abs(pr.values.sum() - 1.0) < 1e-8
         diff = np.abs(pr.values - oracles.pagerank_dense_solve(n, edges)).max()
         worst_pr = max(worst_pr, diff)
         assert diff < 1e-8
 
-        lr = influence_leaderrank(g)
+        lr = compute_influence(g, "leaderrank")
         assert abs(lr.values.sum() - n) < 1e-6 * n
         diff = np.abs(lr.values - oracles.leaderrank_dense_power(n, edges)).max()
         worst_lr = max(worst_lr, diff)
@@ -176,7 +176,7 @@ def test_4_pure_increase_predictor_never_hits_new_entries(rng):
             except ValueError:
                 continue
             cfg = EvalConfig(t_past, t_future, dates, n)
-            rep = evaluate(g, PredictorSpec("pbp", lam=1.0), cfg)
+            rep = evaluate(g, [PredictorSpec("pbp", lam=1.0)], cfg)[0]
             assert all(d.correct_new_entries == 0 for d in rep.per_date)
             checked += len(rep.per_date)
 
@@ -184,7 +184,7 @@ def test_4_pure_increase_predictor_never_hits_new_entries(rng):
                                      item_arrival_rate=200 / 12_000, decay_timescale=1500,
                                      rng_seed=17)))
     cfg = EvalConfig(2000, 2000, make_test_dates(synth, 5, 2000, 2000), 100)
-    rep = evaluate(synth, PredictorSpec("pbp", lam=1.0), cfg)
+    rep = evaluate(synth, [PredictorSpec("pbp", lam=1.0)], cfg)[0]
     assert all(d.correct_new_entries == 0 for d in rep.per_date)
     checked += len(rep.per_date)
     report(4, True, f"C_n = 0 for the lam=1 predictor at all {checked} test dates")
@@ -197,8 +197,8 @@ def test_5_synthetic_regimes():
         totals, recents = [], []
         for g in _graphs(regime):
             cfg = EvalConfig(6000, 6000, make_test_dates(g, 5, 6000, 6000), 100)
-            totals.append(evaluate(g, PredictorSpec("total_pop"), cfg).mean_precision)
-            recents.append(evaluate(g, PredictorSpec("recent_pop"), cfg).mean_precision)
+            totals.append(evaluate(g, [PredictorSpec("total_pop")], cfg)[0].mean_precision)
+            recents.append(evaluate(g, [PredictorSpec("recent_pop")], cfg)[0].mean_precision)
         results[regime] = (float(np.mean(totals)), float(np.mean(recents)))
     elapsed = time.perf_counter() - start
 
@@ -218,7 +218,7 @@ def test_6_precision_decays_with_future_window():
         dates = make_test_dates(g, 5, 6000, t_large)
         for t_future, acc in ((t_small, p_small), (t_large, p_large)):
             cfg = EvalConfig(6000, t_future, dates, 100)
-            acc.append(evaluate(g, PredictorSpec("pbp", lam=1.0), cfg).mean_precision)
+            acc.append(evaluate(g, [PredictorSpec("pbp", lam=1.0)], cfg)[0].mean_precision)
     margin = float(np.mean(p_small) - np.mean(p_large))
     report(6, margin >= 0.05,
            f"P_100(lam=1) at T_F={t_small} exceeds T_F={t_large} by {margin:.3f} (>= 0.05)")
@@ -276,7 +276,7 @@ def test_8_large_scale_workload():
 
     t_past = t_future = 300_000
     cfg = EvalConfig(t_past, t_future, make_test_dates(g, 7, t_past, t_future), 100)
-    rep = evaluate(g, PredictorSpec("recent_pop"), cfg)
+    rep = evaluate(g, [PredictorSpec("recent_pop")], cfg)[0]
     elapsed = time.perf_counter() - start
     assert len(rep.per_date) == 7
     report(8, elapsed < 120,

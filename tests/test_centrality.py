@@ -8,9 +8,6 @@ import oracles
 from trendcast.social import (
     SocialGraph,
     compute_influence,
-    influence_in_degree,
-    influence_leaderrank,
-    influence_pagerank,
     load_social_graph,
     _spread,
 )
@@ -97,35 +94,35 @@ class TestLoadEdgeList:
 class TestInDegree:
     def test_star(self):
         g = SocialGraph([(u, 0) for u in range(1, 6)])
-        infl = influence_in_degree(g)
+        infl = compute_influence(g, "in_degree")
         assert infl.lookup([0]).tolist() == [5]
         assert all(v == 0 for v in infl.lookup(range(1, 6)))
 
     def test_empty_edges(self):
         g = SocialGraph([], users=[1, 2, 3])
-        assert influence_in_degree(g).values.tolist() == [0, 0, 0]
+        assert compute_influence(g, "in_degree").values.tolist() == [0, 0, 0]
 
     def test_cycle(self):
         g = SocialGraph([(0, 1), (1, 2), (2, 0)])
-        assert influence_in_degree(g).values.tolist() == [1, 1, 1]
+        assert compute_influence(g, "in_degree").values.tolist() == [1, 1, 1]
 
 
 class TestPageRank:
     def test_cycle_is_uniform(self):
         g = SocialGraph([(0, 1), (1, 2), (2, 0)])
-        infl = influence_pagerank(g)
+        infl = compute_influence(g, "pagerank")
         assert np.allclose(infl.values, 1 / 3, atol=1e-9)
 
     def test_isolated_users_pure_teleport(self):
         g = SocialGraph([], users=[7, 9])
-        infl = influence_pagerank(g)
+        infl = compute_influence(g, "pagerank")
         assert np.allclose(infl.values, 0.5, atol=1e-12)
 
     def test_matches_dense_solve_on_fixture(self):
         # node 4 is dangling, node 3 has no followers
         edges = [(0, 1), (0, 2), (1, 2), (2, 0), (3, 2), (1, 4)]
         g = SocialGraph(edges, users=range(5))
-        infl = influence_pagerank(g)
+        infl = compute_influence(g, "pagerank")
         want = oracles.pagerank_dense_solve(5, edges)
         assert np.abs(infl.values - want).max() < 1e-8
 
@@ -135,17 +132,17 @@ class TestPageRank:
             m = int(rng.integers(0, n * (n - 1) // 2 + 1))
             edges = {(int(a), int(b)) for a, b in rng.integers(0, n, size=(m, 2)) if a != b}
             g = SocialGraph(list(edges), users=range(n))
-            infl = influence_pagerank(g)
+            infl = compute_influence(g, "pagerank")
             assert abs(infl.values.sum() - 1.0) < 1e-8
 
     def test_rejects_bad_damping(self):
         g = SocialGraph([(0, 1)])
         with pytest.raises(ValueError):
-            influence_pagerank(g, delta=1.0)
+            compute_influence(g, "pagerank", delta=1.0)
 
     def test_nonconvergence_flagged(self):
         g = SocialGraph([(0, 1), (1, 0), (2, 0)])
-        infl = influence_pagerank(g, max_iter=2)
+        infl = compute_influence(g, "pagerank", max_iter=2)
         assert not infl.converged
         assert infl.residual > 0
 
@@ -153,19 +150,19 @@ class TestPageRank:
 class TestLeaderRank:
     def test_symmetric_complete_graph_uniform(self):
         edges = [(a, b) for a in range(3) for b in range(3) if a != b]
-        infl = influence_leaderrank(SocialGraph(edges))
+        infl = compute_influence(SocialGraph(edges), "leaderrank")
         assert np.allclose(infl.values, 1.0, atol=1e-8)
         assert abs(infl.values.sum() - 3.0) < 1e-6 * 3
 
     def test_single_user_holds_everything(self):
-        infl = influence_leaderrank(SocialGraph([], users=[42]))
+        infl = compute_influence(SocialGraph([], users=[42]), "leaderrank")
         assert infl.values.shape == (1,)
         assert abs(infl.values[0] - 1.0) < 1e-9
 
     def test_matches_dense_power_iteration_oracle(self):
         edges = [(0, 1), (1, 2), (2, 0), (3, 0), (4, 1), (5, 4), (2, 5)]
         g = SocialGraph(edges, users=range(6))
-        infl = influence_leaderrank(g)
+        infl = compute_influence(g, "leaderrank")
         want = oracles.leaderrank_dense_power(6, edges)
         assert np.abs(infl.values - want).max() < 1e-8
 
@@ -175,7 +172,7 @@ class TestLeaderRank:
             m = int(rng.integers(0, max(n * (n - 1) // 3, 1)))
             edges = {(int(a), int(b)) for a, b in rng.integers(0, n, size=(m, 2)) if a != b}
             g = SocialGraph(list(edges), users=range(n))
-            infl = influence_leaderrank(g)
+            infl = compute_influence(g, "leaderrank")
             assert abs(infl.values.sum() - n) < 1e-6 * n
 
 
@@ -344,7 +341,7 @@ class TestStopRule:
         edges = np.column_stack([rng.integers(0, n, size=m), leaders])
         g = SocialGraph(edges, users=range(n))
 
-        infl = influence_leaderrank(g)
+        infl = compute_influence(g, "leaderrank")
         assert infl.converged
         assert infl.iterations_used < 100
 
@@ -404,6 +401,6 @@ class TestMeasureProperties:
             compute_influence(SocialGraph([(0, 1)]), "betweenness")
 
     def test_lookup_defaults_unknown_users_to_zero(self):
-        infl = influence_in_degree(SocialGraph([(0, 1)]))
+        infl = compute_influence(SocialGraph([(0, 1)]), "in_degree")
         out = infl.lookup(np.array([0, 1, 99]))
         assert out.tolist() == [0.0, 1.0, 0.0]

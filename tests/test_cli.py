@@ -12,7 +12,8 @@ import pytest
 from trendcast import cli, experiment, ingestion, social
 from trendcast.cli import _parse_spec_string, main
 from trendcast.events import build
-from trendcast.ingestion import load_votes, write_ratings_csv, write_votes_csv
+from conftest import write_ratings_csv
+from trendcast.ingestion import load_votes, write_votes_csv
 from trendcast.social import load_social_graph, write_edge_list
 from trendcast.synthgen import GenConfig, generate, generate_social
 
@@ -406,7 +407,7 @@ class TestRunAndValidateVerbs:
         def fail(*args):
             raise ValueError("no scores")
 
-        monkeypatch.setattr(experiment, "evaluate_many", fail)
+        monkeypatch.setattr(experiment, "evaluate", fail)
         cfg = self.write_cfg(tmp_path, dataset, tmp_path / "out")
         assert main(["run", str(cfg)]) == 1
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]

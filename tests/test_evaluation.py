@@ -5,17 +5,10 @@ import pytest
 import oracles
 from conftest import Event, dedup_earliest, random_events
 from trendcast.events import build
-from trendcast.evaluation import (
-    EvalConfig,
-    evaluate,
-    evaluate_many,
-    make_test_dates,
-    report_rows,
-    write_reports_csv,
-    SWEEP_COLUMNS,
-)
+from trendcast.evaluation import EvalConfig, evaluate, make_test_dates
+from trendcast.experiment import SWEEP_COLUMNS, report_rows, write_reports_csv
 from trendcast.predictors import PredictorSpec, score
-from trendcast.social import SocialGraph, compute_influence, influence_in_degree
+from trendcast.social import SocialGraph, compute_influence
 
 
 class TestEvalConfig:
@@ -55,11 +48,11 @@ class TestMakeTestDates:
 
 
 def oracle_checked(events, spec, config):
-    """``evaluate(build(events), spec, config)``, with the P_n, E_n and C_n of
+    """``evaluate(build(events), [spec], config)[0]``, with the P_n, E_n and C_n of
     every date checked against the brute-force oracles."""
     g = build(events)
     deduped = dedup_earliest(events)
-    report = evaluate(g, spec, config)
+    report = evaluate(g, [spec], config)[0]
     scored = spec if spec.kind == "total_pop" else spec.with_t_past(config.t_past)
     for t, got in zip(config.test_dates, report.per_date):
         predicted = score(g, scored, t).top(config.n)
@@ -116,7 +109,7 @@ class TestTrueRanking:
 
     def test_truncated_future_window(self, small_graph):
         with pytest.raises(ValueError, match="truncated future window"):
-            evaluate(small_graph, PredictorSpec("recent_pop"), EvalConfig(5, 100, [10], 5))
+            evaluate(small_graph, [PredictorSpec("recent_pop")], EvalConfig(5, 100, [10], 5))
 
     def test_matches_sort_oracle(self, rng):
         events = random_events(rng, num_events=800)
@@ -222,7 +215,7 @@ class TestEvaluate:
     def test_single_date_means_equal_values(self, rng):
         g = self.graph(rng)
         cfg = EvalConfig(500, 500, make_test_dates(g, 1, 500, 500), n=10)
-        report = evaluate(g, PredictorSpec("recent_pop"), cfg)
+        report = evaluate(g, [PredictorSpec("recent_pop")], cfg)[0]
         assert report.mean_precision == report.per_date[0].precision
         q = report.per_date[0].new_entry_rate
         assert report.mean_new_entry_rate == q
@@ -246,7 +239,7 @@ class TestEvaluate:
     def test_recent_predictor_never_hits_new_entries(self, rng):
         g = self.graph(rng)
         cfg = EvalConfig(400, 600, make_test_dates(g, 4, 400, 600), n=8)
-        report = evaluate(g, PredictorSpec("pbp", lam=1.0), cfg)
+        report = evaluate(g, [PredictorSpec("pbp", lam=1.0)], cfg)[0]
         assert all(d.correct_new_entries == 0 for d in report.per_date)
 
     def test_window_error_names_date(self, rng):
@@ -254,19 +247,19 @@ class TestEvaluate:
         bad = g.t_last - 10
         cfg = EvalConfig(400, 600, [bad], n=8)
         with pytest.raises(ValueError, match=str(bad)):
-            evaluate(g, PredictorSpec("recent_pop"), cfg)
+            evaluate(g, [PredictorSpec("recent_pop")], cfg)
 
     def test_t_past_mismatch_rejected(self, rng):
         g = self.graph(rng)
         cfg = EvalConfig(400, 600, [2500], n=8)
         with pytest.raises(ValueError, match="disagrees"):
-            evaluate(g, PredictorSpec("recent_pop", t_past=300), cfg)
+            evaluate(g, [PredictorSpec("recent_pop", t_past=300)], cfg)
 
     def test_metric_ranges(self, rng):
         g = self.graph(rng)
         cfg = EvalConfig(700, 700, make_test_dates(g, 5, 700, 700), n=12)
         for spec in (PredictorSpec("total_pop"), PredictorSpec("wpp", gamma=0.5)):
-            report = evaluate(g, spec, cfg)
+            report = evaluate(g, [spec], cfg)[0]
             for d in report.per_date:
                 assert 0.0 <= d.precision <= 1.0
                 assert 0 <= d.new_entry_count <= 12
@@ -278,34 +271,32 @@ class TestEvaluate:
         g = self.graph(rng)
         cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=5)
         with pytest.raises(ValueError, match="social"):
-            evaluate(g, PredictorSpec("ibp", eta=1.0, centrality="in_degree"), cfg)
+            evaluate(g, [PredictorSpec("ibp", eta=1.0, centrality="in_degree")], cfg)
 
     def test_influence_of_another_measure_rejected(self, rng):
         g = self.graph(rng)
         cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=5)
-        in_degree = influence_in_degree(SocialGraph([(1, 2), (3, 2)], users=range(80)))
+        in_degree = compute_influence(SocialGraph([(1, 2), (3, 2)], users=range(80)), "in_degree")
         spec = PredictorSpec("ibp", eta=1.0, centrality="pagerank")
         with pytest.raises(ValueError, match="'in_degree'.*'pagerank'"):
-            evaluate(g, spec, cfg, in_degree)
-        with pytest.raises(ValueError, match="'in_degree'.*'pagerank'"):
-            evaluate_many(g, [spec], cfg, [in_degree])
+            evaluate(g, [spec], cfg, [in_degree])
 
     def test_two_vectors_of_one_measure_rejected(self, rng):
         g = self.graph(rng)
         cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=5)
-        in_degree = influence_in_degree(SocialGraph([(1, 2), (3, 2)], users=range(80)))
+        in_degree = compute_influence(SocialGraph([(1, 2), (3, 2)], users=range(80)), "in_degree")
         spec = PredictorSpec("ibp", eta=1.0, centrality="in_degree")
         with pytest.raises(ValueError, match="two influence vectors of 'in_degree'"):
-            evaluate_many(g, [spec], cfg, [in_degree, in_degree])
+            evaluate(g, [spec], cfg, [in_degree, in_degree])
 
     def test_missing_centrality_named(self, rng):
         g = self.graph(rng)
         cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=5)
-        in_degree = influence_in_degree(SocialGraph([(1, 2), (3, 2)], users=range(80)))
+        in_degree = compute_influence(SocialGraph([(1, 2), (3, 2)], users=range(80)), "in_degree")
         specs = [PredictorSpec("ibp", eta=1.0, centrality=m) for m in ("in_degree", "pagerank")]
         with pytest.raises(ValueError, match=r"given for \['in_degree'\], but ibp needs "
                                              r"\['pagerank'\]: compute them on a social graph"):
-            evaluate_many(g, specs, cfg, [in_degree])
+            evaluate(g, specs, cfg, [in_degree])
 
 
 def test_degenerate_window_numbers_are_pinned():
@@ -323,7 +314,7 @@ def test_degenerate_window_numbers_are_pinned():
 
 
 class TestSharedWindow:
-    """evaluate_many scores every spec of a date from one shared window;
+    """evaluate scores every spec of a date from one shared window;
     nothing computed for one spec, centrality or window length may leak into
     another."""
 
@@ -346,8 +337,9 @@ class TestSharedWindow:
         dates = make_test_dates(g, 4, 700, 500)
         for t_past in (300, 700):
             cfg = EvalConfig(t_past, 500, dates, n=10)
-            many = evaluate_many(g, self.SPECS, cfg, influence.values())
-            one = [evaluate(g, spec, cfg, influence.get(spec.centrality)) for spec in self.SPECS]
+            many = evaluate(g, self.SPECS, cfg, influence.values())
+            one = [evaluate(g, [spec], cfg, [influence.get(spec.centrality)])[0]
+                   for spec in self.SPECS]
             assert many == one
 
 
@@ -355,7 +347,7 @@ class TestCsvOutput:
     def test_rows_and_summary(self, rng):
         g = build(random_events(rng, num_events=900, t_max=3000))
         cfg = EvalConfig(500, 500, make_test_dates(g, 3, 500, 500), n=10)
-        report = evaluate(g, PredictorSpec("pbp", lam=0.9), cfg)
+        report = evaluate(g, [PredictorSpec("pbp", lam=0.9)], cfg)[0]
         rows = report_rows(report)
         assert len(rows) == 4  # 3 dates + mean
         assert rows[-1][SWEEP_COLUMNS.index("t_star")] == "mean"
@@ -365,7 +357,7 @@ class TestCsvOutput:
     def test_csv_file_round_trip(self, rng, tmp_path):
         g = build(random_events(rng, num_events=900, t_max=3000))
         cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=10)
-        reports = [evaluate(g, PredictorSpec("recent_pop"), cfg)]
+        reports = evaluate(g, [PredictorSpec("recent_pop")], cfg)
         path = tmp_path / "sweep.csv"
         write_reports_csv(reports, path)
         with open(path) as fh:

@@ -1,4 +1,4 @@
-"""evaluate_many and score against the brute-force oracles on small random graphs.
+"""evaluate and score against the brute-force oracles on small random graphs.
 
 Small id and time ranges make score ties at rank n, windows with fewer
 than n active items and users without influence common. Exponents, lambdas
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import Event, dedup_earliest
-from trendcast.evaluation import EvalConfig, evaluate_many
+from trendcast.evaluation import EvalConfig, evaluate
 from trendcast.events import build
 from trendcast.predictors import PredictorSpec, score
 from trendcast.social import InfluenceVector
@@ -67,7 +67,7 @@ def test_evaluate_many_matches_oracles(raw, t_past, t_future, n, date_picks, inf
                                 np.array([influence_picks[u] for u in users]))
     config = EvalConfig(t_past, t_future, dates, n)
 
-    reports = evaluate_many(graph, SPECS, config, [influence])
+    reports = evaluate(graph, SPECS, config, [influence])
 
     for report in reports:
         for t, got in zip(dates, report.per_date):

@@ -225,7 +225,7 @@ class TestIncrease:
 
 def top(g, t, t_past, n, seen=False):
     """The top n ``(item_id, increase)`` pairs by increase in ``(t - t_past, t]``,
-    ranked as ``evaluate_many`` ranks the truth (all items) and the past top-n
+    ranked as ``evaluate`` ranks the truth (all items) and the past top-n
     (``seen``: the items with degree > 0 at ``t``)."""
     increase = g.item_increase_vector(t, t_past)
     candidates = np.flatnonzero(g.item_degree_vector(t) > 0) if seen else np.arange(g.num_items)

@@ -247,7 +247,7 @@ class TestRunSweep:
             warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
             # counted once in each set-up, not per window, eta or test date; the
             # scatter rescoring of the first spec, ibp at eta=-1, logs nothing
-            assert [r.name for r in warnings] == ["trendcast.predictors"] * 2 * lines
+            assert [r.name for r in warnings] == ["trendcast.experiment"] * 2 * lines
             assert all(re.fullmatch(line, r.getMessage()) for r in warnings)
 
     def test_scatter_flags_the_first_specs_top_n(self, tmp_path, rng):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import Event, events_of
+from conftest import Event, events_of, write_ratings_csv
 from trendcast import social
 from trendcast.events import build
 from trendcast.ingestion import (
@@ -12,7 +12,6 @@ from trendcast.ingestion import (
     load_dataset,
     load_ratings,
     load_votes,
-    write_ratings_csv,
     write_votes_csv,
 )
 from trendcast.social import load_social_graph, write_edge_list
@@ -145,6 +144,9 @@ VOTES_CASES = [
     ("1,10,100\r2,11,200\r", [[1, 10, 100], [2, 11, 200]]),
     ('"1\n",10,100\n2,11,200\n', r":2: malformed row \(line break inside a quoted field\)"),
     ('1,10,100\n2,"11\n\n",200\n', r":3: malformed row \(line break inside a quoted field\)"),
+    ("1,10,100\n2,11,-20\n", r":3: negative timestamp -20$"),
+    # the first bad row is named, also when a later one does not parse
+    ("1,10,-5\n1,x,100\n", r":2: negative timestamp -5$"),
 ]
 
 RATINGS_CASES = [
@@ -163,6 +165,8 @@ RATINGS_CASES = [
     ("1,10,2.5,100\n2,11,1.0,200\n", r": no rating reaches the threshold 3.0"),
     ("1,10,3.5,100\r2,11,4,200\r", [[1, 10, 100], [2, 11, 200]]),
     ('1,10,"3.5\n",100\n2,11,4.0,200\n', r":2: malformed row \(line break inside a quoted field\)"),
+    # a row below the threshold is checked too
+    ("1,10,3.5,100\n2,11,2.5,-20\n", r":3: negative timestamp -20$"),
 ]
 
 

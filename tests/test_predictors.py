@@ -6,8 +6,10 @@ import pytest
 import oracles
 from conftest import Event, dedup_earliest, entry, random_events
 from trendcast.events import build
-from trendcast.predictors import PredictorSpec, score, warn_zero_influence
-from trendcast.social import SocialGraph, influence_in_degree
+from trendcast.experiment import load_inputs
+from trendcast.ingestion import DatasetSpec, write_votes_csv
+from trendcast.predictors import PredictorSpec, score
+from trendcast.social import SocialGraph, compute_influence, write_edge_list
 
 
 def ordering(ranking):
@@ -152,7 +154,7 @@ class TestIbp:
         deduped = dedup_earliest(events)
         edges = [(int(a), int(b)) for a, b in rng.integers(0, 20, size=(40, 2)) if a != b]
         sg = SocialGraph(edges, users=range(20))
-        infl = influence_in_degree(sg)
+        infl = compute_influence(sg, "in_degree")
         r = score(g, self.spec(1.0, 250), 600, sg)
         by_user = dict(zip(infl.user_ids.tolist(), infl.values.tolist()))
         want = oracles.ibp_scores(deduped, 600, 250, 1.0, by_user)
@@ -172,17 +174,20 @@ class TestIbp:
         ([1, 3, 5], 2),  # user 3 has no followers, user 5 is not in the social graph
         ([1, 2], None),
     ], ids=["two-zero", "none-zero"])
-    def test_zero_influence_users_of_the_graph_counted(self, caplog, users, counted):
-        g = build([Event(user, 7, 1) for user in users])
+    def test_zero_influence_users_of_the_graph_counted(self, caplog, tmp_path, users, counted):
+        # the set-up of every verb counts them, once per centrality
+        votes, edges = tmp_path / "votes.csv", tmp_path / "edges.txt"
+        write_votes_csv([Event(user, 7, 1) for user in users], votes)
+        write_edge_list([(2, 1), (3, 1), (1, 2)], edges)  # self.social()'s edges
         with caplog.at_level(logging.WARNING):
-            warn_zero_influence(g, influence_in_degree(self.social()))
+            load_inputs(votes, DatasetSpec("votes"), edges, ["in_degree"], True)
         assert caplog.messages == ([] if counted is None else [
             f"ibp(in_degree): {counted} of {len(users)} users are zero-influence and "
             "contribute 0 under eta < 0"])
 
     def test_precomputed_influence_reused(self):
         g = build([Event(1, 5, 8)])
-        infl = influence_in_degree(self.social())
+        infl = compute_influence(self.social(), "in_degree")
         r = score(g, self.spec(1.0, 5), 10, influence=infl)
         assert dict(r.entries)[5] == pytest.approx(2.0)
 
@@ -196,7 +201,7 @@ class TestIbp:
         g = build([Event(1, 5, 8)])
         spec = PredictorSpec("ibp", eta=1.0, t_past=5, centrality="pagerank")
         with pytest.raises(ValueError, match="'in_degree'.*'pagerank'"):
-            score(g, spec, 10, influence=influence_in_degree(self.social()))
+            score(g, spec, 10, influence=compute_influence(self.social(), "in_degree"))
 
 
 class TestReductionIdentities:

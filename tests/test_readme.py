@@ -3,21 +3,27 @@
 A README that names a removed function or an old signature fails here.
 """
 
+import ast
 import re
+import types
 from pathlib import Path
 
 import numpy as np
 
+import trendcast
 from trendcast.ingestion import write_votes_csv
 from trendcast.social import write_edge_list
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def library_use_block() -> str:
+def library_use_section() -> str:
     text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+
+
+def library_use_block() -> str:
+    return re.search(r"```python\n(.*?)```", library_use_section(), re.S).group(1)
 
 
 def test_library_use_block_runs(tmp_path, monkeypatch, capsys):
@@ -35,3 +41,14 @@ def test_library_use_block_runs(tmp_path, monkeypatch, capsys):
 
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 3
+
+
+def test_package_exports_what_library_use_documents():
+    section = library_use_section()
+    exported = [name for name, value in vars(trendcast).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert [name for name in exported if not re.search(rf"\b{name}\b", section)] == []
+    imported = [alias.name for node in ast.walk(ast.parse(library_use_block()))
+                if isinstance(node, ast.ImportFrom) and node.module == "trendcast"
+                for alias in node.names]
+    assert imported and [name for name in imported if not hasattr(trendcast, name)] == []

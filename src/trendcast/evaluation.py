@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .events import TemporalBipartiteGraph
-from .predictors import PredictorSpec, Window, align, score_vector
+from .predictors import PredictorSpec, align, score_rows
 from .social import InfluenceVector
 
 log = logging.getLogger(__name__)
@@ -125,18 +125,21 @@ def evaluate(
 ) -> list[EvaluationReport]:
     """Run every predictor over all test dates; one report per spec, in order.
 
-    Per date, one :class:`Window` holds what the scores read, and the true
-    and the past top-n, ranked by ``graph.rank_items`` as each spec's top-n
-    is, become two item masks (the true top-n, the new entries) that every
-    spec is counted against. ``influence`` holds one vector per measure,
-    aligned by :func:`trendcast.predictors.align`, and must cover the
-    centrality of every ibp spec (:func:`trendcast.social.compute_influence`);
-    a missing vector, or two of one measure, is a ``ValueError``. A spec's
-    ``t_past`` may be left unset, in which case the config's window is used;
-    if both are set they must agree (E_n is defined against the same past
-    window the predictor sees). It does not warn about the zero-influence
-    users that ibp leaves out under a negative eta: the set-up of
-    ``trendcast validate``, ``run`` and ``rank`` counts them.
+    Per date, one :func:`trendcast.predictors.score_rows` pass scores the
+    past increase (recent_pop's row) and every spec. The true and the past
+    top-n, ranked by ``graph.rank_items`` as each spec's top-n is, become
+    two item masks (the true top-n, the new entries) that every spec is
+    counted against. ``influence`` holds one vector per measure, aligned by
+    :func:`trendcast.predictors.align`, and must cover the centrality of
+    every ibp spec (:func:`trendcast.social.compute_influence`); a missing
+    vector, or two of one measure, is a ``ValueError``. A spec's ``t_past``
+    may be left unset, in which case the config's window is used; if both
+    are set they must agree (E_n is defined against the same past window
+    the predictor sees). Every test date's future window is checked before
+    any date is scored; then one warning names the dates where no item
+    gains links in it. It does not warn about the zero-influence users that
+    ibp leaves out under a negative eta: the set-up of ``trendcast
+    validate``, ``run`` and ``rank`` counts them.
     """
     for spec in specs:
         if spec.t_past is not None and spec.t_past != config.t_past:
@@ -145,30 +148,36 @@ def evaluate(
             )
     specs = [s if s.kind == "total_pop" else s.with_t_past(config.t_past) for s in specs]
     aligned = align(graph, influence, specs)
+    past_increase = PredictorSpec("recent_pop", t_past=config.t_past)
 
-    reports = [EvaluationReport(spec, config) for spec in specs]
-    n = config.n
     for date in config.test_dates:
         if date + config.t_future > graph.t_last:
             raise ValueError(
                 f"truncated future window: test date {date} + {config.t_future} "
                 f"runs past the last event at {graph.t_last}"
             )
+
+    reports = [EvaluationReport(spec, config) for spec in specs]
+    n = config.n
+    degenerate = []
+    for date in config.test_dates:
         future = graph.item_increase_vector(date + config.t_future, config.t_future)
         truth = graph.rank_items(future, np.arange(graph.num_items))[:n]
         if future[truth[0]] == 0:
-            log.warning("degenerate true ranking at %s: no item gained links", date)
-        window = Window(graph, date, config.t_past, aligned)
-        # the degrees are exact in float64, so this is the integer past increase
-        past_top = graph.rank_items(window.now - window.past, window.seen)[:n]
+            degenerate.append(date)
+        seen, (past, *rows) = score_rows(graph, [past_increase, *specs], date, config.t_past,
+                                         aligned)
         in_truth = np.zeros(graph.num_items, dtype=bool)
         in_truth[truth] = True
         is_new = in_truth.copy()
-        is_new[past_top] = False
+        is_new[graph.rank_items(past, seen)[:n]] = False
         e_n = np.count_nonzero(is_new)
-        for spec, report in zip(specs, reports):
-            predicted = graph.rank_items(score_vector(spec, window), window.seen)[:n]
+        for row, report in zip(rows, reports):
+            predicted = graph.rank_items(row, seen)[:n]
             p_n = np.count_nonzero(in_truth[predicted]) / n
             c_n = np.count_nonzero(is_new[predicted])
             report.per_date.append(DateMetrics(int(date), p_n, e_n, c_n))
+    if degenerate:
+        log.warning("degenerate true ranking at %d of %d test dates (%s): no item gained links",
+                    len(degenerate), len(config.test_dates), ", ".join(map(str, degenerate)))
     return reports

@@ -163,13 +163,14 @@ def validate(cfg: ExperimentConfig) -> list[str]:
 
 def load_inputs(dataset, dataset_spec, social_path, measures, negative_eta):
     """The set-up every verb shares, logged as a run logs it: load and build
-    the dataset; for a non-empty ``measures``, load the social graph and, if
-    both loads passed, compute each measure. Under ``negative_eta``, each
-    measure logs one warning counting the users of the dataset whose influence
-    is 0, those absent from the social graph included: ibp leaves them out
-    under a negative eta. Returns ``(graph, {measure: InfluenceVector},
-    failures)``, with ``(prefix, exception)`` per failed load or centrality,
-    the dataset's first; the graph is None if the dataset failed."""
+    the dataset; for a non-empty ``measures``, load the social graph (one
+    with no edges is a failure) and, if both loads passed, compute each
+    measure. Under ``negative_eta``, each measure logs one warning counting
+    the users of the dataset whose influence is 0, those absent from the
+    social graph included: ibp leaves them out under a negative eta. Returns
+    ``(graph, {measure: InfluenceVector}, failures)``, with ``(prefix,
+    exception)`` per failed load or centrality, the dataset's first; the
+    graph is None if the dataset failed."""
     graph, social_graph, influence, failures = None, None, {}, []
     try:
         graph = build(ingestion.load_dataset(dataset, dataset_spec))
@@ -178,6 +179,8 @@ def load_inputs(dataset, dataset_spec, social_path, measures, negative_eta):
     if measures:  # only ibp reads the social graph
         try:
             social_graph = social.load_social_graph(social_path)
+            if social_graph.num_links == 0:  # comments, blank lines or self-loops only
+                raise ValueError(f"{social_path}: no edges")
         except (ValueError, OSError) as exc:
             failures.append(("cannot load social graph: ", exc))
     if failures:

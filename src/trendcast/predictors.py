@@ -1,11 +1,10 @@
 """Item scoring at a test date.
 
-Five predictor kinds, each one formula in :func:`score_vector`, which
-scores every item at once from a :class:`Window`, the spec-independent
-arrays of one test date and past window. :func:`score` is the one-shot
-entry point: it ranks those scores into a :class:`ScoredRanking` over the
-items already seen by the test date (items with zero degree then are not
-ranked):
+Five predictor kinds, each one formula in :func:`score_rows`, which scores
+every item under many specs in one pass over the arrays they share at one
+test date and past window. :func:`score` is the one-shot entry point: it
+ranks one spec's row into a :class:`ScoredRanking` over the items already
+seen by the test date (items with zero degree then are not ranked):
 
 * ``total_pop``  - score is the item's current degree;
 * ``recent_pop`` - score is the degree increase inside the past window;
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -92,83 +90,56 @@ class ScoredRanking:
         return [item for item, _ in self.entries[:n]]
 
 
-class Window:
-    """What every predictor reads at one test date and past window.
+def score_rows(graph: TemporalBipartiteGraph, specs, test_date, t_past, influence: dict):
+    """Score every item at ``test_date`` under each spec, in one pass.
 
-    Each array is computed on first use and then shared by every spec
-    scored at that (date, window), so do not mutate one. ``influence`` maps
-    a centrality to the influence of every user, aligned with
-    ``graph.user_ids``, as :func:`align` returns it.
+    Returns ``(seen, rows)``: the compact indices of the items collected by
+    the test date, and one float64 row per spec aligned with ``item_ids``
+    (a total_pop row is the shared degree vector, read-only). The arrays
+    the specs share are computed once. Windowed kinds read
+    ``t_past``, which must equal their ``spec.t_past``; ibp reads
+    ``influence[spec.centrality]``, aligned with ``graph.user_ids`` as
+    :func:`align` returns it. A wpp user's weight is their total degree at
+    the test date, at least 1 for anyone collecting in the window, so
+    0**gamma never arises.
     """
+    kinds = {spec.kind for spec in specs}
+    now = graph.item_degree_vector(test_date).astype(np.float64)
+    now.flags.writeable = False  # total_pop's row, and what every other row reads
+    seen = np.flatnonzero(now > 0)
+    if kinds & {"recent_pop", "pbp"}:
+        past = graph.item_degree_vector(test_date - t_past).astype(np.float64)
+    if kinds & {"wpp", "ibp"}:
+        users, items = graph.window_events(test_date, t_past)
+    if "wpp" in kinds:
+        degree = graph.user_degree_vector(test_date).astype(np.float64)[users]
+    weights = {}
+    for centrality in {spec.centrality for spec in specs if spec.kind == "ibp"}:
+        weight = influence[centrality][users]
+        weights[centrality] = weight, weight != 0.0
 
-    def __init__(self, graph: TemporalBipartiteGraph, test_date, t_past, influence: dict):
-        self.graph = graph
-        self.test_date = test_date
-        self.t_past = t_past
-        self.influence = influence
-        self._weights = {}
-
-    @cached_property
-    def now(self) -> np.ndarray:
-        """Item degrees at the test date, as float64; read-only, as total_pop's scores."""
-        now = self.graph.item_degree_vector(self.test_date).astype(np.float64)
-        now.flags.writeable = False
-        return now
-
-    @cached_property
-    def seen(self) -> np.ndarray:
-        """Compact indices of the items collected by the test date: the ranked domain."""
-        return np.flatnonzero(self.now > 0)
-
-    @cached_property
-    def past(self) -> np.ndarray:
-        """Item degrees at the start of the window, as float64."""
-        return self.graph.item_degree_vector(self.test_date - self.t_past).astype(np.float64)
-
-    @cached_property
-    def events(self) -> tuple[np.ndarray, np.ndarray]:
-        """Compact (user, item) pairs of the events inside the window."""
-        return self.graph.window_events(self.test_date, self.t_past)
-
-    @cached_property
-    def user_degree(self) -> np.ndarray:
-        """Total degree at the test date of the user of every window event, as float64."""
-        return self.graph.user_degree_vector(self.test_date).astype(np.float64)[self.events[0]]
-
-    def influence_weights(self, centrality) -> tuple[np.ndarray, np.ndarray]:
-        """Influence of the user of every window event, and its ``!= 0`` mask."""
-        if centrality not in self._weights:
-            weight = self.influence[centrality][self.events[0]]
-            self._weights[centrality] = weight, weight != 0.0
-        return self._weights[centrality]
-
-
-def score_vector(spec: PredictorSpec, window: Window) -> np.ndarray:
-    """Float64 score of every item at ``window.test_date``, aligned with ``item_ids``.
-
-    Windowed kinds read ``window.t_past``, which must equal ``spec.t_past``;
-    ibp reads ``window.influence[spec.centrality]``. A wpp user's weight is
-    their total degree at the test date, at least 1 for anyone collecting in
-    the window, so 0**gamma never arises.
-    """
-    if spec.kind == "total_pop":
-        return window.now
-    if spec.kind in ("recent_pop", "pbp"):
-        lam = 1.0 if spec.kind == "recent_pop" else spec.lam
-        return window.now - lam * window.past
-    if spec.kind == "wpp":
-        contrib = window.user_degree ** spec.gamma
-    else:
-        weight, nonzero = window.influence_weights(spec.centrality)
-        if spec.eta < 0:
+    rows = []
+    for spec in specs:
+        if spec.kind == "total_pop":
+            rows.append(now)
+            continue
+        if spec.kind in ("recent_pop", "pbp"):
+            rows.append(now - (1.0 if spec.kind == "recent_pop" else spec.lam) * past)
+            continue
+        if spec.kind == "wpp":
+            contrib = degree**spec.gamma
+        elif spec.eta < 0:
             # zero influence is defined to contribute 0, not inf
+            weight, nonzero = weights[spec.centrality]
             contrib = np.zeros(len(weight))
             contrib[nonzero] = weight[nonzero] ** spec.eta
         else:
             # 0**0 == 1 by convention, which is exactly what the eta=0
             # reduction to the plain degree increase requires.
-            contrib = weight**spec.eta
-    return np.bincount(window.events[1], weights=contrib, minlength=window.graph.num_items)
+            contrib = weights[spec.centrality][0] ** spec.eta
+        # an empty window's bincount is int64, weights or not
+        rows.append(np.bincount(items, contrib, graph.num_items).astype(np.float64, copy=False))
+    return seen, rows
 
 
 def align(graph: TemporalBipartiteGraph, vectors, specs) -> dict[str, np.ndarray]:
@@ -212,7 +183,7 @@ def score(
         raise ValueError(f"{spec.kind} needs t_past")
     if spec.kind == "ibp" and influence is None and social_graph is not None:
         influence = compute_influence(social_graph, spec.centrality)
-    window = Window(graph, test_date, spec.t_past, align(graph, [influence], [spec]))
-    scores = score_vector(spec, window)
-    order = graph.rank_items(scores, window.seen)
+    seen, (scores,) = score_rows(graph, [spec], test_date, spec.t_past,
+                                 align(graph, [influence], [spec]))
+    order = graph.rank_items(scores, seen)
     return ScoredRanking(list(zip(graph.item_ids[order].tolist(), scores[order].tolist())))

@@ -159,6 +159,11 @@ class TestLeaderRank:
         assert infl.values.shape == (1,)
         assert abs(infl.values[0] - 1.0) < 1e-9
 
+    def test_no_users_rejected(self):
+        # the CLI set-up rejects an edge-free file first, as "no edges"
+        with pytest.raises(ValueError, match="leaderrank needs at least one user"):
+            compute_influence(SocialGraph([(1, 1), (2, 2)]), "leaderrank")
+
     def test_matches_dense_power_iteration_oracle(self):
         edges = [(0, 1), (1, 2), (2, 0), (3, 0), (4, 1), (5, 4), (2, 5)]
         g = SocialGraph(edges, users=range(6))

@@ -661,14 +661,23 @@ class TestSetUp:
             assert (out, errors) == ("", [expected])
 
     @pytest.mark.parametrize("verb", ["run", "validate", "rank"])
-    def test_leaderrank_without_users_is_one_error(self, tmp_path, inputs, capsys, caplog, verb):
+    @pytest.mark.parametrize("measure", ["pagerank", "leaderrank"])
+    @pytest.mark.parametrize("text", ["# only a comment\n\n", "1 1\n2 2\n"],
+                             ids=["comments", "self-loops"])
+    def test_edge_list_without_edges_is_one_error(self, tmp_path, inputs, capsys, caplog,
+                                                  verb, measure, text):
+        # without edges leaderrank has no user and every pagerank ibp score is 0
         ratings, edges, cfg = inputs
-        edges.write_text("1 1\n2 2\n")
-        problem = "leaderrank needs at least one user"
-        argv = self.rank_argv(ratings, edges) if verb == "rank" else [verb, str(cfg)]
+        edges.write_text(text)
+        cfg.write_text(cfg.read_text().replace("centrality = pagerank\ncentrality = leaderrank\n",
+                                               f"centrality = {measure}\n"))
+        argv = ([arg.replace("leaderrank", measure) for arg in self.rank_argv(ratings, edges)]
+                if verb == "rank" else [verb, str(cfg)])
+        problem = f"{edges}: no edges"
         assert main(argv) == 1
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        expected = {"run": ("", [f"config: {problem}"]), "validate": (problem + "\n", []),
+        expected = {"run": ("", [f"config: cannot load social graph: {problem}"]),
+                    "validate": (f"cannot load social graph: {problem}\n", []),
                     "rank": ("", [problem])}[verb]
         assert (capsys.readouterr().out, errors) == expected
         assert not (tmp_path / "out").exists()

@@ -1,13 +1,16 @@
 import csv
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import Event, dedup_earliest, random_events
 from trendcast.events import build
 from trendcast.evaluation import EvalConfig, evaluate, make_test_dates
 from trendcast.experiment import SWEEP_COLUMNS, report_rows, write_reports_csv
-from trendcast.predictors import PredictorSpec, score
+from trendcast.predictors import PredictorSpec, align, score, score_rows
 from trendcast.social import SocialGraph, compute_influence
 
 
@@ -107,9 +110,24 @@ class TestTrueRanking:
         assert report.per_date[0].precision == 1.0
         assert any("degenerate" in m for m in caplog.messages)
 
+    def test_degenerate_dates_are_one_warning(self, caplog):
+        # nothing moves in (5, 15] or (20, 30]; item 7 gains at 50, in (40, 50]
+        events = [Event(1, 5, 1), Event(2, 6, 2), Event(3, 7, 50)]
+        with caplog.at_level("WARNING"):
+            evaluate(build(events), [PredictorSpec("total_pop")], EvalConfig(5, 10, [5, 20, 40], 2))
+        assert caplog.messages == ["degenerate true ranking at 2 of 3 test dates (5, 20): "
+                                   "no item gained links"]
+
     def test_truncated_future_window(self, small_graph):
         with pytest.raises(ValueError, match="truncated future window"):
             evaluate(small_graph, [PredictorSpec("recent_pop")], EvalConfig(5, 100, [10], 5))
+
+    def test_truncated_date_rejected_before_any_is_scored(self, caplog):
+        # date 5 is degenerate, date 45 runs past the last event at 50
+        events = [Event(1, 5, 1), Event(2, 6, 2), Event(3, 7, 50)]
+        with caplog.at_level("WARNING"), pytest.raises(ValueError, match="test date 45"):
+            evaluate(build(events), [PredictorSpec("total_pop")], EvalConfig(5, 10, [5, 45], 2))
+        assert caplog.messages == []
 
     def test_matches_sort_oracle(self, rng):
         events = random_events(rng, num_events=800)
@@ -313,9 +331,9 @@ def test_degenerate_window_numbers_are_pinned():
         assert (got.precision, got.new_entry_count) == (1.0, 0)
 
 
-class TestSharedWindow:
-    """evaluate scores every spec of a date from one shared window;
-    nothing computed for one spec, centrality or window length may leak into
+class TestOneScoringPassPerDate:
+    """evaluate scores every spec of a date in one score_rows pass; nothing
+    computed for one spec, centrality or window length may leak into
     another."""
 
     SPECS = [
@@ -341,6 +359,32 @@ class TestSharedWindow:
             one = [evaluate(g, [spec], cfg, [influence.get(spec.centrality)])[0]
                    for spec in self.SPECS]
             assert many == one
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t_past=st.integers(1, 3000),
+           date=st.integers(0, 5000))
+    def test_each_row_equals_its_spec_alone(self, seed, t_past, date):
+        rng = np.random.default_rng(seed)
+        g = build(random_events(rng, num_users=80, num_items=40, num_events=600, t_max=5000))
+        # users 60-79 are not in the social graph: influence 0 under eta < 0
+        social = SocialGraph(rng.integers(0, 60, size=(150, 2)))
+        vectors = [compute_influence(social, m) for m in ("in_degree", "pagerank")]
+        influence = align(g, vectors, self.SPECS)
+        seen, rows = score_rows(g, self.SPECS, date, t_past, influence)
+        for spec, row in zip(self.SPECS, rows):
+            alone_seen, (alone,) = score_rows(g, [spec], date, t_past, influence)
+            assert np.array_equal(seen, alone_seen)
+            assert row.dtype == alone.dtype == np.float64
+            assert row.tobytes() == alone.tobytes(), spec
+
+    def test_shared_degree_row_is_read_only(self, small_graph):
+        # the total_pop row is the degree vector every other row is built from
+        _, (row, increase) = score_rows(small_graph, [PredictorSpec("total_pop"),
+                                                      PredictorSpec("recent_pop", t_past=5)],
+                                        10, 5, {})
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
+        assert increase.flags.writeable
 
 
 class TestCsvOutput:

@@ -127,6 +127,15 @@ class TestWpp:
         scores = dict(r.entries)
         assert scores[11] == 0.0 and scores[12] == 0.0 and scores[10] > 0
 
+    @pytest.mark.parametrize("spec", [PredictorSpec("wpp", gamma=0.8, t_past=2),
+                                      PredictorSpec("ibp", eta=1.0, centrality="in_degree",
+                                                    t_past=2)], ids=["wpp", "ibp"])
+    def test_empty_window_scores_are_floats(self, small_graph, spec):
+        # no event in (4, 6]: an empty bincount is int64, but scores are floats
+        influence = compute_influence(SocialGraph([(1, 2)]), "in_degree")
+        r = score(small_graph, spec, 6, influence=influence)
+        assert [type(s) for _, s in r.entries] == [float, float]
+
 
 class TestIbp:
     def social(self):

@@ -1,9 +1,11 @@
-"""The README's "Library use" block runs as written.
+"""The README's "Library use" block runs as written, and every
+``trendcast.<module>.<name>`` the README cites exists.
 
 A README that names a removed function or an old signature fails here.
 """
 
 import ast
+import importlib
 import re
 import types
 from pathlib import Path
@@ -52,3 +54,22 @@ def test_package_exports_what_library_use_documents():
                 if isinstance(node, ast.ImportFrom) and node.module == "trendcast"
                 for alias in node.names]
     assert imported and [name for name in imported if not hasattr(trendcast, name)] == []
+
+
+def test_cited_names_resolve():
+    cited = sorted(set(re.findall(r"\btrendcast((?:\.\w+)+)", README.read_text(encoding="utf-8"))))
+    assert cited
+    missing = []
+    for dotted in cited:
+        module, *names = dotted[1:].split(".")
+        try:
+            value = importlib.import_module(f"trendcast.{module}")
+        except ImportError:
+            missing.append("trendcast" + dotted)
+            continue
+        for name in names:
+            if not hasattr(value, name):
+                missing.append("trendcast" + dotted)
+                break
+            value = getattr(value, name)
+    assert missing == []

@@ -146,9 +146,7 @@ def _cmd_rank(args) -> int:
         raise ValueError(f"--spec ibp weighs users by {spec.centrality} on a social graph: "
                          "pass its edge list with --social")
     dataset_spec = ingestion.DatasetSpec(format=args.format, threshold=args.threshold)
-    measures = [spec.centrality] if spec.kind == "ibp" else []
-    graph, influence, failures = load_inputs(args.dataset, dataset_spec, args.social, measures,
-                                             spec.kind == "ibp" and spec.eta < 0)
+    graph, influence, failures = load_inputs(args.dataset, dataset_spec, args.social, [spec])
     if failures:
         raise failures[0][1]
     test_date = args.t_star if args.t_star is not None else graph.t_last

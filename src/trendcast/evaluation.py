@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .events import TemporalBipartiteGraph
-from .predictors import PredictorSpec, align, score_rows
+from .predictors import PredictorSpec, ibp_weights, score_rows
 from .social import InfluenceVector
 
 log = logging.getLogger(__name__)
@@ -129,17 +129,16 @@ def evaluate(
     past increase (recent_pop's row) and every spec. The true and the past
     top-n, ranked by ``graph.rank_items`` as each spec's top-n is, become
     two item masks (the true top-n, the new entries) that every spec is
-    counted against. ``influence`` holds one vector per measure, aligned by
-    :func:`trendcast.predictors.align`, and must cover the centrality of
-    every ibp spec (:func:`trendcast.social.compute_influence`); a missing
-    vector, or two of one measure, is a ``ValueError``. A spec's ``t_past``
-    may be left unset, in which case the config's window is used; if both
-    are set they must agree (E_n is defined against the same past window
-    the predictor sees). Every test date's future window is checked before
-    any date is scored; then one warning names the dates where no item
-    gains links in it. It does not warn about the zero-influence users that
-    ibp leaves out under a negative eta: the set-up of ``trendcast
-    validate``, ``run`` and ``rank`` counts them.
+    counted against. ``influence`` holds one vector per measure, covering
+    every ibp spec's centrality; :func:`trendcast.predictors.ibp_weights`
+    weighs the users once for every date. A spec's ``t_past`` may be left
+    unset, in which case the config's window is used; if both are set they
+    must agree (E_n is defined against the same past window the predictor
+    sees). Every test date's future window is checked before any date is
+    scored; then one warning names the dates where no item gains links in
+    it. It does not warn about the zero-influence users that ibp leaves out
+    under a negative eta: the set-up of ``trendcast validate``, ``run`` and
+    ``rank`` counts them.
     """
     for spec in specs:
         if spec.t_past is not None and spec.t_past != config.t_past:
@@ -147,7 +146,7 @@ def evaluate(
                 f"predictor t_past={spec.t_past} disagrees with eval t_past={config.t_past}"
             )
     specs = [s if s.kind == "total_pop" else s.with_t_past(config.t_past) for s in specs]
-    aligned = align(graph, influence, specs)
+    weights = ibp_weights(graph, influence, specs)
     past_increase = PredictorSpec("recent_pop", t_past=config.t_past)
 
     for date in config.test_dates:
@@ -166,7 +165,7 @@ def evaluate(
         if future[truth[0]] == 0:
             degenerate.append(date)
         seen, (past, *rows) = score_rows(graph, [past_increase, *specs], date, config.t_past,
-                                         aligned)
+                                         weights)
         in_truth = np.zeros(graph.num_items, dtype=bool)
         in_truth[truth] = True
         is_new = in_truth.copy()

@@ -161,16 +161,17 @@ def validate(cfg: ExperimentConfig) -> list[str]:
     return _check(cfg)[0]
 
 
-def load_inputs(dataset, dataset_spec, social_path, measures, negative_eta):
+def load_inputs(dataset, dataset_spec, social_path, specs):
     """The set-up every verb shares, logged as a run logs it: load and build
-    the dataset; for a non-empty ``measures``, load the social graph (one
-    with no edges is a failure) and, if both loads passed, compute each
-    measure. Under ``negative_eta``, each measure logs one warning counting
-    the users of the dataset whose influence is 0, those absent from the
-    social graph included: ibp leaves them out under a negative eta. Returns
-    ``(graph, {measure: InfluenceVector}, failures)``, with ``(prefix,
-    exception)`` per failed load or centrality, the dataset's first; the
-    graph is None if the dataset failed."""
+    the dataset; if an ibp spec of ``specs`` reads it, load the social graph
+    (one with no edges is a failure) and, if both loads passed, compute each
+    centrality of the ibp specs. One that a spec raises to a negative eta
+    logs a warning counting the dataset's users of influence 0, absent users
+    included, whom ibp leaves out. Returns ``(graph, {measure:
+    InfluenceVector}, failures)``, with ``(prefix, exception)`` per failed
+    load or centrality, the dataset's first; the graph is None if the
+    dataset failed."""
+    measures = dict.fromkeys(s.centrality for s in specs if s.kind == "ibp")
     graph, social_graph, influence, failures = None, None, {}, []
     try:
         graph = build(ingestion.load_dataset(dataset, dataset_spec))
@@ -194,8 +195,8 @@ def load_inputs(dataset, dataset_spec, social_path, measures, negative_eta):
         else:
             log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
                      measure, infl.iterations_used, infl.residual, infl.converged)
-            if negative_eta:  # users absent from the social graph count as zero too
-                zero = np.count_nonzero(infl.lookup(graph.user_ids) == 0.0)
+            if any(s.eta < 0 for s in specs if s.centrality == measure):
+                zero = np.count_nonzero(infl.lookup(graph.user_ids) == 0.0)  # absent users too
                 if zero:
                     log.warning("ibp(%s): %d of %d users are zero-influence and contribute 0 "
                                 "under eta < 0", measure, zero, graph.num_users)
@@ -205,8 +206,9 @@ def load_inputs(dataset, dataset_spec, social_path, measures, negative_eta):
 def _check(cfg: ExperimentConfig):
     """The whole set-up of :func:`run_sweep`: the config rules, then
     :func:`load_inputs` and the test dates. Returns the problems and, to read
-    only when there are none, the graph, the ``{measure: InfluenceVector}``
-    map and each window's ``(t_past, t_future, test dates)``, t_past outermost."""
+    only when there are none, the specs, the graph, the ``{measure:
+    InfluenceVector}`` map and each window's ``(t_past, t_future, test
+    dates)``, t_past outermost."""
     problems = []
     for key in cfg.unknown_keys:
         problems.append(f"unknown config key {key!r}")
@@ -270,11 +272,10 @@ def _check(cfg: ExperimentConfig):
         problems.append(str(exc))
 
     if problems:
-        return problems, None, {}, []
+        return problems, [], None, {}, []
 
-    measures = cfg.centralities if "ibp" in cfg.predictors else []
-    graph, influence, failures = load_inputs(cfg.dataset, spec, cfg.social, measures,
-                                             min(cfg.etas or DEFAULT_ETA_GRID) < 0)
+    specs = predictor_specs(cfg)
+    graph, influence, failures = load_inputs(cfg.dataset, spec, cfg.social, specs)
     problems = [prefix + str(exc) for prefix, exc in failures]
     windows = []
     if graph is not None:
@@ -290,7 +291,7 @@ def _check(cfg: ExperimentConfig):
                     problems.append(str(exc))
                 else:
                     windows.append((t_past, t_future, dates))
-    return problems, graph, influence, windows
+    return problems, specs, graph, influence, windows
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: bool = False) -> int:
@@ -298,17 +299,17 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
     write the CSV outputs.
 
     ``workers`` is ignored, since the sweep runs in this process; it stays
-    only because the benchmark in ``bench/`` passes it. Returns 1 when the set-up found a problem, each logged as
-    one ``config:`` error line, else 0 once the outputs are written. Nothing
-    else is caught: an exception from the grid or the writes propagates.
+    only because the benchmark in ``bench/`` passes it. Returns 1 when the
+    set-up found a problem, each logged as one ``config:`` error line, else 0
+    once the outputs are written. Nothing else is caught: an exception from
+    the grid or the writes propagates.
     """
-    problems, graph, influence, windows = _check(cfg)
+    problems, specs, graph, influence, windows = _check(cfg)
     if problems:
         for p in problems:
             log.error("config: %s", p)
         return 1
 
-    specs = predictor_specs(cfg)
     grid = []  # one report per spec for each (t_past, t_future, n), in that nesting
     heat_reports = []
     for t_past, t_future, dates in windows:

@@ -11,7 +11,7 @@ seen by the test date (items with zero degree then are not ranked):
 * ``pbp``        - blends the two: ``k(t) - lam * k(t - t_past)``;
 * ``wpp``        - each collecting user inside the window contributes
   ``(their total degree)**gamma`` instead of 1;
-* ``ibp``        - contributions weighted by ``(social influence)**eta``.
+* ``ibp``        - as ``wpp``, with ``(their social influence)**eta`` instead.
 
 Scores are float64; rankings sort by decreasing score with ties broken by
 ascending item id, so identical inputs give bit-identical rankings.
@@ -90,62 +90,13 @@ class ScoredRanking:
         return [item for item, _ in self.entries[:n]]
 
 
-def score_rows(graph: TemporalBipartiteGraph, specs, test_date, t_past, influence: dict):
-    """Score every item at ``test_date`` under each spec, in one pass.
-
-    Returns ``(seen, rows)``: the compact indices of the items collected by
-    the test date, and one float64 row per spec aligned with ``item_ids``
-    (a total_pop row is the shared degree vector, read-only). The arrays
-    the specs share are computed once. Windowed kinds read
-    ``t_past``, which must equal their ``spec.t_past``; ibp reads
-    ``influence[spec.centrality]``, aligned with ``graph.user_ids`` as
-    :func:`align` returns it. A wpp user's weight is their total degree at
-    the test date, at least 1 for anyone collecting in the window, so
-    0**gamma never arises.
-    """
-    kinds = {spec.kind for spec in specs}
-    now = graph.item_degree_vector(test_date).astype(np.float64)
-    now.flags.writeable = False  # total_pop's row, and what every other row reads
-    seen = np.flatnonzero(now > 0)
-    if kinds & {"recent_pop", "pbp"}:
-        past = graph.item_degree_vector(test_date - t_past).astype(np.float64)
-    if kinds & {"wpp", "ibp"}:
-        users, items = graph.window_events(test_date, t_past)
-    if "wpp" in kinds:
-        degree = graph.user_degree_vector(test_date).astype(np.float64)[users]
-    weights = {}
-    for centrality in {spec.centrality for spec in specs if spec.kind == "ibp"}:
-        weight = influence[centrality][users]
-        weights[centrality] = weight, weight != 0.0
-
-    rows = []
-    for spec in specs:
-        if spec.kind == "total_pop":
-            rows.append(now)
-            continue
-        if spec.kind in ("recent_pop", "pbp"):
-            rows.append(now - (1.0 if spec.kind == "recent_pop" else spec.lam) * past)
-            continue
-        if spec.kind == "wpp":
-            contrib = degree**spec.gamma
-        elif spec.eta < 0:
-            # zero influence is defined to contribute 0, not inf
-            weight, nonzero = weights[spec.centrality]
-            contrib = np.zeros(len(weight))
-            contrib[nonzero] = weight[nonzero] ** spec.eta
-        else:
-            # 0**0 == 1 by convention, which is exactly what the eta=0
-            # reduction to the plain degree increase requires.
-            contrib = weights[spec.centrality][0] ** spec.eta
-        # an empty window's bincount is int64, weights or not
-        rows.append(np.bincount(items, contrib, graph.num_items).astype(np.float64, copy=False))
-    return seen, rows
-
-
-def align(graph: TemporalBipartiteGraph, vectors, specs) -> dict[str, np.ndarray]:
-    """Map each vector's ``measure`` to its values aligned with ``graph.user_ids``,
-    skipping ``None``. Two vectors of one measure, or an ibp spec of ``specs``
-    whose centrality no vector holds, are a ``ValueError``."""
+def ibp_weights(graph: TemporalBipartiteGraph, vectors, specs) -> dict:
+    """Map each ibp spec's ``(centrality, eta)`` to its users' influence
+    raised to eta, one float64 per user of ``graph.user_ids``. ``vectors``
+    holds one :class:`InfluenceVector` per measure, ``None`` skipped; two of
+    one measure, or none for an ibp spec's centrality, is a ``ValueError``.
+    Zero influence, absent users' included, weighs 0 under a negative eta,
+    not inf; 0**0 == 1, so eta = 0 reduces ibp to the plain degree increase."""
     aligned = {}
     for vector in vectors:
         if vector is None:
@@ -157,7 +108,59 @@ def align(graph: TemporalBipartiteGraph, vectors, specs) -> dict[str, np.ndarray
     if missing:
         raise ValueError(f"influence vectors given for {sorted(aligned)}, but ibp needs "
                          f"{missing}: compute them on a social graph")
-    return aligned
+    weights = {}
+    for spec in specs:
+        if spec.kind != "ibp" or (spec.centrality, spec.eta) in weights:
+            continue
+        influence = aligned[spec.centrality]
+        if spec.eta < 0:
+            weight = np.zeros(len(influence))
+            nonzero = influence != 0.0
+            weight[nonzero] = influence[nonzero] ** spec.eta
+        else:
+            weight = influence**spec.eta
+        weights[spec.centrality, spec.eta] = weight
+    return weights
+
+
+def score_rows(graph: TemporalBipartiteGraph, specs, test_date, t_past, weights: dict):
+    """Score every item at ``test_date`` under each spec, in one pass.
+
+    Returns ``(seen, rows)``: the compact indices of the items collected by
+    the test date, and one float64 row per spec aligned with ``item_ids``
+    (a total_pop row is the shared degree vector, read-only). The arrays
+    the specs share are computed once. Windowed kinds read
+    ``t_past``, which must equal their ``spec.t_past``; ibp reads its
+    per-user weights from ``weights``, as :func:`ibp_weights` returns them.
+    A wpp user's weight is their total degree at the test date, at least 1
+    for anyone collecting in the window, so 0**gamma never arises.
+    """
+    kinds = {spec.kind for spec in specs}
+    now = graph.item_degree_vector(test_date).astype(np.float64)
+    now.flags.writeable = False  # total_pop's row, and what every other row reads
+    seen = np.flatnonzero(now > 0)
+    if kinds & {"recent_pop", "pbp"}:
+        past = graph.item_degree_vector(test_date - t_past).astype(np.float64)
+    if kinds & {"wpp", "ibp"}:
+        users, items = graph.window_events(test_date, t_past)
+    if "wpp" in kinds:
+        degree = graph.user_degree_vector(test_date).astype(np.float64)[users]
+
+    rows = []
+    for spec in specs:
+        if spec.kind == "total_pop":
+            rows.append(now)
+            continue
+        if spec.kind in ("recent_pop", "pbp"):
+            rows.append(now - (1.0 if spec.kind == "recent_pop" else spec.lam) * past)
+            continue
+        if spec.kind == "wpp":
+            contrib = degree**spec.gamma
+        else:
+            contrib = weights[spec.centrality, spec.eta][users]
+        # an empty window's bincount is int64, weights or not
+        rows.append(np.bincount(items, contrib, graph.num_items).astype(np.float64, copy=False))
+    return seen, rows
 
 
 def score(
@@ -172,18 +175,15 @@ def score(
     Every kind except ``total_pop`` needs ``spec.t_past``. ibp takes the
     precomputed ``influence`` vector if given (pass one when sweeping eta:
     the centrality is the expensive part), else computes ``spec.centrality``
-    on ``social_graph``; :func:`align` rejects a vector of another measure.
-    Users absent from the social graph carry influence 0:
-    they contribute 0 for eta > 0, 1 for eta = 0 (the plain degree
-    increase), and by definition 0 for eta < 0. Nothing is logged. The
-    ``social_graph`` parameter stays only because the benchmark in ``bench/``
-    passes it.
+    on ``social_graph``; :func:`ibp_weights` rejects a vector of another
+    measure. Nothing is logged. The ``social_graph`` parameter stays only
+    because the benchmark in ``bench/`` passes it.
     """
     if spec.kind != "total_pop" and spec.t_past is None:
         raise ValueError(f"{spec.kind} needs t_past")
     if spec.kind == "ibp" and influence is None and social_graph is not None:
         influence = compute_influence(social_graph, spec.centrality)
     seen, (scores,) = score_rows(graph, [spec], test_date, spec.t_past,
-                                 align(graph, [influence], [spec]))
+                                 ibp_weights(graph, [influence], [spec]))
     order = graph.rank_items(scores, seen)
     return ScoredRanking(list(zip(graph.item_ids[order].tolist(), scores[order].tolist())))

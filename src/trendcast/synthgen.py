@@ -123,7 +123,8 @@ def generate(config: GenConfig) -> np.ndarray:
     return events
 
 
-def generate_social(num_users: int, num_edges: int, attach_exponent: float = 0.0, seed: int = 0) -> np.ndarray:
+def generate_social(num_users: int, num_edges: int, attach_exponent: float = 0.0,
+                    seed: int = 0) -> np.ndarray:
     """Directed follower->leader edges with in-degree preferential attachment.
 
     Returns an ``(E, 2)`` int64 array of ``(follower, leader)`` rows in draw

@@ -85,6 +85,19 @@ def ibp_scores(events, t, t_past, eta, influence_by_user):
     return scores
 
 
+def ibp_event_weights(aligned, users, eta):
+    """Each window event's ibp weight formed per event: gather the events'
+    influence (``aligned`` follows ``graph.user_ids``, ``users`` indexes it),
+    then raise it to eta; zero influence weighs 0 when eta < 0."""
+    w = aligned[users]
+    if eta < 0:
+        out = np.zeros(len(w))
+        nonzero = w != 0.0
+        out[nonzero] = w[nonzero] ** eta
+        return out
+    return w**eta
+
+
 def pagerank_dense_solve(n, edges, delta=0.85):
     """Fixed point of the damped follower->leader flow by direct linear solve.
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import logging
 import os
@@ -238,6 +239,19 @@ class TestRankVerb:
             assert re.fullmatch(rf"ibp\(in_degree\): \d+ of {num_users} users are zero-influence "
                                 r"and contribute 0 under eta < 0", line), line
 
+    @pytest.mark.parametrize("measure", ["in_degree", "pagerank", "leaderrank"])
+    @pytest.mark.parametrize("eta", ["-1", "0", "1"])
+    def test_ibp_scores_are_pinned(self, dataset, tmp_path, capsys, measure, eta):
+        # users 40-59 follow but have no follower; users 60-99 are not in the edge list
+        edges = tmp_path / "edges.txt"
+        write_edge_list([(u, (u * 7 + 3) % 40) for u in range(60)], edges)
+        argv = ["rank", str(dataset), "--social", str(edges), "--n", "30",
+                "--spec", f"ibp,eta={eta},centrality={measure},t_past=400"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 30
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_IBP_RANK[measure, eta]
+
     @pytest.mark.parametrize("n", ["0", "-27"])
     def test_nonpositive_n_fails_cleanly(self, dataset, capsys, caplog, n):
         assert main(["rank", str(dataset), "--spec", "total_pop", "--n", n]) == 1
@@ -281,6 +295,21 @@ class TestRankVerb:
         assert main(argv) == 1
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert len(errors) == 1 and error in errors[0]
+
+
+# rank's stdout for every item, recorded before ibp weights were built per user
+# (eta = 0 weighs every user 1, whatever the centrality)
+PINNED_IBP_RANK = {
+    ("in_degree", "-1"): "7780e9f86138866ffae63a5c29e7b0d985cdcae51e486c4dad589f44ad003c8a",
+    ("in_degree", "0"): "a5400995944e5f0069162c9fc440485cb1d779c3a0d797243aa546b3cb9910c0",
+    ("in_degree", "1"): "3997d234efe0ea76601ffdd49bc599ad741972f3337a75052df75141c6a63b10",
+    ("pagerank", "-1"): "f372ebf96fb7b37c41c53e97c6d82072aa57b23d198a4a27527f5445d4e080f4",
+    ("pagerank", "0"): "a5400995944e5f0069162c9fc440485cb1d779c3a0d797243aa546b3cb9910c0",
+    ("pagerank", "1"): "9ffee266804980325de3b391b46f1be5dbd8d6d5b1ab3a3b8243bb047b5ffb8a",
+    ("leaderrank", "-1"): "ea7f1739ed0734cb7f31baed1933e66e430ac9840a9cc00001122fe95a9ff817",
+    ("leaderrank", "0"): "a5400995944e5f0069162c9fc440485cb1d779c3a0d797243aa546b3cb9910c0",
+    ("leaderrank", "1"): "6f47ebf6a346f1040c33b3b63c324619c8c452546ae51380e6905faf99398b95",
+}
 
 
 class TestRunAndValidateVerbs:

@@ -10,7 +10,7 @@ from conftest import Event, dedup_earliest, random_events
 from trendcast.events import build
 from trendcast.evaluation import EvalConfig, evaluate, make_test_dates
 from trendcast.experiment import SWEEP_COLUMNS, report_rows, write_reports_csv
-from trendcast.predictors import PredictorSpec, align, score, score_rows
+from trendcast.predictors import PredictorSpec, ibp_weights, score, score_rows
 from trendcast.social import SocialGraph, compute_influence
 
 
@@ -369,10 +369,10 @@ class TestOneScoringPassPerDate:
         # users 60-79 are not in the social graph: influence 0 under eta < 0
         social = SocialGraph(rng.integers(0, 60, size=(150, 2)))
         vectors = [compute_influence(social, m) for m in ("in_degree", "pagerank")]
-        influence = align(g, vectors, self.SPECS)
-        seen, rows = score_rows(g, self.SPECS, date, t_past, influence)
+        weights = ibp_weights(g, vectors, self.SPECS)
+        seen, rows = score_rows(g, self.SPECS, date, t_past, weights)
         for spec, row in zip(self.SPECS, rows):
-            alone_seen, (alone,) = score_rows(g, [spec], date, t_past, influence)
+            alone_seen, (alone,) = score_rows(g, [spec], date, t_past, weights)
             assert np.array_equal(seen, alone_seen)
             assert row.dtype == alone.dtype == np.float64
             assert row.tobytes() == alone.tobytes(), spec

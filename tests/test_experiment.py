@@ -19,7 +19,8 @@ from trendcast.experiment import (
     validate,
 )
 from trendcast.events import build
-from trendcast.ingestion import load_votes, write_votes_csv
+from trendcast.ingestion import DatasetSpec, load_votes, write_votes_csv
+from trendcast.predictors import PredictorSpec
 from trendcast.social import write_edge_list
 from trendcast.synthgen import GenConfig, generate, generate_social
 
@@ -367,3 +368,44 @@ PINNED_SWEEP = {
     "heatmap.csv": "57b0077a028b71abac329f011dd8044e845d6031d2186bc02f300c0c76ebf907",
     "scatter.csv": "663944ffaaaf9bc12ec16349feb3e9171c3096fcdf8ca6841f9eda95f22d79c0",
 }
+
+
+class TestLoadInputs:
+    """The set-up reads from the specs which centralities to compute and
+    which of them get the zero-influence warning."""
+
+    def test_each_centrality_once_and_the_warning_under_a_negative_eta(self, tmp_path, dataset,
+                                                                       caplog):
+        # users 100-199 of the dataset are absent from the edge list: influence 0 under both
+        edges = tmp_path / "edges.txt"
+        write_edge_list([(u, (u * 7 + 3) % 40) for u in range(100)], edges)
+        specs = [PredictorSpec("ibp", eta=-1.0, centrality="in_degree"),
+                 PredictorSpec("ibp", eta=1.0, centrality="pagerank"),
+                 PredictorSpec("ibp", eta=0.5, centrality="in_degree")]
+        with caplog.at_level(logging.WARNING):
+            graph, influence, failures = experiment.load_inputs(
+                dataset, DatasetSpec("votes"), edges, specs)
+        assert failures == [] and list(influence) == ["in_degree", "pagerank"]
+        assert (influence["pagerank"].lookup(graph.user_ids) == 0.0).any()  # yet not warned
+        zero = (influence["in_degree"].lookup(graph.user_ids) == 0.0).sum()
+        assert caplog.messages == [f"ibp(in_degree): {zero} of {graph.num_users} users are "
+                                   "zero-influence and contribute 0 under eta < 0"]
+
+    def test_no_ibp_spec_never_opens_the_social_path(self, tmp_path, dataset, monkeypatch):
+        opened = []
+        monkeypatch.setattr(social, "load_social_graph", opened.append)
+        specs = [PredictorSpec("total_pop"), PredictorSpec("wpp", gamma=-1.0),
+                 PredictorSpec("pbp", lam=0.5)]
+        graph, influence, failures = experiment.load_inputs(
+            dataset, DatasetSpec("votes"), tmp_path / "missing.txt", specs)
+        assert graph is not None and influence == {} and failures == [] and opened == []
+
+    def test_run_expands_the_grid_once(self, tmp_path, dataset, monkeypatch):
+        calls = []
+        expand = experiment.predictor_specs
+        monkeypatch.setattr(experiment, "predictor_specs",
+                            lambda cfg: calls.append(cfg) or expand(cfg))
+        cfg = parse_experiment_config(
+            write_config(tmp_path, BASE.format(dataset=dataset, out=tmp_path / "out")))
+        assert run_sweep(cfg) == 0
+        assert calls == [cfg]

@@ -1,15 +1,18 @@
 import logging
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import Event, dedup_earliest, entry, random_events
 from trendcast.events import build
-from trendcast.experiment import load_inputs
+from trendcast.experiment import DEFAULT_ETA_GRID, load_inputs
 from trendcast.ingestion import DatasetSpec, write_votes_csv
-from trendcast.predictors import PredictorSpec, score
-from trendcast.social import SocialGraph, compute_influence, write_edge_list
+from trendcast.predictors import PredictorSpec, ibp_weights, score, score_rows
+from trendcast.social import InfluenceVector, SocialGraph, compute_influence, write_edge_list
 
 
 def ordering(ranking):
@@ -189,7 +192,7 @@ class TestIbp:
         write_votes_csv([Event(user, 7, 1) for user in users], votes)
         write_edge_list([(2, 1), (3, 1), (1, 2)], edges)  # self.social()'s edges
         with caplog.at_level(logging.WARNING):
-            load_inputs(votes, DatasetSpec("votes"), edges, ["in_degree"], True)
+            load_inputs(votes, DatasetSpec("votes"), edges, [self.spec(-1.0, 5)])
         assert caplog.messages == ([] if counted is None else [
             f"ibp(in_degree): {counted} of {len(users)} users are zero-influence and "
             "contribute 0 under eta < 0"])
@@ -211,6 +214,39 @@ class TestIbp:
         spec = PredictorSpec("ibp", eta=1.0, t_past=5, centrality="pagerank")
         with pytest.raises(ValueError, match="'in_degree'.*'pagerank'"):
             score(g, spec, 10, influence=compute_influence(self.social(), "in_degree"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_users=st.integers(1, 300),
+           zero_share=st.floats(0.0, 1.0), t_past=st.integers(1, 2000),
+           date=st.integers(0, 2000))
+    def test_per_user_weights_equal_the_per_event_powers(self, seed, num_users, zero_share,
+                                                         t_past, date):
+        # numpy's SIMD pow may round an array's body and its tail differently, and the
+        # user array and the window's event array have different lengths
+        rng = np.random.default_rng(seed)
+        g = build(random_events(rng, num_users=num_users, num_items=20,
+                                num_events=int(rng.integers(1, 1500)), t_max=2000))
+        vectors = []
+        for measure in ("in_degree", "pagerank"):
+            # some users of the dataset are absent from the vector, some hold an exact 0
+            ids = np.flatnonzero(rng.random(num_users) < 0.8)
+            values = np.where(rng.random(len(ids)) < zero_share, 0.0,
+                              rng.lognormal(size=len(ids)))
+            vectors.append(InfluenceVector(measure, ids, values))
+        specs = [PredictorSpec("ibp", eta=eta, t_past=t_past, centrality=v.measure)
+                 for v in vectors for eta in DEFAULT_ETA_GRID]
+        weights = ibp_weights(g, vectors, specs)
+        users, items = g.window_events(date, t_past)
+        _, rows = score_rows(g, specs, date, t_past, weights)
+        every_user = np.arange(g.num_users)
+        for spec, row in zip(specs, rows):
+            weight = weights[spec.centrality, spec.eta]
+            aligned = next(v for v in vectors if v.measure == spec.centrality).lookup(g.user_ids)
+            assert np.array_equal(weight, oracles.ibp_event_weights(aligned, every_user, spec.eta))
+            per_event = oracles.ibp_event_weights(aligned, users, spec.eta)
+            assert np.array_equal(weight[users], per_event), spec
+            want = np.bincount(items, per_event, g.num_items).astype(np.float64)
+            assert row.tobytes() == want.tobytes(), spec
 
 
 class TestReductionIdentities:

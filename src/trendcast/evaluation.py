@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .events import TemporalBipartiteGraph
-from .predictors import PredictorSpec, ibp_weights, score_rows
-from .social import InfluenceVector
+from .predictors import PredictorSpec, score_rows
 
 log = logging.getLogger(__name__)
 
@@ -120,63 +119,64 @@ def make_test_dates(graph: TemporalBipartiteGraph, count, t_past, t_future) -> l
 def evaluate(
     graph: TemporalBipartiteGraph,
     specs: Sequence[PredictorSpec],
-    config: EvalConfig,
-    influence: Iterable[InfluenceVector] = (),
-) -> list[EvaluationReport]:
-    """Run every predictor over all test dates; one report per spec, in order.
+    configs: Sequence[EvalConfig],
+    weights: dict | None = None,
+) -> list[list[EvaluationReport]]:
+    """Run every predictor over one window at every ranking depth.
 
-    Per date, one :func:`trendcast.predictors.score_rows` pass scores the
-    past increase (recent_pop's row) and every spec. The true and the past
-    top-n, ranked by ``graph.rank_items`` as each spec's top-n is, become
-    two item masks (the true top-n, the new entries) that every spec is
-    counted against. ``influence`` holds one vector per measure, covering
-    every ibp spec's centrality; :func:`trendcast.predictors.ibp_weights`
-    weighs the users once for every date. A spec's ``t_past`` may be left
-    unset, in which case the config's window is used; if both are set they
-    must agree (E_n is defined against the same past window the predictor
-    sees). Every test date's future window is checked before any date is
-    scored; then one warning names the dates where no item gains links in
-    it. It does not warn about the zero-influence users that ibp leaves out
-    under a negative eta: the set-up of ``trendcast validate``, ``run`` and
-    ``rank`` counts them.
+    ``configs`` share their ``t_past``, ``t_future`` and test dates and
+    differ in ``n``; the result holds one report list per config, one report
+    per spec, in order. Per date, one :func:`trendcast.predictors.score_rows`
+    pass scores the past increase (recent_pop's row) and every spec, and
+    ``graph.rank_items`` ranks the truth, the past increase and each row
+    once; each n cuts those rankings at n. ``weights`` holds every ibp
+    spec's user weights, as :func:`trendcast.predictors.ibp_weights` returns
+    them once for a whole sweep. A spec's ``t_past`` may be left unset, in
+    which case the window's is used; if both are set they must agree (E_n is
+    defined against the same past window the predictor sees). Every test
+    date's future window is checked before any date is scored; then one
+    warning names the dates where no item gains links in it.
     """
+    if len({(c.t_past, c.t_future, tuple(c.test_dates)) for c in configs}) != 1:
+        raise ValueError("the configs must share one window: t_past, t_future and test dates")
+    window = configs[0]
     for spec in specs:
-        if spec.t_past is not None and spec.t_past != config.t_past:
-            raise ValueError(
-                f"predictor t_past={spec.t_past} disagrees with eval t_past={config.t_past}"
-            )
-    specs = [s if s.kind == "total_pop" else s.with_t_past(config.t_past) for s in specs]
-    weights = ibp_weights(graph, influence, specs)
-    past_increase = PredictorSpec("recent_pop", t_past=config.t_past)
+        if spec.t_past is not None and spec.t_past != window.t_past:
+            raise ValueError(f"predictor t_past={spec.t_past} disagrees with eval "
+                             f"t_past={window.t_past}")
+        if spec.kind == "ibp" and (spec.centrality, spec.eta) not in (weights or {}):
+            raise ValueError(f"no weights for ibp({spec.centrality}, eta={spec.eta})")
+    specs = [s if s.kind == "total_pop" else s.with_t_past(window.t_past) for s in specs]
+    past_increase = PredictorSpec("recent_pop", t_past=window.t_past)
+    for date in window.test_dates:
+        if date + window.t_future > graph.t_last:
+            raise ValueError(f"truncated future window: test date {date} + {window.t_future} "
+                             f"runs past the last event at {graph.t_last}")
 
-    for date in config.test_dates:
-        if date + config.t_future > graph.t_last:
-            raise ValueError(
-                f"truncated future window: test date {date} + {config.t_future} "
-                f"runs past the last event at {graph.t_last}"
-            )
-
-    reports = [EvaluationReport(spec, config) for spec in specs]
-    n = config.n
+    reports = [[EvaluationReport(spec, config) for spec in specs] for config in configs]
     degenerate = []
-    for date in config.test_dates:
-        future = graph.item_increase_vector(date + config.t_future, config.t_future)
-        truth = graph.rank_items(future, np.arange(graph.num_items))[:n]
+    for date in window.test_dates:
+        future = graph.item_increase_vector(date + window.t_future, window.t_future)
+        truth = graph.rank_items(future, np.arange(graph.num_items))
         if future[truth[0]] == 0:
             degenerate.append(date)
-        seen, (past, *rows) = score_rows(graph, [past_increase, *specs], date, config.t_past,
+        seen, (past, *rows) = score_rows(graph, [past_increase, *specs], date, window.t_past,
                                          weights)
-        in_truth = np.zeros(graph.num_items, dtype=bool)
-        in_truth[truth] = True
-        is_new = in_truth.copy()
-        is_new[graph.rank_items(past, seen)[:n]] = False
-        e_n = np.count_nonzero(is_new)
-        for row, report in zip(rows, reports):
-            predicted = graph.rank_items(row, seen)[:n]
-            p_n = np.count_nonzero(in_truth[predicted]) / n
-            c_n = np.count_nonzero(is_new[predicted])
-            report.per_date.append(DateMetrics(int(date), p_n, e_n, c_n))
+        past_top = graph.rank_items(past, seen)
+        rankings = [graph.rank_items(row, seen) for row in rows]
+        for config, config_reports in zip(configs, reports):
+            n = config.n
+            in_truth = np.zeros(graph.num_items, dtype=bool)
+            in_truth[truth[:n]] = True
+            is_new = in_truth.copy()
+            is_new[past_top[:n]] = False
+            e_n = np.count_nonzero(is_new)
+            for ranking, report in zip(rankings, config_reports):
+                predicted = ranking[:n]
+                p_n = np.count_nonzero(in_truth[predicted]) / n
+                c_n = np.count_nonzero(is_new[predicted])
+                report.per_date.append(DateMetrics(int(date), p_n, e_n, c_n))
     if degenerate:
         log.warning("degenerate true ranking at %d of %d test dates (%s): no item gained links",
-                    len(degenerate), len(config.test_dates), ", ".join(map(str, degenerate)))
+                    len(degenerate), len(window.test_dates), ", ".join(map(str, degenerate)))
     return reports

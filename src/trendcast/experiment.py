@@ -26,9 +26,10 @@ Outputs (written under the output directory):
 
 * ``sweep.csv``   - per test date and summary metrics for every grid point;
 * ``heatmap.csv`` - mean precision of the windowed-increase predictor on
-  the (t_past, t_future) grid;
+  the (t_past, t_future) grid, at the first configured n (it has no n
+  column);
 * ``scatter.csv`` - per-item past/future increases at one test date with a
-  flag marking the first predictor's top-n picks.
+  flag marking the first predictor's top-n picks at the first configured n.
 """
 
 from __future__ import annotations
@@ -310,22 +311,17 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
             log.error("config: %s", p)
         return 1
 
+    weights = predictors.ibp_weights(graph, influence.values(), specs)
     grid = []  # one report per spec for each (t_past, t_future, n), in that nesting
-    heat_reports = []
     for t_past, t_future, dates in windows:
-        for j, n in enumerate(cfg.n_values):
-            # the heatmap's recent_pop is scored along with the first n
-            heat = [PredictorSpec("recent_pop")] if j == 0 else []
-            config = EvalConfig(t_past, t_future, dates, n)
-            reports = evaluate(graph, specs + heat, config, influence.values())
-            if heat:
-                heat_reports.append(reports.pop())
-            grid.append(reports)
+        grid += evaluate(graph, specs, [EvalConfig(t_past, t_future, dates, n)
+                                        for n in cfg.n_values], weights)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     sweep_reports = [reports[k] for k in range(len(specs)) for reports in grid]
     write_reports_csv(sweep_reports, os.path.join(cfg.out_dir, "sweep.csv"))
-    _write_heatmap(heat_reports, os.path.join(cfg.out_dir, "heatmap.csv"))
+    _write_heatmap([reports[0] for reports in grid[::len(cfg.n_values)]], graph.num_items,
+                   os.path.join(cfg.out_dir, "heatmap.csv"))
     _write_scatter(graph, sweep_reports[0], influence, os.path.join(cfg.out_dir, "scatter.csv"))
     log.info("wrote sweep.csv, heatmap.csv, scatter.csv to %s", cfg.out_dir)
 
@@ -359,21 +355,14 @@ def _fmt(value) -> str:
 
 def report_rows(report: EvaluationReport) -> list[list[str]]:
     """Per-date rows plus one summary row (t_star column set to "mean")."""
-    head = [_fmt(v) for v in _grid_point(report)]
-    rows = []
-    for d in report.per_date:
-        rows.append(head + [
-            _fmt(d.test_date), _fmt(d.precision),
-            _fmt(d.new_entry_count), _fmt(d.correct_new_entries),
-            _fmt(d.new_entry_rate),
-        ])
-    mean_e = float(np.mean([d.new_entry_count for d in report.per_date]))
-    mean_c = float(np.mean([d.correct_new_entries for d in report.per_date]))
-    rows.append(head + [
-        "mean", _fmt(report.mean_precision), _fmt(mean_e), _fmt(mean_c),
-        _fmt(report.mean_new_entry_rate),
-    ])
-    return rows
+    head, dates = _grid_point(report), report.per_date
+    rows = [head + [d.test_date, d.precision, d.new_entry_count, d.correct_new_entries,
+                    d.new_entry_rate] for d in dates]
+    rows.append(head + ["mean", report.mean_precision,
+                        float(np.mean([d.new_entry_count for d in dates])),
+                        float(np.mean([d.correct_new_entries for d in dates])),
+                        report.mean_new_entry_rate])
+    return [[_fmt(v) for v in row] for row in rows]
 
 
 def write_reports_csv(reports: Sequence[EvaluationReport], path) -> None:
@@ -381,9 +370,15 @@ def write_reports_csv(reports: Sequence[EvaluationReport], path) -> None:
                         (row for report in reports for row in report_rows(report)))
 
 
-def _write_heatmap(reports: list[EvaluationReport], path) -> None:
+def _write_heatmap(reports: list[EvaluationReport], num_items: int, path) -> None:
+    """Per report's window, recent_pop's mean P_n at the report's n. Its top-n
+    *is* the past top-n, which holds every true top-n item but the E_n new
+    entries, so its P_n at a date is ``(min(n, num_items) - E_n) / n``."""
     ingestion.write_csv(path, ["T_P", "T_F", "P_n"], (
-        [r.config.t_past, r.config.t_future, r.mean_precision] for r in reports))
+        [r.config.t_past, r.config.t_future,
+         float(np.mean([(min(r.config.n, num_items) - d.new_entry_count) / r.config.n
+                        for d in r.per_date]))]
+        for r in reports))
 
 
 def _write_scatter(graph, report: EvaluationReport, influence, path) -> None:

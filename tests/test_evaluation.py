@@ -9,7 +9,14 @@ import oracles
 from conftest import Event, dedup_earliest, random_events
 from trendcast.events import build
 from trendcast.evaluation import EvalConfig, evaluate, make_test_dates
-from trendcast.experiment import SWEEP_COLUMNS, report_rows, write_reports_csv
+from trendcast.experiment import (
+    SWEEP_COLUMNS,
+    parse_experiment_config,
+    report_rows,
+    run_sweep,
+    write_reports_csv,
+)
+from trendcast.ingestion import write_votes_csv
 from trendcast.predictors import PredictorSpec, ibp_weights, score, score_rows
 from trendcast.social import SocialGraph, compute_influence
 
@@ -51,11 +58,11 @@ class TestMakeTestDates:
 
 
 def oracle_checked(events, spec, config):
-    """``evaluate(build(events), [spec], config)[0]``, with the P_n, E_n and C_n of
-    every date checked against the brute-force oracles."""
+    """``evaluate(build(events), [spec], [config])[0][0]``, with the P_n, E_n and C_n
+    of every date checked against the brute-force oracles."""
     g = build(events)
     deduped = dedup_earliest(events)
-    report = evaluate(g, [spec], config)[0]
+    report = evaluate(g, [spec], [config])[0][0]
     scored = spec if spec.kind == "total_pop" else spec.with_t_past(config.t_past)
     for t, got in zip(config.test_dates, report.per_date):
         predicted = score(g, scored, t).top(config.n)
@@ -114,19 +121,35 @@ class TestTrueRanking:
         # nothing moves in (5, 15] or (20, 30]; item 7 gains at 50, in (40, 50]
         events = [Event(1, 5, 1), Event(2, 6, 2), Event(3, 7, 50)]
         with caplog.at_level("WARNING"):
-            evaluate(build(events), [PredictorSpec("total_pop")], EvalConfig(5, 10, [5, 20, 40], 2))
+            evaluate(build(events), [PredictorSpec("total_pop")],
+                     [EvalConfig(5, 10, [5, 20, 40], 2)])
         assert caplog.messages == ["degenerate true ranking at 2 of 3 test dates (5, 20): "
                                    "no item gained links"]
 
+    def test_degenerate_dates_are_one_warning_per_window(self, tmp_path, caplog):
+        # the test dates come out as 6, 23 and 40: nothing moves in (6, 16] or
+        # (23, 33]. Two depths of one window share the one warning
+        data, out = tmp_path / "events.csv", tmp_path / "out"
+        write_votes_csv([Event(1, 5, 1), Event(2, 6, 2), Event(3, 7, 50)], data)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset = {data}\npredictor = total_pop\nt_past = 5\nt_future = 10\n"
+                       f"n = 25\nn = 50\ntest_dates = 3\nout = {out}\n")
+        with caplog.at_level("WARNING"):
+            assert run_sweep(parse_experiment_config(cfg)) == 0
+        assert [m for m in caplog.messages if m.startswith("degenerate")] == [
+            "degenerate true ranking at 2 of 3 test dates (6, 23): no item gained links"]
+
     def test_truncated_future_window(self, small_graph):
         with pytest.raises(ValueError, match="truncated future window"):
-            evaluate(small_graph, [PredictorSpec("recent_pop")], EvalConfig(5, 100, [10], 5))
+            evaluate(small_graph, [PredictorSpec("recent_pop")],
+                     [EvalConfig(5, 100, [10], 5)])
 
     def test_truncated_date_rejected_before_any_is_scored(self, caplog):
         # date 5 is degenerate, date 45 runs past the last event at 50
         events = [Event(1, 5, 1), Event(2, 6, 2), Event(3, 7, 50)]
         with caplog.at_level("WARNING"), pytest.raises(ValueError, match="test date 45"):
-            evaluate(build(events), [PredictorSpec("total_pop")], EvalConfig(5, 10, [5, 45], 2))
+            evaluate(build(events), [PredictorSpec("total_pop")],
+                     [EvalConfig(5, 10, [5, 45], 2)])
         assert caplog.messages == []
 
     def test_matches_sort_oracle(self, rng):
@@ -233,7 +256,7 @@ class TestEvaluate:
     def test_single_date_means_equal_values(self, rng):
         g = self.graph(rng)
         cfg = EvalConfig(500, 500, make_test_dates(g, 1, 500, 500), n=10)
-        report = evaluate(g, [PredictorSpec("recent_pop")], cfg)[0]
+        report = evaluate(g, [PredictorSpec("recent_pop")], [cfg])[0][0]
         assert report.mean_precision == report.per_date[0].precision
         q = report.per_date[0].new_entry_rate
         assert report.mean_new_entry_rate == q
@@ -257,7 +280,7 @@ class TestEvaluate:
     def test_recent_predictor_never_hits_new_entries(self, rng):
         g = self.graph(rng)
         cfg = EvalConfig(400, 600, make_test_dates(g, 4, 400, 600), n=8)
-        report = evaluate(g, [PredictorSpec("pbp", lam=1.0)], cfg)[0]
+        report = evaluate(g, [PredictorSpec("pbp", lam=1.0)], [cfg])[0][0]
         assert all(d.correct_new_entries == 0 for d in report.per_date)
 
     def test_window_error_names_date(self, rng):
@@ -265,19 +288,19 @@ class TestEvaluate:
         bad = g.t_last - 10
         cfg = EvalConfig(400, 600, [bad], n=8)
         with pytest.raises(ValueError, match=str(bad)):
-            evaluate(g, [PredictorSpec("recent_pop")], cfg)
+            evaluate(g, [PredictorSpec("recent_pop")], [cfg])
 
     def test_t_past_mismatch_rejected(self, rng):
         g = self.graph(rng)
         cfg = EvalConfig(400, 600, [2500], n=8)
         with pytest.raises(ValueError, match="disagrees"):
-            evaluate(g, [PredictorSpec("recent_pop", t_past=300)], cfg)
+            evaluate(g, [PredictorSpec("recent_pop", t_past=300)], [cfg])
 
     def test_metric_ranges(self, rng):
         g = self.graph(rng)
         cfg = EvalConfig(700, 700, make_test_dates(g, 5, 700, 700), n=12)
         for spec in (PredictorSpec("total_pop"), PredictorSpec("wpp", gamma=0.5)):
-            report = evaluate(g, [spec], cfg)[0]
+            report = evaluate(g, [spec], [cfg])[0][0]
             for d in report.per_date:
                 assert 0.0 <= d.precision <= 1.0
                 assert 0 <= d.new_entry_count <= 12
@@ -287,34 +310,51 @@ class TestEvaluate:
 
     def test_ibp_needs_social_or_influence(self, rng):
         g = self.graph(rng)
-        cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=5)
         with pytest.raises(ValueError, match="social"):
-            evaluate(g, [PredictorSpec("ibp", eta=1.0, centrality="in_degree")], cfg)
+            ibp_weights(g, [], [PredictorSpec("ibp", eta=1.0, centrality="in_degree")])
 
     def test_influence_of_another_measure_rejected(self, rng):
         g = self.graph(rng)
-        cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=5)
         in_degree = compute_influence(SocialGraph([(1, 2), (3, 2)], users=range(80)), "in_degree")
         spec = PredictorSpec("ibp", eta=1.0, centrality="pagerank")
         with pytest.raises(ValueError, match="'in_degree'.*'pagerank'"):
-            evaluate(g, [spec], cfg, [in_degree])
+            ibp_weights(g, [in_degree], [spec])
 
     def test_two_vectors_of_one_measure_rejected(self, rng):
         g = self.graph(rng)
-        cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=5)
         in_degree = compute_influence(SocialGraph([(1, 2), (3, 2)], users=range(80)), "in_degree")
         spec = PredictorSpec("ibp", eta=1.0, centrality="in_degree")
         with pytest.raises(ValueError, match="two influence vectors of 'in_degree'"):
-            evaluate(g, [spec], cfg, [in_degree, in_degree])
+            ibp_weights(g, [in_degree, in_degree], [spec])
 
     def test_missing_centrality_named(self, rng):
         g = self.graph(rng)
-        cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=5)
         in_degree = compute_influence(SocialGraph([(1, 2), (3, 2)], users=range(80)), "in_degree")
         specs = [PredictorSpec("ibp", eta=1.0, centrality=m) for m in ("in_degree", "pagerank")]
         with pytest.raises(ValueError, match=r"given for \['in_degree'\], but ibp needs "
                                              r"\['pagerank'\]: compute them on a social graph"):
-            evaluate(g, specs, cfg, [in_degree])
+            ibp_weights(g, [in_degree], specs)
+
+    def test_ibp_spec_without_its_weights_rejected(self, rng):
+        g = self.graph(rng)
+        cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=5)
+        in_degree = compute_influence(SocialGraph([(1, 2), (3, 2)], users=range(80)), "in_degree")
+        weights = ibp_weights(g, [in_degree], [PredictorSpec("ibp", eta=1.0,
+                                                             centrality="in_degree")])
+        spec = PredictorSpec("ibp", eta=0.5, centrality="in_degree")
+        for given in (None, weights):
+            with pytest.raises(ValueError, match=r"no weights for ibp\(in_degree, eta=0.5\)"):
+                evaluate(g, [spec], [cfg], given)
+
+    def test_configs_of_two_windows_rejected(self, rng):
+        g = self.graph(rng)
+        dates = make_test_dates(g, 2, 500, 500)
+        for other in (EvalConfig(400, 500, dates, 5), EvalConfig(500, 400, dates, 5),
+                      EvalConfig(500, 500, dates[:1], 5)):
+            with pytest.raises(ValueError, match="share one window"):
+                evaluate(g, [PredictorSpec("total_pop")], [EvalConfig(500, 500, dates, 5), other])
+        with pytest.raises(ValueError, match="share one window"):
+            evaluate(g, [PredictorSpec("total_pop")], [])
 
 
 def test_degenerate_window_numbers_are_pinned():
@@ -353,10 +393,12 @@ class TestOneScoringPassPerDate:
         influence = {m: compute_influence(social, m) for m in ("in_degree", "pagerank")}
         # the same dates under both window lengths
         dates = make_test_dates(g, 4, 700, 500)
+        weights = ibp_weights(g, influence.values(), self.SPECS)
         for t_past in (300, 700):
             cfg = EvalConfig(t_past, 500, dates, n=10)
-            many = evaluate(g, self.SPECS, cfg, influence.values())
-            one = [evaluate(g, [spec], cfg, [influence.get(spec.centrality)])[0]
+            (many,) = evaluate(g, self.SPECS, [cfg], weights)
+            one = [evaluate(g, [spec], [cfg],
+                            ibp_weights(g, [influence.get(spec.centrality)], [spec]))[0][0]
                    for spec in self.SPECS]
             assert many == one
 
@@ -391,7 +433,7 @@ class TestCsvOutput:
     def test_rows_and_summary(self, rng):
         g = build(random_events(rng, num_events=900, t_max=3000))
         cfg = EvalConfig(500, 500, make_test_dates(g, 3, 500, 500), n=10)
-        report = evaluate(g, [PredictorSpec("pbp", lam=0.9)], cfg)[0]
+        report = evaluate(g, [PredictorSpec("pbp", lam=0.9)], [cfg])[0][0]
         rows = report_rows(report)
         assert len(rows) == 4  # 3 dates + mean
         assert rows[-1][SWEEP_COLUMNS.index("t_star")] == "mean"
@@ -401,7 +443,7 @@ class TestCsvOutput:
     def test_csv_file_round_trip(self, rng, tmp_path):
         g = build(random_events(rng, num_events=900, t_max=3000))
         cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=10)
-        reports = evaluate(g, [PredictorSpec("recent_pop")], cfg)
+        reports = evaluate(g, [PredictorSpec("recent_pop")], [cfg])[0]
         path = tmp_path / "sweep.csv"
         write_reports_csv(reports, path)
         with open(path) as fh:

@@ -7,9 +7,10 @@ import pytest
 
 import oracles
 from conftest import dedup_earliest, random_events
-from trendcast import experiment, social
+from trendcast import evaluation, experiment, predictors, social
 from trendcast.evaluation import make_test_dates
 from trendcast.experiment import (
+    SWEEP_COLUMNS,
     SWEEP_KEYS,
     ExperimentConfig,
     parse_experiment_config,
@@ -409,3 +410,70 @@ class TestLoadInputs:
             write_config(tmp_path, BASE.format(dataset=dataset, out=tmp_path / "out")))
         assert run_sweep(cfg) == 0
         assert calls == [cfg]
+
+
+@pytest.fixture(scope="module")
+def acceptance_7(tmp_path_factory):
+    """The dataset and grid of acceptance criterion 7, at n = 25 and n = 50."""
+    root = tmp_path_factory.mktemp("acceptance_7")
+    write_votes_csv(generate(GenConfig(num_users=300, num_items=100, num_events=6000,
+                                       item_arrival_rate=100 / 4800, decay_timescale=800,
+                                       rng_seed=23)), root / "events.csv")
+    return (f"dataset = {root / 'events.csv'}\nformat = votes\n"
+            "predictor = total_pop\npredictor = pbp\npredictor = wpp\n"
+            "lambda = 0\nlambda = 0.9\nlambda = 1\ngamma = 0.5\n"
+            "t_past = 600\nt_past = 900\nt_future = 600\nn = 25\nn = 50\ntest_dates = 3\n"
+            "seed = 1\n")
+
+
+class TestSeveralDepths:
+    """Every n of a window is cut from one scoring pass and one set of rankings."""
+
+    def test_outputs_are_pinned(self, tmp_path, acceptance_7):
+        # recorded when run_sweep still evaluated each n on its own
+        out = tmp_path / "out"
+        assert run_sweep(parse_experiment_config(
+            write_config(tmp_path, acceptance_7 + f"out = {out}\n"))) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("sweep.csv", "heatmap.csv", "scatter.csv")}
+        assert digests == {
+            "sweep.csv": "f40d36a8e80a2dea9f0c1c1e99e5f0bdfecfc8991695f7af506e2dec96ff0f59",
+            "heatmap.csv": "ddfcd1a1914a832952a7dc2814b2fcac127a7a28bfd5e23cc10caf36543b3249",
+            "scatter.csv": "54549299841ed53283a2576d48849a127ac52e2b34eecea7ac38c2ce0ea8d0af",
+        }
+
+    def test_one_scoring_pass_per_date_and_one_weighing_per_run(self, tmp_path, acceptance_7,
+                                                                monkeypatch):
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.update([name])
+                                or fn(*args, **kwargs))
+
+        counted(evaluation, "score_rows")  # the sweep's scoring, not the scatter's
+        counted(predictors, "ibp_weights")  # the run's and the scatter's score's
+        cfg = parse_experiment_config(
+            write_config(tmp_path, acceptance_7 + f"out = {tmp_path / 'out'}\n"))
+        assert run_sweep(cfg) == 0
+        # 2 t_past values x 3 test dates, whatever the number of n
+        assert calls == {"score_rows": 6, "ibp_weights": 2}
+
+    @pytest.mark.parametrize("depths", [(50, 10), (500, 10, 30)])
+    def test_heatmap_is_recent_pop_at_the_first_n(self, tmp_path, dataset, depths):
+        # n = 500 exceeds the dataset's items
+        out = tmp_path / "out"
+        cfg = parse_experiment_config(write_config(tmp_path, (
+            f"dataset = {dataset}\npredictor = total_pop\npredictor = recent_pop\n"
+            "t_past = 300\nt_past = 700\nt_future = 300\nt_future = 600\ntest_dates = 3\n"
+            + "".join(f"n = {n}\n" for n in depths) + f"out = {out}\n"
+        )))
+        assert run_sweep(cfg) == 0
+        heat = [line.split(",") for line in (out / "heatmap.csv").read_text().splitlines()]
+        sweep = [dict(zip(SWEEP_COLUMNS, line.split(",")))
+                 for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        recent = [[row["T_P"], row["T_F"], row["P_n"]] for row in sweep
+                  if (row["kind"], row["n"], row["t_star"]) == ("recent_pop", str(depths[0]),
+                                                                "mean")]
+        assert heat[0] == ["T_P", "T_F", "P_n"]
+        assert heat[1:] == recent and len(recent) == 4

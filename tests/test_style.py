@@ -1,5 +1,5 @@
-"""Style checks on ``src/trendcast``, in place of a linter the tests cannot
-rely on being installed.
+"""Style checks on ``src/trendcast`` and ``tests``, in place of a linter the
+tests cannot rely on being installed.
 
 * No line is longer than 100 characters.
 * Every name a module imports is referenced in it, so deleting a function
@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "trendcast"
-MODULES = sorted(SRC.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+# the file names of the two directories do not overlap, so each names its test
+MODULES = sorted(ROOT.glob("src/trendcast/*.py")) + sorted(ROOT.glob("tests/*.py"))
 MAX_LINE = 100
 
 

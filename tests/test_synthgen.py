@@ -105,8 +105,8 @@ class TestGenerate:
                             rng_seed=seed)
             g = build(generate(cfg))
             ec = EvalConfig(1500, 1500, make_test_dates(g, 3, 1500, 1500), n=100)
-            totals.append(evaluate(g, [PredictorSpec("total_pop")], ec)[0].mean_precision)
-            recents.append(evaluate(g, [PredictorSpec("recent_pop")], ec)[0].mean_precision)
+            totals.append(evaluate(g, [PredictorSpec("total_pop")], [ec])[0][0].mean_precision)
+            recents.append(evaluate(g, [PredictorSpec("recent_pop")], [ec])[0][0].mean_precision)
         assert np.mean(recents) > np.mean(totals)
 
     def test_activity_exponent_concentrates_users(self):

@@ -109,16 +109,16 @@ def _cmd_gen(args) -> int:
         lines.pop("seed", None)
 
     def make(factory, keys):
-        # The library's ValueErrors start with the parameter they are about;
-        # report them under the key that set it, on its line.
+        # A library ValueError that starts with a parameter goes under its key and
+        # line; any other, as numpy's for a size no array can hold, under the file.
         try:
             return factory(**{param: values[key] for key, param in keys.items() if key in values})
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:
             for key, param in keys.items():
                 if str(exc).startswith(param):
                     where = f"{path}:{lines[key]}" if key in lines else path
                     raise ValueError(f"{where}: {key}{str(exc)[len(param):]}") from None
-            raise
+            raise ValueError(f"{path}: {exc}") from None
 
     # every value is checked before either draw; both draws precede the output directory
     config = make(synthgen.GenConfig, EVENT_KEYS) if "events" in values else None

@@ -112,11 +112,13 @@ class TemporalBipartiteGraph:
     # -- ranking -----------------------------------------------------------
 
     def rank_items(self, scores, candidates) -> np.ndarray:
-        """Compact item indices ``candidates`` by decreasing score, ties by ascending id.
+        """Compact item indices ``candidates`` by decreasing score, ties by
+        ascending index, which is ascending id: :func:`build` stores the ids
+        sorted.
 
         Every top n of the package (predicted, true, past) is this ranking cut at n.
         """
-        return candidates[np.lexsort((self.item_ids[candidates], -scores[candidates]))]
+        return candidates[np.lexsort((candidates, -scores[candidates]))]
 
 
 def build(events) -> TemporalBipartiteGraph:

@@ -170,8 +170,9 @@ def load_inputs(dataset, dataset_spec, social_path, specs):
     logs a warning counting the dataset's users of influence 0, absent users
     included, whom ibp leaves out. Returns ``(graph, {measure:
     InfluenceVector}, failures)``, with ``(prefix, exception)`` per failed
-    load or centrality, the dataset's first; the graph is None if the
-    dataset failed."""
+    load, the dataset's first; the graph is None if the dataset failed.
+    Only the two loads can fail: a social graph with an edge has two users,
+    and each spec has checked its centrality."""
     measures = dict.fromkeys(s.centrality for s in specs if s.kind == "ibp")
     graph, social_graph, influence, failures = None, None, {}, []
     try:
@@ -189,18 +190,14 @@ def load_inputs(dataset, dataset_spec, social_path, specs):
         return graph, influence, failures
     log.info("loaded %r", graph)
     for measure in measures:
-        try:
-            infl = influence[measure] = social.compute_influence(social_graph, measure)
-        except ValueError as exc:
-            failures.append(("", exc))
-        else:
-            log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
-                     measure, infl.iterations_used, infl.residual, infl.converged)
-            if any(s.eta < 0 for s in specs if s.centrality == measure):
-                zero = np.count_nonzero(infl.lookup(graph.user_ids) == 0.0)  # absent users too
-                if zero:
-                    log.warning("ibp(%s): %d of %d users are zero-influence and contribute 0 "
-                                "under eta < 0", measure, zero, graph.num_users)
+        infl = influence[measure] = social.compute_influence(social_graph, measure)
+        log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
+                 measure, infl.iterations_used, infl.residual, infl.converged)
+        if any(s.eta < 0 for s in specs if s.centrality == measure):
+            zero = np.count_nonzero(infl.lookup(graph.user_ids) == 0.0)  # absent users too
+            if zero:
+                log.warning("ibp(%s): %d of %d users are zero-influence and contribute 0 "
+                            "under eta < 0", measure, zero, graph.num_users)
     return graph, influence, failures
 
 

@@ -33,6 +33,15 @@ class TestSocialGraph:
         g = SocialGraph([(1, 2)], users=[1, 2, 3])
         assert g.num_users == 3
 
+    @pytest.mark.parametrize("edges", [[(1, 2, 3)], [1, 2], [[[1, 2]]]],
+                             ids=["triples", "flat", "nested"])
+    def test_rejects_edges_that_are_not_pairs(self, edges):
+        with pytest.raises(ValueError, match=r"edges must be \(follower, leader\) pairs"):
+            SocialGraph(edges)
+
+    def test_repr(self):
+        assert repr(SocialGraph([(1, 2), (2, 3), (1, 2)])) == "SocialGraph(users=3, links=2)"
+
 
 class TestLoadEdgeList:
     def test_round_trip(self, tmp_path):
@@ -134,6 +143,12 @@ class TestPageRank:
             g = SocialGraph(list(edges), users=range(n))
             infl = compute_influence(g, "pagerank")
             assert abs(infl.values.sum() - 1.0) < 1e-8
+
+    def test_no_users_gives_an_empty_vector(self):
+        # unlike leaderrank (TestLeaderRank.test_no_users_rejected), which raises
+        infl = compute_influence(SocialGraph([(1, 1), (2, 2)]), "pagerank")
+        assert infl.values.shape == infl.user_ids.shape == (0,)
+        assert infl.converged and infl.iterations_used == 0
 
     def test_rejects_bad_damping(self):
         g = SocialGraph([(0, 1)])

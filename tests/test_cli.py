@@ -148,9 +148,21 @@ class TestGenVerb:
          "gen.cfg:3: events: tick 2: could not place an event after 10000 resamples"),
         ("social_users = 3\nsocial_edges = 6\nsocial_exponent = 60\n",
          "gen.cfg:2: social_edges: edge 3 could not be placed after 10000 resamples"),
+        # sizes that no x86-64 address space holds, refused before anything is mapped:
+        # numpy's message names no parameter, so it goes under the file
+        ("users = 72057594037927936\nitems = 10\nevents = 5\n",
+         "gen.cfg: Unable to allocate 512. PiB"),
+        ("users = 10\nitems = 72057594037927936\nevents = 5\n",
+         "gen.cfg: Unable to allocate 512. PiB"),
+        ("social_users = 72057594037927936\nsocial_edges = 5\n",
+         "gen.cfg: Unable to allocate 512. PiB"),
+        ("users = 4611686018427387904\nitems = 10\nevents = 5\n", "gen.cfg: array is too big"),
+        ("users = 99999999999999999999\nitems = 10\nevents = 5\n",
+         "gen.cfg: Maximum allowed dimension exceeded"),
     ], ids=["events-not-int", "zero-users", "events-over-grid", "theta-not-number",
             "zero-rate", "negative-seed", "edges-over-capacity", "zero-social-users",
-            "negative-social-seed", "events-saturated", "social-edges-saturated"])
+            "negative-social-seed", "events-saturated", "social-edges-saturated",
+            "users-2**56", "items-2**56", "social-users-2**56", "users-2**62", "users-1e20"])
     def test_bad_number_names_file_line_and_key(self, tmp_path, caplog, text, error):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text(text)

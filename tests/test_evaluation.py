@@ -28,6 +28,11 @@ class TestEvalConfig:
         with pytest.raises(ValueError):
             EvalConfig(10, 10, [9, 5])
 
+    @pytest.mark.parametrize("t_past, t_future", [(0, 10), (10, -5)])
+    def test_rejects_nonpositive_window(self, t_past, t_future):
+        with pytest.raises(ValueError, match="window lengths must be positive"):
+            EvalConfig(t_past, t_future, [5])
+
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             EvalConfig(10, 10, [5], n=0)
@@ -51,6 +56,10 @@ class TestMakeTestDates:
         g = build(random_events(rng, t_max=10_000))
         (date,) = make_test_dates(g, 1, 100, 100)
         assert g.t_first + 100 <= date <= g.t_last - 100
+
+    def test_rejects_zero_count(self, small_graph):
+        with pytest.raises(ValueError, match="need at least one test date, got 0"):
+            make_test_dates(small_graph, 0, 1, 1)
 
     def test_span_too_short(self, small_graph):
         with pytest.raises(ValueError, match="too short"):

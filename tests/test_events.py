@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import Event, dedup_earliest, entry, events_of, random_events
@@ -252,6 +254,27 @@ class TestTopItems:
 
     def test_require_seen_excludes_unborn_items(self, small_graph):
         assert [i for i, _ in top(small_graph, 2, 2, 10, seen=True)] == [12]
+
+    # item ids: dense, sparse, and near +-2**62, where ids packed into one sort key overflow
+    ITEM_IDS = st.one_of(st.integers(0, 40), st.integers(-10**15, 10**15),
+                         st.integers(2**62 - 40, 2**62 + 40), st.integers(-2**62 - 40, -2**62 + 40))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), ids=st.lists(ITEM_IDS, min_size=1, max_size=40))
+    def test_ties_by_compact_index_are_ties_by_id(self, data, ids):
+        rows = [(data.draw(st.integers(0, 5)), item, data.draw(st.integers(0, 9))) for item in ids]
+        g = build(rows)
+        assert (g.item_ids[1:] > g.item_ids[:-1]).all() and set(g.item_ids.tolist()) == set(ids)
+        # few distinct values, so most scores tie; -0.0 ties with 0.0
+        scores = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0]),
+                                             min_size=g.num_items, max_size=g.num_items)))
+        subset = data.draw(st.lists(st.integers(0, g.num_items - 1), unique=True))
+        for order in (sorted(subset), data.draw(st.permutations(subset))):
+            candidates = np.array(order, dtype=np.intp)
+            # the same rule on the ids themselves
+            want = candidates[np.lexsort((g.item_ids[candidates], -scores[candidates]))]
+            got = g.rank_items(scores, candidates)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_matches_sort_oracle(self, rng):
         events = random_events(rng, num_events=400)

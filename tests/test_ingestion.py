@@ -12,6 +12,7 @@ from trendcast.ingestion import (
     load_dataset,
     load_ratings,
     load_votes,
+    read_table,
     write_votes_csv,
 )
 from trendcast.social import load_social_graph, write_edge_list
@@ -205,6 +206,22 @@ def test_dataset_not_utf8_names_the_line(tmp_path, load, head):
     path.write_bytes(b"user,\xffitem\n")
     with pytest.raises(ValueError, match=r"data.csv:1: not valid UTF-8$"):
         load(path)
+
+
+# No file reaches this through a loader: every input on which np.loadtxt fails or
+# miscounts rows has a line that the loader's rescan rejects first.
+@pytest.mark.parametrize("text, rows, problem", [
+    ("1 2\n3 x\n", None, "could not convert string 'x' to int64 at row 1, column 2."),
+    ("1 2\n3 4\n", 3, "parsed 2 rows of 3"),
+], ids=["parse-failure", "row-count"])
+def test_read_table_raises_loadtxt_complaint_when_rescan_finds_none(tmp_path, text, rows,
+                                                                    problem):
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    rescanned = []
+    with pytest.raises(ValueError) as info:
+        read_table(path, rescanned.append, rows, dtype=np.int64, ndmin=2)
+    assert str(info.value) == f"{path}: {problem}" and rescanned == [path]
 
 
 @pytest.mark.parametrize("rows", [0, 1, 500])

@@ -45,6 +45,15 @@ class TestPredictorSpec:
             PredictorSpec(kind, **params)
         assert str(info.value) == error
 
+    @pytest.mark.parametrize("kind, params, error", [
+        ("wpp", {}, "wpp needs gamma"),
+        ("ibp", {"centrality": "pagerank"}, "ibp needs eta"),
+    ], ids=["wpp-without-gamma", "ibp-without-eta"])
+    def test_parameter_its_kind_needs(self, kind, params, error):
+        with pytest.raises(ValueError) as info:
+            PredictorSpec(kind, **params)
+        assert str(info.value) == error
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             PredictorSpec("magic")

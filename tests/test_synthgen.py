@@ -163,7 +163,10 @@ def digest(rows):
      "c7bb6e13c02e76cfe2d4dc978227e048a479d52b31ea07b6e44cd03527edfbea"),
     (dict(num_users=50, num_items=20, num_events=600, activity_exponent=0.5, rng_seed=13),
      "b325fa2d24eab9d24e9681b40aeba6721997bdc38f7882f65642cec3b1198334"),
-], ids=["uniform", "arrival-aging", "activity"])
+    # every weight ages below the float range after tick 0, so each item is drawn uniformly
+    (dict(num_users=40, num_items=15, num_events=300, decay_timescale=1e-3, rng_seed=16),
+     "32452a1e051d0be6f3b258f5e28186626c02ac72f4a2b0392dfe68522350d6aa"),
+], ids=["uniform", "arrival-aging", "activity", "aged-out"])
 def test_generate_stream_is_pinned(kwargs, expected):
     assert digest(generate(GenConfig(**kwargs))) == expected
 

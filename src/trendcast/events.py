@@ -146,66 +146,56 @@ def build(events) -> TemporalBipartiteGraph:
 
     user_ids, users = compact(users)
     item_ids, items = compact(items)
-    # A timestamp's rank is its offset from the first when T = span + 1
-    # times the row count fits in int64, as the time sort below needs, and
-    # otherwise its index among the T distinct timestamps (then T <= rows).
-    if (t_max - t_min + 1) * len(ts) <= np.iinfo(np.int64).max:  # Python ints
-        time_ids, ranks, num_times = None, ts - t_min, t_max - t_min + 1
-    else:
-        time_ids, ranks = compact(ts)
-        num_times = len(time_ids)
-    del arr, ts
-    # Collapse duplicate (user, item) pairs keeping the earliest timestamp.
-    # The pair key user * I + item is below U * I and orders pairs by (user,
-    # item). Sorting values is several times faster than sorting indices, so
-    # when the pair key times T plus the time rank fits in int64, one value
-    # sort of that key orders each pair's events by time and the first is
-    # the earliest. The keys reuse one array in place to keep the peak low.
     num_items = len(item_ids)
+    # One key-space rule. A pair's key is user * I + item, below P = U * I,
+    # and a time rank is the offset from the first timestamp, below T =
+    # span + 1, when P * T fits in int64. Otherwise the pair keys and the
+    # timestamps are compacted, so P and T are at most the row count and
+    # P * T fits in int64 below 3e9 rows. Either way the keys keep the
+    # (user, item) and time orders, and both sorts below pack a pair and a
+    # rank into one int64 value below P * T, reusing one array in place to
+    # keep the peak low.
     key = users
     key *= num_items
     key += items
     del users, items
-    if len(user_ids) * num_items * num_times <= np.iinfo(np.int64).max:  # Python ints
-        key *= num_times
-        key += ranks
-        del ranks
-        key.sort()
-        ranks = key % num_times
-        key //= num_times
-        first = np.ones(key.size, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        pairs, ranks = key[first], ranks[first]
+    num_pairs, num_times = len(user_ids) * num_items, t_max - t_min + 1
+    if num_pairs * num_times <= np.iinfo(np.int64).max:  # Python ints
+        pair_ids, time_ids, ranks = None, None, ts - t_min
     else:
-        order = np.argsort(key)
-        pairs, ranks = key[order], ranks[order]
-        del order
-        first = np.concatenate(([True], pairs[1:] != pairs[:-1]))
-        starts = np.flatnonzero(first)
-        pairs, ranks = pairs[starts], np.minimum.reduceat(ranks, starts)
+        pair_ids, key = compact(key)
+        time_ids, ranks = compact(ts)
+        num_pairs, num_times = len(pair_ids), len(time_ids)
+    del arr, ts
+    # Collapse duplicate pairs keeping the earliest: a value sort of
+    # pair * T + rank orders each pair's events by time, so the first is
+    # the earliest.
+    key *= num_times
+    key += ranks
+    del ranks
+    key.sort()
+    ranks = key % num_times
+    key //= num_times
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    pairs, ranks = key[first], ranks[first]
     del key
     collapsed = int(first.size - pairs.size)
     del first
     if collapsed:
         log.debug("collapsed %d duplicate user-item events", collapsed)
 
-    # Order by (timestamp, user, item). The pairs are ascending, so the key
-    # time rank * L + position is unique and below T * L, which the choice
-    # of ranks above keeps in int64 (below 3e9 rows for distinct-timestamp
-    # ranks): its value sort is the stable time order, with each position
-    # recovered by % L.
-    links = pairs.size
+    # A value sort of rank * P + pair is the (timestamp, user, item) order.
     key = ranks
-    key *= links
-    key += np.arange(links)
+    key *= num_pairs
+    key += pairs
+    del pairs, ranks
     key.sort()
-    order = key % links
-    key //= links
-    pairs = pairs[order]
-    del order
+    pairs = key % num_pairs
+    key //= num_pairs
     ts = np.add(key, t_min, out=key) if time_ids is None else time_ids[key]
-    del key, ranks
-    users, items = np.divmod(pairs, num_items)
+    del key
+    users, items = np.divmod(pairs if pair_ids is None else pair_ids[pairs], num_items)
     return TemporalBipartiteGraph(user_ids, item_ids, users, items, ts,
                                   duplicates_collapsed=collapsed)
 

@@ -219,7 +219,7 @@ def _check(cfg: ExperimentConfig):
         problems.append("no dataset configured")
     elif not os.path.exists(cfg.dataset):
         problems.append(f"dataset file not found: {cfg.dataset}")
-    if cfg.social is not None and not os.path.exists(cfg.social):
+    if "ibp" in cfg.predictors and cfg.social is not None and not os.path.exists(cfg.social):
         problems.append(f"social graph file not found: {cfg.social}")
     if not cfg.predictors:
         problems.append("no predictors configured")

@@ -359,7 +359,8 @@ class TestRunAndValidateVerbs:
 
     @pytest.mark.parametrize("drop, extra, problem", [
         ("dataset", "", "no dataset configured"),
-        ("", "social = {tmp}/gone.txt\n", "social graph file not found: {tmp}/gone.txt"),
+        ("", "predictor = ibp\nsocial = {tmp}/gone.txt\ncentrality = in_degree\n",
+         "social graph file not found: {tmp}/gone.txt"),
         ("predictor", "", "no predictors configured"),
         ("", "predictor = pbp\n", "pbp requested but no lambda values given"),
         ("", "predictor = ibp\nsocial = {dataset}\n", "ibp requested but no centrality given"),
@@ -387,6 +388,17 @@ class TestRunAndValidateVerbs:
         cfg.write_text("".join(kept) + extra.format(tmp=tmp_path, dataset=dataset))
         assert main(["validate", str(cfg)]) == 1
         assert capsys.readouterr().out == problem.format(tmp=tmp_path) + "\n"
+
+    def test_social_is_not_read_without_ibp(self, tmp_path, dataset, capsys):
+        # as with rank, a grid without ibp never opens its social graph
+        cfg = self.write_cfg(tmp_path, dataset, tmp_path / "out")
+        with open(cfg, "a") as fh:
+            fh.write(f"social = {tmp_path / 'gone.txt'}\n")
+        assert main(["validate", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["run", str(cfg)]) == 0
+        for name in ("sweep.csv", "heatmap.csv", "scatter.csv"):
+            assert (tmp_path / "out" / name).exists()
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
     @pytest.mark.parametrize("out", ["taken", "taken/results", ""],

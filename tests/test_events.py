@@ -66,8 +66,10 @@ class TestBuild:
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["offsets-fit", "offsets-overflow"])
     def test_time_ranks_at_the_int64_limit(self, extra):
-        # (span + 1) * rows just below int64's maximum ranks timestamps by
-        # their offset from the first; one more second ranks them by index
+        # (span + 1) * rows on either side of int64's maximum, for 8 rows on
+        # 2 users and 2 items: U * I * (span + 1) is about half of it, so both
+        # cases rank timestamps by offset and the packed keys come within a
+        # factor of two of the limit
         rows, t0 = 8, 5
         span = INT64.max // rows - 1 + extra
         assert ((span + 1) * rows <= INT64.max) == (extra == 0)
@@ -80,9 +82,10 @@ class TestBuild:
         assert g._ts.dtype == np.int64 and g.duplicates_collapsed == 4
 
     def test_keys_past_int64_take_the_index_sort(self):
-        # distinct users, items and timestamps: U * I * T exceeds int64, so the
-        # duplicates collapse on an argsort of the pair key; the five
-        # duplicates come first in the file but carry later timestamps
+        # distinct users, items and timestamps: U * I * (span + 1) exceeds
+        # int64, so the pair keys and timestamps are compacted and P * T is
+        # 2.1e6^2; the five duplicates come first in the file but carry later
+        # timestamps
         n, dup = 2_100_000, 5
         rng = np.random.default_rng(14)
         users, items, ts = (rng.permutation(n) for _ in range(3))
@@ -94,6 +97,38 @@ class TestBuild:
         assert np.array_equal(g._ts, ts[order])
         assert np.array_equal(g.user_ids[g._users], users[order])
         assert np.array_equal(g.item_ids[g._items], items[order])
+
+    # ids dense, sparse and near +-2**62
+    IDS = st.one_of(st.integers(0, 100), st.integers(-10**15, 10**15),
+                    st.integers(2**62 - 100, 2**62 + 100), st.integers(-2**62 - 100, -2**62 + 100))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), num_users=st.sampled_from([1, 2, 7, 73]),
+           num_items=st.sampled_from([1, 2, 7, 49]), step=st.sampled_from([-1, 0, 1]))
+    def test_key_space_rule_at_the_int64_limit(self, data, num_users, num_items, step):
+        # span + 1 = INT64.max // (U * I) + step puts U * I * (span + 1) just
+        # below (-1), at or just below (0) and just above (+1) int64's maximum,
+        # exactly at it when U * I divides it (7^2 * 73 * ...); at or below it
+        # the keys are offsets, above it they are compacted
+        span = INT64.max // (num_users * num_items) + step - 1
+        assert (num_users * num_items * (span + 1) <= INT64.max) == (step <= 0)
+        t0 = data.draw(st.integers(0, INT64.max - span))
+        user_ids, item_ids = (data.draw(st.lists(self.IDS, min_size=k, max_size=k, unique=True))
+                              for k in (num_users, num_items))
+        # few timestamps and every pair drawn often: heavy ties and duplicates
+        times = st.sampled_from([t0, t0 + 1, t0 + span // 2, t0 + span - 1, t0 + span])
+        rows = data.draw(st.lists(st.tuples(st.sampled_from(user_ids), st.sampled_from(item_ids),
+                                            st.one_of(times, st.integers(t0, t0 + span))),
+                                  max_size=60))
+        # every id and both ends of the span occur
+        rows += [(u, item_ids[0], t0) for u in user_ids]
+        rows += [(user_ids[0], i, t0 + span) for i in item_ids]
+        events = [Event(*e) for e in data.draw(st.permutations(rows))]
+        g = build(events)
+        want = sorted(dedup_earliest(events), key=lambda e: (e.timestamp, e.user_id, e.item_id))
+        assert events_of(g) == want
+        assert g.duplicates_collapsed == len(events) - len(want)
+        assert all(a.dtype == np.int64 for a in (g.user_ids, g.item_ids, g._users, g._items, g._ts))
 
     def test_seeded_build_digest(self):
         # sha256 of the five arrays, recorded at the time-sort implementation
@@ -109,6 +144,26 @@ class TestBuild:
         assert (g.num_links, g.duplicates_collapsed) == (199_807, 193)
         assert digest.hexdigest() == (
             "abf4d97ab8d229fe6b780f55a4eb57475c2dcceb3da3185c2cbe5a0d4704e0c6")
+
+    def test_seeded_compacted_build_digest(self):
+        # sparse ids and timestamps 2^40 apart put U * I * (span + 1) past
+        # int64, so the pair keys and the timestamps are compacted; sha256
+        # recorded at the argsort implementation this build replaced
+        rng = np.random.default_rng(2027)
+        num = 200_000
+        user_pool = rng.integers(-2**62, 2**62, 5_000)
+        item_pool = rng.integers(-2**62, 2**62, 1_000)
+        g = build(np.column_stack([user_pool[rng.integers(0, 5_000, num)],
+                                   item_pool[rng.integers(0, 1_000, num)],
+                                   rng.integers(0, 100_000, num) * 2**40]))
+        assert g.num_users * g.num_items * (g.t_last - g.t_first + 1) > INT64.max
+        digest = hashlib.sha256()
+        for a in (g.user_ids, g.item_ids, g._users, g._items, g._ts):
+            digest.update(a.dtype.str.encode())
+            digest.update(a.tobytes())
+        assert (g.num_links, g.duplicates_collapsed) == (196_068, 3_932)
+        assert digest.hexdigest() == (
+            "f15d86f305e5f2369606a66bb55373d00beaa99c4b46c66cb9ec567e9768e464")
 
 
 class TestCompact:

@@ -55,6 +55,8 @@ def _parse_spec_string(text: str) -> predictors.PredictorSpec:
         key, raw = (s.strip() for s in part.split("=", 1))
         if key not in SPEC_KEYS:
             raise ValueError(f"unknown predictor spec key {key!r}")
+        if SPEC_KEYS[key] in kwargs:
+            raise ValueError(f"{key} is given twice in predictor spec")
         kwargs[SPEC_KEYS[key]] = parse_value(key, raw, SWEEP_KEYS[key][1])
     return predictors.PredictorSpec(kind, **kwargs)
 
@@ -95,6 +97,8 @@ def _cmd_gen(args) -> int:
             raise ValueError(f"{path}:{lineno}: unknown gen key {key!r}")
         type = str if key in PATH_KEYS else int if key in INT_KEYS else float
         try:
+            if key in lines:
+                raise ValueError(f"{key} is already set on line {lines[key]}")
             values[key], lines[key] = parse_value(key, raw, type), lineno
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None

@@ -21,11 +21,7 @@ hour-resolution data is handled by choosing window lengths in seconds
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 HOUR = 3_600
 DAY = 86_400
@@ -127,8 +123,8 @@ def build(events) -> TemporalBipartiteGraph:
 
     Rows may be unsorted and may repeat a (user, item) pair; repeats are
     collapsed keeping the earliest timestamp (the first collection act is
-    the one that carries information). Raises ``ValueError`` on an empty
-    stream, a wrong shape or a negative timestamp.
+    the one that carries information) and counted on the graph. Raises
+    ``ValueError`` on an empty stream, a wrong shape or a negative timestamp.
     """
     arr = np.asarray(events, dtype=np.int64)
     if arr.size == 0:
@@ -182,8 +178,6 @@ def build(events) -> TemporalBipartiteGraph:
     del key
     collapsed = int(first.size - pairs.size)
     del first
-    if collapsed:
-        log.debug("collapsed %d duplicate user-item events", collapsed)
 
     # A value sort of rank * P + pair is the (timestamp, user, item) order.
     key = ranks

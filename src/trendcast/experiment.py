@@ -1,7 +1,8 @@
 """Config-driven parameter sweeps over predictors and windows.
 
-Experiment configs are flat ``key = value`` files; repeating a key builds a
-grid list. ``#`` starts a comment, blank lines are ignored. Recognized keys:
+Experiment configs are flat ``key = value`` files; repeating a key marked
+repeatable builds a grid list, and repeating any other is an error. ``#``
+starts a comment, blank lines are ignored. Recognized keys:
 
     dataset = events.csv          # required; path to the event CSV
     format = votes                # votes | ratings
@@ -122,17 +123,19 @@ def parse_value(key: str, raw: str, type):
 
 def parse_experiment_config(path) -> ExperimentConfig:
     """Read a sweep config; unknown keys are kept for :func:`validate`."""
-    cfg = ExperimentConfig(n_values=[])
+    cfg, first = ExperimentConfig(n_values=[]), {}
     for lineno, key, raw in parse_kv_file(path):
         if key not in SWEEP_KEYS:
             cfg.unknown_keys.append(key)
             continue
         name, type = SWEEP_KEYS[key]
+        current = getattr(cfg, name)  # a list field collects every value
         try:
+            if first.setdefault(key, lineno) != lineno and not isinstance(current, list):
+                raise ValueError(f"{key} is already set on line {first[key]}")
             value = parse_value(key, raw, type)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-        current = getattr(cfg, name)  # a list field collects every value
         setattr(cfg, name, current + [value] if isinstance(current, list) else value)
     cfg.n_values = cfg.n_values or [100]
     return cfg
@@ -163,12 +166,12 @@ def validate(cfg: ExperimentConfig) -> list[str]:
 
 
 def load_inputs(dataset, dataset_spec, social_path, specs):
-    """The set-up every verb shares, logged as a run logs it: load and build
-    the dataset; if an ibp spec of ``specs`` reads it, load the social graph
-    (one with no edges is a failure) and, if both loads passed, compute each
-    centrality of the ibp specs. One that a spec raises to a negative eta
-    logs a warning counting the dataset's users of influence 0, absent users
-    included, whom ibp leaves out. Returns ``(graph, {measure:
+    """The set-up every verb shares and the one place that logs it: load and
+    build the dataset; if an ibp spec of ``specs`` reads it, load the social
+    graph (one with no edges is a failure) and, if both loads passed, compute
+    each centrality of the ibp specs, at WARNING if it did not converge. One
+    that a spec raises to a negative eta also warns, counting the dataset's
+    users of influence 0, absent users included. Returns ``(graph, {measure:
     InfluenceVector}, failures)``, with ``(prefix, exception)`` per failed
     load, the dataset's first; the graph is None if the dataset failed.
     Only the two loads can fail: a social graph with an edge has two users,
@@ -177,11 +180,16 @@ def load_inputs(dataset, dataset_spec, social_path, specs):
     graph, social_graph, influence, failures = None, None, {}, []
     try:
         graph = build(ingestion.load_dataset(dataset, dataset_spec))
+        if graph.duplicates_collapsed:
+            log.debug("collapsed %d duplicate user-item events", graph.duplicates_collapsed)
     except (ValueError, OSError) as exc:
         failures.append(("cannot load dataset: ", exc))
     if measures:  # only ibp reads the social graph
         try:
             social_graph = social.load_social_graph(social_path)
+            if social_graph.self_loops_dropped or social_graph.duplicates_dropped:
+                log.info("%s: dropped %d self-loops, collapsed %d duplicate edges", social_path,
+                         social_graph.self_loops_dropped, social_graph.duplicates_dropped)
             if social_graph.num_links == 0:  # comments, blank lines or self-loops only
                 raise ValueError(f"{social_path}: no edges")
         except (ValueError, OSError) as exc:
@@ -191,8 +199,9 @@ def load_inputs(dataset, dataset_spec, social_path, specs):
     log.info("loaded %r", graph)
     for measure in measures:
         infl = influence[measure] = social.compute_influence(social_graph, measure)
-        log.info("%s influence: %d sweeps, relative residual %.3e, converged %s",
-                 measure, infl.iterations_used, infl.residual, infl.converged)
+        log.log(logging.INFO if infl.converged else logging.WARNING,
+                "%s influence: %d sweeps, relative residual %.3e, converged %s",
+                measure, infl.iterations_used, infl.residual, infl.converged)
         if any(s.eta < 0 for s in specs if s.centrality == measure):
             zero = np.count_nonzero(infl.lookup(graph.user_ids) == 0.0)  # absent users too
             if zero:

@@ -139,10 +139,9 @@ def score_rows(graph: TemporalBipartiteGraph, specs, test_date, t_past, weights:
     now = graph.item_degree_vector(test_date).astype(np.float64)
     now.flags.writeable = False  # total_pop's row, and what every other row reads
     seen = np.flatnonzero(now > 0)
-    if kinds & {"recent_pop", "pbp"}:
-        past = graph.item_degree_vector(test_date - t_past).astype(np.float64)
-    if kinds & {"wpp", "ibp"}:
+    if kinds - {"total_pop"}:  # the degrees at the window start are now less its events
         users, items = graph.window_events(test_date, t_past)
+        past = now - np.bincount(items, minlength=graph.num_items)
     if "wpp" in kinds:
         degree = graph.user_degree_vector(test_date).astype(np.float64)[users]
 

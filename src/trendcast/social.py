@@ -20,7 +20,6 @@ sparse-matrix library.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,8 +27,6 @@ import numpy as np
 
 from .events import compact
 from .ingestion import parse_field, read_table, text_lines
-
-log = logging.getLogger(__name__)
 
 
 class SocialGraph:
@@ -97,17 +94,12 @@ def load_social_graph(path) -> SocialGraph:
     Blank lines are ignored, and so is everything from a ``#`` to the end of
     its line, whether the comment fills the line or follows an edge
     (``1 2  # note``). Raises ``ValueError`` (with the line number) on
-    anything else that does not parse as two int64 ids. Logs what the load
-    dropped, which the graph's ``self_loops_dropped`` and
-    ``duplicates_dropped`` also hold.
+    anything else that does not parse as two int64 ids. The graph counts
+    what the load dropped, as ``self_loops_dropped`` and ``duplicates_dropped``.
     """
     table = read_table(path, _rescan_edges, dtype=[("follower", np.int64), ("leader", np.int64)],
                        comments="#", ndmin=1)
-    graph = SocialGraph(table.view(np.int64).reshape(-1, 2))
-    if graph.self_loops_dropped or graph.duplicates_dropped:
-        log.info("%s: dropped %d self-loops, collapsed %d duplicate edges",
-                 path, graph.self_loops_dropped, graph.duplicates_dropped)
-    return graph
+    return SocialGraph(table.view(np.int64).reshape(-1, 2))
 
 
 def _rescan_edges(path) -> None:
@@ -171,11 +163,11 @@ def _spread(graph: SocialGraph, moved: np.ndarray) -> np.ndarray:
     return np.bincount(graph._dst, weights=moved.take(graph._src), minlength=graph.num_users)
 
 
-def _power_iterate(step, s: np.ndarray, mass: float, tol: float, max_iter: int, measure: str):
+def _power_iterate(step, s: np.ndarray, mass: float, tol: float, max_iter: int):
     """Apply ``s = step(s)`` until the L1 change of a sweep divided by ``mass``,
     the total score ``step`` conserves, drops below ``tol``; so ``tol`` means
-    the same at any number of users. Warns if ``max_iter`` sweeps do not
-    converge. Returns ``(s, iterations, residual, converged)``."""
+    the same at any number of users, or for ``max_iter`` sweeps. Returns
+    ``(s, iterations, residual, converged)``."""
     iterations, residual = 0, np.inf
     for iterations in range(1, max_iter + 1):
         s_next = step(s)
@@ -183,11 +175,7 @@ def _power_iterate(step, s: np.ndarray, mass: float, tol: float, max_iter: int, 
         s = s_next
         if residual < tol:
             break
-    converged = residual < tol
-    if not converged:
-        log.warning("%s did not converge in %d iterations (relative residual %.3e)",
-                    measure, max_iter, residual)
-    return s, iterations, residual, converged
+    return s, iterations, residual, residual < tol
 
 
 def _pagerank(
@@ -216,7 +204,7 @@ def _pagerank(
         loose = s[dangling].sum() / n if dangling.size else 0.0
         return (1.0 - delta) / n + delta * (_spread(graph, s * share) + loose)
 
-    s, *stats = _power_iterate(step, np.full(n, 1.0 / n), 1.0, tol, max_iter, "pagerank")
+    s, *stats = _power_iterate(step, np.full(n, 1.0 / n), 1.0, tol, max_iter)
     return InfluenceVector("pagerank", graph.user_ids, s, *stats)
 
 
@@ -251,7 +239,7 @@ def _leaderrank(graph: SocialGraph, tol: float = 1e-10, max_iter: int = 1000) ->
         return s_next
 
     s = np.concatenate([np.ones(n), [0.0]])
-    s, *stats = _power_iterate(step, s, n, tol, max_iter, "leaderrank")
+    s, *stats = _power_iterate(step, s, n, tol, max_iter)
     return InfluenceVector("leaderrank", graph.user_ids, s[:n] + s[g] / n, *stats)
 
 
@@ -264,7 +252,8 @@ def compute_influence(graph: SocialGraph, measure: str, **kwargs) -> InfluenceVe
     ``MEASURES``. The keyword arguments set the stop rule of the iterative
     measures, ``tol`` and ``max_iter`` (defaults 1e-10 and 1000), and
     PageRank's damping ``delta`` (default 0.85); in-degree is exact and
-    ignores them."""
+    ignores them. Nothing is logged: the vector carries its sweeps,
+    ``residual`` and ``converged``."""
     if measure not in MEASURES:
         raise ValueError(f"unknown influence measure {measure!r} (choose from {tuple(MEASURES)})")
     return MEASURES[measure](graph, **kwargs)

@@ -370,7 +370,7 @@ class TestStopRule:
         np.testing.assert_allclose(infl.values, want, rtol=1e-8, atol=0)
 
     @pytest.mark.parametrize("measure", ["pagerank", "leaderrank"])
-    def test_residual_does_not_grow_with_the_user_count(self, measure, caplog):
+    def test_residual_does_not_grow_with_the_user_count(self, measure):
         # 40 disjoint copies of a graph scale every score (PageRank) or the
         # ground node's share (LeaderRank) so that the relative L1 change of a
         # sweep is the same as for one copy
@@ -381,10 +381,6 @@ class TestStopRule:
         assert not a.converged and not b.converged
         assert a.residual > 1e-3
         assert b.residual == pytest.approx(a.residual, rel=1e-9)
-        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-        assert warnings[-1] == (
-            f"{measure} did not converge in 5 iterations (relative residual {b.residual:.3e})"
-        )
 
 
 class TestMeasureProperties:

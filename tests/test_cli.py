@@ -159,10 +159,15 @@ class TestGenVerb:
         ("users = 4611686018427387904\nitems = 10\nevents = 5\n", "gen.cfg: array is too big"),
         ("users = 99999999999999999999\nitems = 10\nevents = 5\n",
          "gen.cfg: Maximum allowed dimension exceeded"),
+        ("users = 40\nitems = 10\nseed = 3\nseed = 4\nevents = 300\n",
+         "gen.cfg:4: seed is already set on line 3"),
+        ("social_users = 5\nsocial_edges = 2\nsocial_out = a.txt\nsocial_out = b.txt\n",
+         "gen.cfg:4: social_out is already set on line 3"),
     ], ids=["events-not-int", "zero-users", "events-over-grid", "theta-not-number",
             "zero-rate", "negative-seed", "edges-over-capacity", "zero-social-users",
             "negative-social-seed", "events-saturated", "social-edges-saturated",
-            "users-2**56", "items-2**56", "social-users-2**56", "users-2**62", "users-1e20"])
+            "users-2**56", "items-2**56", "social-users-2**56", "users-2**62", "users-1e20",
+            "seed-twice", "social_out-twice"])
     def test_bad_number_names_file_line_and_key(self, tmp_path, caplog, text, error):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text(text)
@@ -220,8 +225,10 @@ class TestRankVerb:
         ("pbp,lambda", "expected key=value in predictor spec, got 'lambda'"),
         ("total_pop,t_past=-4", "t_past is only meaningful for recent_pop, pbp, wpp, ibp"),
         ("pbp,lambda=0.5,gamma=3,t_past=100", "gamma is only meaningful for wpp"),
+        ("pbp,lambda=0.1,lambda=1,t_past=3000", "lambda is given twice in predictor spec"),
+        ("recent_pop,t_past=10,t_past=10", "t_past is given twice in predictor spec"),
     ], ids=["lambda-not-number", "gamma-nan", "eta-inf", "empty", "key-without-value",
-            "total_pop-t_past", "pbp-gamma"])
+            "total_pop-t_past", "pbp-gamma", "lambda-twice", "t_past-twice"])
     def test_bad_spec_value_is_one_error_line(self, dataset, capsys, caplog, spec, error):
         assert main(["rank", str(dataset), "--spec", spec]) == 1
         assert capsys.readouterr().out == ""
@@ -345,7 +352,11 @@ class TestRunAndValidateVerbs:
         ("lambda = x", "lambda must be a number, got 'x'"),
         ("threshold = high", "threshold must be a number, got 'high'"),
         ("subset_users = 1.5", "subset_users must be an integer, got '1.5'"),
-    ], ids=["t_past", "n", "lambda", "threshold", "subset_users"])
+        ("dataset = nope.csv", "dataset is already set on line 1"),
+        ("format = ratings", "format is already set on line 2"),
+        ("test_dates = 3", "test_dates is already set on line 7"),
+    ], ids=["t_past", "n", "lambda", "threshold", "subset_users", "dataset-twice",
+            "format-twice", "test_dates-twice"])
     def test_bad_value_names_file_line_and_key(self, tmp_path, dataset, capsys, caplog,
                                                verb, line, error):
         cfg = self.write_cfg(tmp_path, dataset, tmp_path / "out")
@@ -367,7 +378,7 @@ class TestRunAndValidateVerbs:
         ("", "predictor = pbp\nlambda = 1.5\n", "lambda 1.5 outside [0, 1]"),
         ("", "t_future = 0\n", "window lengths must be positive"),
         ("", "n = 0\n", "n must be >= 1"),
-        ("", "test_dates = 0\n", "test_dates must be >= 1"),
+        ("test_dates", "test_dates = 0\n", "test_dates must be >= 1"),
         ("", "predictor = recent_pop\n", "predictor recent_pop is listed more than once"),
         ("", "predictor = ibp\nsocial = {dataset}\ncentrality = pagerank\neta = -1\neta = -1.0\n",
          "eta -1.0 is listed more than once"),
@@ -655,17 +666,17 @@ class TestSetUp:
         expected = {
             "run": [
                 "INFO trendcast.ingestion",  # events kept
-                "INFO trendcast.social",  # dropped 1 self-loops
+                "INFO trendcast.experiment",  # dropped 1 self-loops
                 "INFO trendcast.experiment",  # loaded
-                "WARNING trendcast.social", "INFO trendcast.experiment",  # pagerank
-                "WARNING trendcast.social", "INFO trendcast.experiment",  # leaderrank
+                "WARNING trendcast.experiment",  # pagerank
+                "WARNING trendcast.experiment",  # leaderrank
                 "INFO trendcast.experiment",  # wrote
             ],
             "rank": [
                 "INFO trendcast.ingestion",  # events kept
-                "INFO trendcast.social",  # dropped 1 self-loops
+                "INFO trendcast.experiment",  # dropped 1 self-loops
                 "INFO trendcast.experiment",  # loaded
-                "WARNING trendcast.social", "INFO trendcast.experiment",  # leaderrank
+                "WARNING trendcast.experiment",  # leaderrank
             ],
         }
         dropped = f"{edges}: dropped 1 self-loops, collapsed 0 duplicate edges"
@@ -676,6 +687,26 @@ class TestSetUp:
             lines = [f"{r.levelname} {r.name}" for r in caplog.records]
             assert lines == expected[verb], verb
             assert caplog.records[1].getMessage() == dropped
+
+    @pytest.mark.parametrize("verb", ["run", "rank"])
+    def test_unconverged_centrality_is_one_warning(self, inputs, caplog, monkeypatch, verb):
+        ratings, edges, cfg = inputs
+        for measure in ("pagerank", "leaderrank"):
+            monkeypatch.setitem(social.MEASURES, measure,
+                                functools.partial(social.MEASURES[measure], max_iter=1))
+        argv = ["run", str(cfg)] if verb == "run" else self.rank_argv(ratings, edges)
+        with caplog.at_level(logging.DEBUG, logger="trendcast"):
+            assert main(argv) == 0
+        graph = load_social_graph(edges)  # the measures are still patched, as the set-up ran them
+        residuals = {measure: social.compute_influence(graph, measure).residual
+                     for measure in ("pagerank", "leaderrank")}
+        warnings = [(r.name, r.getMessage()) for r in caplog.records
+                    if r.levelno >= logging.WARNING]
+        assert warnings == [
+            ("trendcast.experiment",
+             f"{measure} influence: 1 sweeps, relative residual {residuals[measure]:.3e}, "
+             "converged False")
+            for measure in (("pagerank", "leaderrank") if verb == "run" else ("leaderrank",))]
 
     def test_rank_logs_the_set_up_of_run(self, inputs, caplog):
         ratings, edges, cfg = inputs

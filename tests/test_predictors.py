@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 
@@ -12,7 +13,8 @@ from trendcast.events import build
 from trendcast.experiment import DEFAULT_ETA_GRID, load_inputs
 from trendcast.ingestion import DatasetSpec, write_votes_csv
 from trendcast.predictors import PredictorSpec, ibp_weights, score, score_rows
-from trendcast.social import InfluenceVector, SocialGraph, compute_influence, write_edge_list
+from trendcast.social import (MEASURES, InfluenceVector, SocialGraph, compute_influence,
+                              write_edge_list)
 
 
 def ordering(ranking):
@@ -189,6 +191,16 @@ class TestIbp:
         # user 4 has no followers: its event adds nothing; user 1 adds 2**-1
         assert dict(r.entries)[5] == pytest.approx(0.5)
         # the callers count the zero-influence users; the scorer logs nothing
+        assert caplog.messages == []
+
+    @pytest.mark.parametrize("measure", ["pagerank", "leaderrank"])
+    def test_unconverged_centrality_logs_nothing(self, caplog, monkeypatch, measure):
+        # the set-up reports convergence; score leaves it on the vector
+        monkeypatch.setitem(MEASURES, measure, functools.partial(MEASURES[measure], max_iter=1))
+        g = build([Event(1, 5, 8), Event(2, 6, 9)])
+        spec = PredictorSpec("ibp", eta=1.0, t_past=5, centrality=measure)
+        with caplog.at_level(logging.DEBUG):
+            score(g, spec, 10, self.social())
         assert caplog.messages == []
 
     @pytest.mark.parametrize("users, counted", [

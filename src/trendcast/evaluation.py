@@ -18,7 +18,6 @@ predictor can never hit a new entry (its top-n *is* the past top-n).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -26,8 +25,6 @@ import numpy as np
 
 from .events import TemporalBipartiteGraph
 from .predictors import PredictorSpec, score_rows
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -134,8 +131,9 @@ def evaluate(
     them once for a whole sweep. A spec's ``t_past`` may be left unset, in
     which case the window's is used; if both are set they must agree (E_n is
     defined against the same past window the predictor sees). Every test
-    date's future window is checked before any date is scored; then one
-    warning names the dates where no item gains links in it.
+    date's future window is checked before any date is scored. Nothing is
+    logged: at a date where no item gains links in that window, every item
+    ties at 0, so the true top-n is the n lowest ids and P_n counts padding.
     """
     if len({(c.t_past, c.t_future, tuple(c.test_dates)) for c in configs}) != 1:
         raise ValueError("the configs must share one window: t_past, t_future and test dates")
@@ -154,12 +152,9 @@ def evaluate(
                              f"runs past the last event at {graph.t_last}")
 
     reports = [[EvaluationReport(spec, config) for spec in specs] for config in configs]
-    degenerate = []
     for date in window.test_dates:
         future = graph.item_increase_vector(date + window.t_future, window.t_future)
         truth = graph.rank_items(future, np.arange(graph.num_items))
-        if future[truth[0]] == 0:
-            degenerate.append(date)
         seen, (past, *rows) = score_rows(graph, [past_increase, *specs], date, window.t_past,
                                          weights)
         past_top = graph.rank_items(past, seen)
@@ -176,7 +171,4 @@ def evaluate(
                 p_n = np.count_nonzero(in_truth[predicted]) / n
                 c_n = np.count_nonzero(is_new[predicted])
                 report.per_date.append(DateMetrics(int(date), p_n, e_n, c_n))
-    if degenerate:
-        log.warning("degenerate true ranking at %d of %d test dates (%s): no item gained links",
-                    len(degenerate), len(window.test_dates), ", ".join(map(str, degenerate)))
     return reports

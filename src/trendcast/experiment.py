@@ -161,7 +161,7 @@ def predictor_specs(cfg: ExperimentConfig) -> list[PredictorSpec]:
 
 def validate(cfg: ExperimentConfig) -> list[str]:
     """Collect every problem with the config; empty list means runnable.
-    This is all of :func:`run_sweep`'s set-up, logged as a run logs it."""
+    This is all of :func:`run_sweep`'s set-up, warnings included, logged as a run logs it."""
     return _check(cfg)[0]
 
 
@@ -212,13 +212,12 @@ def load_inputs(dataset, dataset_spec, social_path, specs):
 
 def _check(cfg: ExperimentConfig):
     """The whole set-up of :func:`run_sweep`: the config rules, then
-    :func:`load_inputs` and the test dates. Returns the problems and, to read
-    only when there are none, the specs, the graph, the ``{measure:
-    InfluenceVector}`` map and each window's ``(t_past, t_future, test
-    dates)``, t_past outermost."""
-    problems = []
-    for key in cfg.unknown_keys:
-        problems.append(f"unknown config key {key!r}")
+    :func:`load_inputs` and the test dates, with one warning per window naming
+    its degenerate dates, where no item gains links in the future window.
+    Returns the problems and, to read only when there are none, the specs, the
+    graph, the ``{measure: InfluenceVector}`` map and each window's ``(t_past,
+    t_future, test dates)``, t_past outermost."""
+    problems = [f"unknown config key {key!r}" for key in dict.fromkeys(cfg.unknown_keys)]
     for key, (name, _) in SWEEP_KEYS.items():
         values = getattr(cfg, name)  # a repeatable key's values, compared as parsed
         if isinstance(values, list):
@@ -298,6 +297,12 @@ def _check(cfg: ExperimentConfig):
                     problems.append(str(exc))
                 else:
                     windows.append((t_past, t_future, dates))
+                    degenerate = [str(d) for d in dates
+                                  if not len(graph.window_events(d + t_future, t_future)[1])]
+                    if degenerate:
+                        log.warning("degenerate true ranking at %d of %d test dates (%s): no "
+                                    "item gained links", len(degenerate), len(dates),
+                                    ", ".join(degenerate))
     return problems, specs, graph, influence, windows
 
 

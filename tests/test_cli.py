@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -17,6 +18,10 @@ from conftest import write_ratings_csv
 from trendcast.ingestion import load_votes, write_votes_csv
 from trendcast.social import load_social_graph, write_edge_list
 from trendcast.synthgen import GenConfig, generate, generate_social
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402
 
 
 @pytest.fixture
@@ -387,10 +392,11 @@ class TestRunAndValidateVerbs:
         ("", "predictor = pbp\nlambda = 1\nlambda = 1.0\n", "lambda 1.0 is listed more than once"),
         ("", "t_future = 200\n", "t_future 200 is listed more than once"),
         ("", "n = 20\n", "n 20 is listed more than once"),
+        ("", "foo = 1\nfoo = 2\n", "unknown config key 'foo'"),
     ], ids=["no-dataset", "no-social-file", "no-predictors", "pbp-no-lambda",
             "ibp-no-centrality", "lambda-range", "window", "n", "test_dates",
             "repeated-predictor", "repeated-eta", "repeated-centrality", "repeated-lambda",
-            "repeated-t_future", "repeated-n"])
+            "repeated-t_future", "repeated-n", "repeated-unknown-key"])
     def test_config_rule_is_one_problem_line(self, tmp_path, dataset, capsys, drop, extra,
                                              problem):
         cfg = self.write_cfg(tmp_path, dataset, tmp_path / "out")
@@ -632,6 +638,36 @@ class TestDatasetProblems:
             self.check(tmp_path, capsys, caplog, verb, cfg, problem)
 
 
+def acceptance_7_config(tmp_path):
+    """The dataset and grid of ``test_acceptance.test_7_sweep_determinism``."""
+    data = tmp_path / "events.csv"
+    write_votes_csv(generate(GenConfig(num_users=300, num_items=100, num_events=6000,
+                                       item_arrival_rate=100 / 4800, decay_timescale=800,
+                                       rng_seed=23)), data)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"dataset = {data}\nformat = votes\npredictor = total_pop\npredictor = pbp\n"
+                   "predictor = wpp\nlambda = 0\nlambda = 0.9\nlambda = 1\ngamma = 0.5\n"
+                   "t_past = 600\nt_past = 900\nt_future = 600\nn = 50\ntest_dates = 3\n"
+                   f"out = {tmp_path / 'out'}\nseed = 1\n")
+    return cfg
+
+
+def degenerate_window_config(tmp_path):
+    """The first 2,000 votes and 500 edges of the benchmark's sweep_quickstart
+    inputs at seed 1, swept over one window whose test date 103 gains no link."""
+    inputs = workloads.generate("sweep_quickstart", 1, str(tmp_path / "full"))
+    votes, edges = tmp_path / "votes.csv", tmp_path / "edges.txt"
+    for source, target, lines in ((inputs.dataset_path, votes, 2001),
+                                  (inputs.social_path, edges, 500)):
+        with open(source, encoding="utf-8") as fh:
+            target.write_text("".join(itertools.islice(fh, lines)))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"dataset = {votes}\nsocial = {edges}\npredictor = recent_pop\n"
+                   "predictor = ibp\ncentrality = pagerank\neta = 1\nt_past = 100\n"
+                   f"t_future = 100\nn = 10\ntest_dates = 3\nout = {tmp_path / 'out'}\n")
+    return cfg
+
+
 class TestSetUp:
     """validate, run and rank share one serial set-up: the dataset loads
     first, then the social graph when an ibp predictor reads it, so stderr,
@@ -725,9 +761,21 @@ class TestSetUp:
         assert any("zero-influence" in message for *_, message in records["rank"])
         assert records["rank"] == records["run"][:-1]
 
-    def test_import_leaves_the_social_logger_unfiltered(self):
-        # trendcast.cli, imported above, imports trendcast.experiment
-        assert logging.getLogger("trendcast.social").filters == []
+    @pytest.mark.parametrize("write_config", [acceptance_7_config, degenerate_window_config],
+                             ids=["acceptance-7", "degenerate-window"])
+    def test_validate_logs_what_run_logs(self, tmp_path, caplog, write_config):
+        cfg = write_config(tmp_path)
+        records = {}
+        for verb in ("validate", "run"):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="trendcast"):
+                assert main([verb, str(cfg)]) == 0
+            records[verb] = [(r.levelname, r.name, r.getMessage()) for r in caplog.records]
+        assert records["run"][-1][2].startswith("wrote ")
+        assert records["validate"] == records["run"][:-1]
+        if write_config is degenerate_window_config:
+            assert ("WARNING", "trendcast.experiment", "degenerate true ranking at 1 of 3 test "
+                    "dates (103): no item gained links") in records["validate"]
 
     @pytest.mark.parametrize("verb", ["run", "validate", "rank"])
     def test_bad_edge_line_is_one_error(self, inputs, capsys, caplog, verb):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import Event, dedup_earliest, random_events
+from trendcast import evaluation
+from trendcast.cli import main
 from trendcast.events import build
 from trendcast.evaluation import EvalConfig, evaluate, make_test_dates
 from trendcast.experiment import (
@@ -118,22 +120,37 @@ class TestTrueRanking:
 
     def test_degenerate_all_zero(self, caplog):
         events = [Event(1, 5, 1), Event(2, 6, 2), Event(3, 7, 50)]
-        with caplog.at_level("WARNING"):
+        with caplog.at_level("DEBUG"):
             report = oracle_checked(events, PredictorSpec("total_pop"), EvalConfig(5, 10, [5], 2))
-        # nothing moved in (5, 15]; the true top-2 is the first 2 items by id, flagged
+        # nothing moved in (5, 15]; the true top-2 is the first 2 items by id,
+        # and evaluate computes it without a word (the set-up names such dates)
         want = oracles.top_items_by_increase(dedup_earliest(events), 15, 10, 2)
         assert want == [(5, 0), (6, 0)]
         assert report.per_date[0].precision == 1.0
-        assert any("degenerate" in m for m in caplog.messages)
+        assert caplog.records == []
 
-    def test_degenerate_dates_are_one_warning(self, caplog):
-        # nothing moves in (5, 15] or (20, 30]; item 7 gains at 50, in (40, 50]
+    def test_degenerate_dates_are_one_warning(self, tmp_path, caplog):
+        # nothing moves in (5, 15] or (22, 32]; item 7 gains at 50, in (40, 50]
         events = [Event(1, 5, 1), Event(2, 6, 2), Event(3, 7, 50)]
-        with caplog.at_level("WARNING"):
-            evaluate(build(events), [PredictorSpec("total_pop")],
-                     [EvalConfig(5, 10, [5, 20, 40], 2)])
-        assert caplog.messages == ["degenerate true ranking at 2 of 3 test dates (5, 20): "
-                                   "no item gained links"]
+        dates = make_test_dates(build(events), 3, 4, 10)
+        assert dates == [5, 22, 40]
+        with caplog.at_level("DEBUG"):
+            report = oracle_checked(events, PredictorSpec("total_pop"), EvalConfig(4, 10, dates, 2))
+        assert [d.precision for d in report.per_date] == [1.0, 1.0, 0.5]
+        assert caplog.records == []
+        # the set-up that validate and run share names the two dates, once
+        data = tmp_path / "events.csv"
+        write_votes_csv(events, data)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset = {data}\npredictor = total_pop\nt_past = 4\nt_future = 10\n"
+                       f"n = 2\ntest_dates = 3\nout = {tmp_path / 'out'}\n")
+        for verb in ("validate", "run"):
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                assert main([verb, str(cfg)]) == 0
+            assert [(r.name, r.getMessage()) for r in caplog.records] == [
+                ("trendcast.experiment", "degenerate true ranking at 2 of 3 test dates (5, 22): "
+                                         "no item gained links")]
 
     def test_degenerate_dates_are_one_warning_per_window(self, tmp_path, caplog):
         # the test dates come out as 6, 23 and 40: nothing moves in (6, 16] or
@@ -153,13 +170,16 @@ class TestTrueRanking:
             evaluate(small_graph, [PredictorSpec("recent_pop")],
                      [EvalConfig(5, 100, [10], 5)])
 
-    def test_truncated_date_rejected_before_any_is_scored(self, caplog):
-        # date 5 is degenerate, date 45 runs past the last event at 50
+    def test_truncated_date_rejected_before_any_is_scored(self, monkeypatch):
+        # date 5's future window is covered, date 45's runs past the last event at 50
         events = [Event(1, 5, 1), Event(2, 6, 2), Event(3, 7, 50)]
-        with caplog.at_level("WARNING"), pytest.raises(ValueError, match="test date 45"):
+        scored = []
+        monkeypatch.setattr(evaluation, "score_rows",
+                            lambda *args: scored.append(args[2]) or score_rows(*args))
+        with pytest.raises(ValueError, match="test date 45"):
             evaluate(build(events), [PredictorSpec("total_pop")],
                      [EvalConfig(5, 10, [5, 45], 2)])
-        assert caplog.messages == []
+        assert scored == []
 
     def test_matches_sort_oracle(self, rng):
         events = random_events(rng, num_events=800)

@@ -227,7 +227,7 @@ def _check(cfg: ExperimentConfig):
         problems.append("no dataset configured")
     elif not os.path.exists(cfg.dataset):
         problems.append(f"dataset file not found: {cfg.dataset}")
-    if "ibp" in cfg.predictors and cfg.social is not None and not os.path.exists(cfg.social):
+    if "ibp" in cfg.predictors and cfg.social and not os.path.exists(cfg.social):
         problems.append(f"social graph file not found: {cfg.social}")
     if not cfg.predictors:
         problems.append("no predictors configured")
@@ -237,7 +237,7 @@ def _check(cfg: ExperimentConfig):
     if "pbp" in cfg.predictors and not cfg.lambdas:
         problems.append("pbp requested but no lambda values given")
     if "ibp" in cfg.predictors:
-        if cfg.social is None:
+        if not cfg.social:
             problems.append("ibp requested but no social graph configured")
         if not cfg.centralities:
             problems.append("ibp requested but no centrality given")

@@ -113,13 +113,9 @@ def ibp_weights(graph: TemporalBipartiteGraph, vectors, specs) -> dict:
         if spec.kind != "ibp" or (spec.centrality, spec.eta) in weights:
             continue
         influence = aligned[spec.centrality]
-        if spec.eta < 0:
-            weight = np.zeros(len(influence))
-            nonzero = influence != 0.0
-            weight[nonzero] = influence[nonzero] ** spec.eta
-        else:
-            weight = influence**spec.eta
-        weights[spec.centrality, spec.eta] = weight
+        weights[spec.centrality, spec.eta] = np.power(
+            influence, spec.eta, out=np.zeros(len(influence)),
+            where=(influence != 0.0) | (spec.eta >= 0))
     return weights
 
 

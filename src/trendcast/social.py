@@ -150,8 +150,14 @@ class InfluenceVector:
         return out
 
 
-def _in_degree(graph: SocialGraph, **_) -> InfluenceVector:
-    """Influence = number of followers; exact, so a stop rule is ignored."""
+# The iterative measures' stop rule, and PageRank's damping (LeaderRank needs none)
+TOL = 1e-10
+MAX_ITER = 1000
+DAMPING = 0.85
+
+
+def _in_degree(graph: SocialGraph) -> InfluenceVector:
+    """Influence = number of followers; exact, so it needs no stop rule."""
     return InfluenceVector("in_degree", graph.user_ids, graph.in_degrees.copy())
 
 
@@ -163,52 +169,45 @@ def _spread(graph: SocialGraph, moved: np.ndarray) -> np.ndarray:
     return np.bincount(graph._dst, weights=moved.take(graph._src), minlength=graph.num_users)
 
 
-def _power_iterate(step, s: np.ndarray, mass: float, tol: float, max_iter: int):
+def _power_iterate(step, s: np.ndarray, mass: float):
     """Apply ``s = step(s)`` until the L1 change of a sweep divided by ``mass``,
-    the total score ``step`` conserves, drops below ``tol``; so ``tol`` means
-    the same at any number of users, or for ``max_iter`` sweeps. Returns
+    the total score ``step`` conserves, drops below ``TOL``; so ``TOL`` means
+    the same at any number of users, or for ``MAX_ITER`` sweeps. Returns
     ``(s, iterations, residual, converged)``."""
     iterations, residual = 0, np.inf
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         s_next = step(s)
         residual = float(np.abs(s_next - s).sum()) / mass
         s = s_next
-        if residual < tol:
+        if residual < TOL:
             break
-    return s, iterations, residual, residual < tol
+    return s, iterations, residual, residual < TOL
 
 
-def _pagerank(
-    graph: SocialGraph, delta: float = 0.85, tol: float = 1e-10, max_iter: int = 1000
-) -> InfluenceVector:
+def _pagerank(graph: SocialGraph) -> InfluenceVector:
     """PageRank-style influence over the follower->leader flow.
 
-    Fixed point of ``s_j = (1 - delta)/N + delta * sum_{i follows j} s_i / out(i)``
-    with the score mass of dangling users (out-degree 0) redistributed
-    uniformly every iteration, so the scores sum to 1 throughout. Starts
-    uniform; stops when the L1 change of a sweep divided by the score mass
-    (1 here) drops below ``tol``, or after ``max_iter`` sweeps (then the
-    result carries ``converged=False``). ``residual`` is that relative change.
+    Fixed point of ``s_j = (1 - d)/N + d * sum_{i follows j} s_i / out(i)``,
+    ``d = DAMPING``, with the score mass of dangling users (out-degree 0)
+    redistributed uniformly every iteration, so the scores sum to 1
+    throughout. Starts uniform; stops when the L1 change of a sweep divided
+    by the score mass (1 here) drops below ``TOL``, or after ``MAX_ITER``
+    sweeps (then ``converged=False``). ``residual`` is that relative change.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"damping must lie in (0, 1), got {delta}")
     n = graph.num_users
-    if n == 0:
-        return InfluenceVector("pagerank", graph.user_ids, np.empty(0))
-
     out = graph.out_degrees
     share = np.divide(1.0, out, out=np.zeros(n), where=out > 0)
     dangling = np.flatnonzero(out == 0)
 
     def step(s):
         loose = s[dangling].sum() / n if dangling.size else 0.0
-        return (1.0 - delta) / n + delta * (_spread(graph, s * share) + loose)
+        return (1.0 - DAMPING) / n + DAMPING * (_spread(graph, s * share) + loose)
 
-    s, *stats = _power_iterate(step, np.full(n, 1.0 / n), 1.0, tol, max_iter)
+    s, *stats = _power_iterate(step, np.full(n, 1.0 / n), 1.0)
     return InfluenceVector("pagerank", graph.user_ids, s, *stats)
 
 
-def _leaderrank(graph: SocialGraph, tol: float = 1e-10, max_iter: int = 1000) -> InfluenceVector:
+def _leaderrank(graph: SocialGraph) -> InfluenceVector:
     """LeaderRank influence: damping-free score flow with a ground node.
 
     The graph is augmented with a ground node linked bidirectionally to all
@@ -216,18 +215,14 @@ def _leaderrank(graph: SocialGraph, tol: float = 1e-10, max_iter: int = 1000) ->
     parameter. Users start with score 1, the ground node with 0, and every
     node passes its full score in equal shares along its out-edges. Stops
     when the L1 change of a sweep divided by the score mass N drops below
-    ``tol``, or after ``max_iter`` sweeps (then ``converged=False``); that is
+    ``TOL``, or after ``MAX_ITER`` sweeps (then ``converged=False``); that is
     PageRank's rule, so ``residual`` reads in the same units. The ground
     node's score is then redistributed equally to all users, so the user
     scores sum to N.
     """
-    n = graph.num_users
-    if n == 0:
-        raise ValueError("leaderrank needs at least one user")
-
     # Each user also links to the ground node (index n), which comes after
     # every follower in a user's row; the ground row sums the users in order.
-    g = n
+    n = g = graph.num_users
     share = 1.0 / (graph.out_degrees + 1)
     from_ground = 1.0 / n
 
@@ -239,7 +234,7 @@ def _leaderrank(graph: SocialGraph, tol: float = 1e-10, max_iter: int = 1000) ->
         return s_next
 
     s = np.concatenate([np.ones(n), [0.0]])
-    s, *stats = _power_iterate(step, s, n, tol, max_iter)
+    s, *stats = _power_iterate(step, s, n)
     return InfluenceVector("leaderrank", graph.user_ids, s[:n] + s[g] / n, *stats)
 
 
@@ -247,13 +242,14 @@ def _leaderrank(graph: SocialGraph, tol: float = 1e-10, max_iter: int = 1000) ->
 MEASURES = {"in_degree": _in_degree, "pagerank": _pagerank, "leaderrank": _leaderrank}
 
 
-def compute_influence(graph: SocialGraph, measure: str, **kwargs) -> InfluenceVector:
+def compute_influence(graph: SocialGraph, measure: str) -> InfluenceVector:
     """The influence of every user of ``graph`` under ``measure``, one of
-    ``MEASURES``. The keyword arguments set the stop rule of the iterative
-    measures, ``tol`` and ``max_iter`` (defaults 1e-10 and 1000), and
-    PageRank's damping ``delta`` (default 0.85); in-degree is exact and
-    ignores them. Nothing is logged: the vector carries its sweeps,
-    ``residual`` and ``converged``."""
+    ``MEASURES``; the iterative measures stop by ``TOL`` and ``MAX_ITER``,
+    and PageRank damps by ``DAMPING``. A graph without users gets an empty
+    vector under every measure. Nothing is logged: the vector carries its
+    sweeps, ``residual`` and ``converged``."""
     if measure not in MEASURES:
         raise ValueError(f"unknown influence measure {measure!r} (choose from {tuple(MEASURES)})")
-    return MEASURES[measure](graph, **kwargs)
+    if graph.num_users == 0:
+        return InfluenceVector(measure, graph.user_ids, np.empty(0))
+    return MEASURES[measure](graph)

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import itertools
 import json
@@ -379,6 +378,8 @@ class TestRunAndValidateVerbs:
          "social graph file not found: {tmp}/gone.txt"),
         ("predictor", "", "no predictors configured"),
         ("", "predictor = pbp\n", "pbp requested but no lambda values given"),
+        ("", "predictor = ibp\nsocial = \ncentrality = in_degree\n",
+         "ibp requested but no social graph configured"),
         ("", "predictor = ibp\nsocial = {dataset}\n", "ibp requested but no centrality given"),
         ("", "predictor = pbp\nlambda = 1.5\n", "lambda 1.5 outside [0, 1]"),
         ("", "t_future = 0\n", "window lengths must be positive"),
@@ -393,7 +394,7 @@ class TestRunAndValidateVerbs:
         ("", "t_future = 200\n", "t_future 200 is listed more than once"),
         ("", "n = 20\n", "n 20 is listed more than once"),
         ("", "foo = 1\nfoo = 2\n", "unknown config key 'foo'"),
-    ], ids=["no-dataset", "no-social-file", "no-predictors", "pbp-no-lambda",
+    ], ids=["no-dataset", "no-social-file", "no-predictors", "pbp-no-lambda", "empty-social",
             "ibp-no-centrality", "lambda-range", "window", "n", "test_dates",
             "repeated-predictor", "repeated-eta", "repeated-centrality", "repeated-lambda",
             "repeated-t_future", "repeated-n", "repeated-unknown-key"])
@@ -696,9 +697,7 @@ class TestSetUp:
 
     def test_stderr_keeps_the_serial_order(self, tmp_path, inputs, caplog, monkeypatch):
         ratings, edges, cfg = inputs
-        for measure in ("pagerank", "leaderrank"):  # each logs a non-convergence warning
-            monkeypatch.setitem(social.MEASURES, measure,
-                                functools.partial(social.MEASURES[measure], max_iter=1))
+        monkeypatch.setattr(social, "MAX_ITER", 1)  # pagerank and leaderrank each warn
         expected = {
             "run": [
                 "INFO trendcast.ingestion",  # events kept
@@ -727,13 +726,11 @@ class TestSetUp:
     @pytest.mark.parametrize("verb", ["run", "rank"])
     def test_unconverged_centrality_is_one_warning(self, inputs, caplog, monkeypatch, verb):
         ratings, edges, cfg = inputs
-        for measure in ("pagerank", "leaderrank"):
-            monkeypatch.setitem(social.MEASURES, measure,
-                                functools.partial(social.MEASURES[measure], max_iter=1))
+        monkeypatch.setattr(social, "MAX_ITER", 1)
         argv = ["run", str(cfg)] if verb == "run" else self.rank_argv(ratings, edges)
         with caplog.at_level(logging.DEBUG, logger="trendcast"):
             assert main(argv) == 0
-        graph = load_social_graph(edges)  # the measures are still patched, as the set-up ran them
+        graph = load_social_graph(edges)  # MAX_ITER is still patched, as the set-up ran
         residuals = {measure: social.compute_influence(graph, measure).residual
                      for measure in ("pagerank", "leaderrank")}
         warnings = [(r.name, r.getMessage()) for r in caplog.records

@@ -1,4 +1,3 @@
-import functools
 import logging
 import math
 
@@ -9,12 +8,12 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import Event, dedup_earliest, entry, random_events
+from trendcast import social
 from trendcast.events import build
 from trendcast.experiment import DEFAULT_ETA_GRID, load_inputs
 from trendcast.ingestion import DatasetSpec, write_votes_csv
 from trendcast.predictors import PredictorSpec, ibp_weights, score, score_rows
-from trendcast.social import (MEASURES, InfluenceVector, SocialGraph, compute_influence,
-                              write_edge_list)
+from trendcast.social import InfluenceVector, SocialGraph, compute_influence, write_edge_list
 
 
 def ordering(ranking):
@@ -196,7 +195,7 @@ class TestIbp:
     @pytest.mark.parametrize("measure", ["pagerank", "leaderrank"])
     def test_unconverged_centrality_logs_nothing(self, caplog, monkeypatch, measure):
         # the set-up reports convergence; score leaves it on the vector
-        monkeypatch.setitem(MEASURES, measure, functools.partial(MEASURES[measure], max_iter=1))
+        monkeypatch.setattr(social, "MAX_ITER", 1)
         g = build([Event(1, 5, 8), Event(2, 6, 9)])
         spec = PredictorSpec("ibp", eta=1.0, t_past=5, centrality=measure)
         with caplog.at_level(logging.DEBUG):

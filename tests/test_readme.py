@@ -1,5 +1,6 @@
-"""The README's "Library use" block runs as written, and every
-``trendcast.<module>.<name>`` the README cites exists.
+"""The README's "Library use" block runs as written, every
+``trendcast.<module>.<name>`` the README cites exists, and every
+``trendcast.social`` constant it cites has the value it states.
 
 A README that names a removed function or an old signature fails here.
 """
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import trendcast
+from trendcast import social
 from trendcast.ingestion import write_votes_csv
 from trendcast.social import write_edge_list
 
@@ -73,3 +75,13 @@ def test_cited_names_resolve():
                 break
             value = getattr(value, name)
     assert missing == []
+
+
+def test_cited_centrality_constants_state_their_values():
+    # "`trendcast.social.TOL` (1e-10)": the stop rule and damping are fixed,
+    # so the README's numbers are the program's
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    cited = re.findall(r"`trendcast\.social\.([A-Z_]+)` \(([^)]+)\)", text)
+    assert {name for name, _ in cited} == {"TOL", "MAX_ITER", "DAMPING"}
+    assert [(name, float(value)) for name, value in cited] == [
+        (name, getattr(social, name)) for name, _ in cited]

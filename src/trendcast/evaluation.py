@@ -128,9 +128,10 @@ def evaluate(
     ``graph.rank_items`` ranks the truth, the past increase and each row
     once; each n cuts those rankings at n. ``weights`` holds every ibp
     spec's user weights, as :func:`trendcast.predictors.ibp_weights` returns
-    them once for a whole sweep. A spec's ``t_past`` may be left unset, in
-    which case the window's is used; if both are set they must agree (E_n is
-    defined against the same past window the predictor sees). Every test
+    them once for a whole sweep. The reports carry the specs as given. A
+    spec's ``t_past`` may be left unset, since every spec is scored over the
+    window's; one that is set must agree with it (E_n is defined against the
+    same past window the predictor sees). Every test
     date's future window is checked before any date is scored. Nothing is
     logged: at a date where no item gains links in that window, every item
     ties at 0, so the true top-n is the n lowest ids and P_n counts padding.
@@ -144,7 +145,6 @@ def evaluate(
                              f"t_past={window.t_past}")
         if spec.kind == "ibp" and (spec.centrality, spec.eta) not in (weights or {}):
             raise ValueError(f"no weights for ibp({spec.centrality}, eta={spec.eta})")
-    specs = [s if s.kind == "total_pop" else s.with_t_past(window.t_past) for s in specs]
     past_increase = PredictorSpec("recent_pop", t_past=window.t_past)
     for date in window.test_dates:
         if date + window.t_future > graph.t_last:

@@ -48,7 +48,7 @@ import numpy as np
 from . import ingestion, predictors, social
 from .events import build
 from .evaluation import EvalConfig, EvaluationReport, evaluate, make_test_dates
-from .predictors import PredictorSpec, score
+from .predictors import PredictorSpec, score_rows
 
 log = logging.getLogger(__name__)
 
@@ -171,10 +171,14 @@ def load_inputs(dataset, dataset_spec, social_path, specs):
     graph (one with no edges is a failure) and, if both loads passed, compute
     each centrality of the ibp specs, at WARNING if it did not converge. One
     that a spec raises to a negative eta also warns, counting the dataset's
-    users of influence 0, absent users included. Returns ``(graph, {measure:
-    InfluenceVector}, failures)``, with ``(prefix, exception)`` per failed
-    load, the dataset's first; the graph is None if the dataset failed.
-    Only the two loads can fail: a social graph with an edge has two users,
+    users of influence 0, absent users included. A wpp or ibp spec whose
+    weights could overflow float64 then fails: a row sums at most the largest
+    item degree's count of weights, each at most a user's largest, so the
+    bound may reject an exponent whose rows would stay finite. Returns
+    ``(graph, {measure: InfluenceVector}, failures)``, with ``(prefix,
+    exception)`` per failure: the dataset's load, the social graph's, then
+    each overflowing spec, unprefixed; the graph is None if the dataset
+    failed. No centrality fails: a social graph with an edge has two users,
     and each spec has checked its centrality."""
     measures = dict.fromkeys(s.centrality for s in specs if s.kind == "ibp")
     graph, social_graph, influence, failures = None, None, {}, []
@@ -197,16 +201,33 @@ def load_inputs(dataset, dataset_spec, social_path, specs):
     if failures:
         return graph, influence, failures
     log.info("loaded %r", graph)
+    # the least and the largest of what a weighted kind raises to its exponent:
+    # a wpp user's degree, at least 1 in a window, or an ibp user's nonzero influence
+    extremes = {}
+    if any(s.kind == "wpp" for s in specs):
+        extremes["wpp"] = [1.0, graph.user_degree_vector(graph.t_last).max()]
     for measure in measures:
         infl = influence[measure] = social.compute_influence(social_graph, measure)
         log.log(logging.INFO if infl.converged else logging.WARNING,
                 "%s influence: %d sweeps, relative residual %.3e, converged %s",
                 measure, infl.iterations_used, infl.residual, infl.converged)
-        if any(s.eta < 0 for s in specs if s.centrality == measure):
-            zero = np.count_nonzero(infl.lookup(graph.user_ids) == 0.0)  # absent users too
-            if zero:
-                log.warning("ibp(%s): %d of %d users are zero-influence and contribute 0 "
-                            "under eta < 0", measure, zero, graph.num_users)
+        aligned = infl.lookup(graph.user_ids)  # absent users' influence is 0
+        nonzero = aligned[aligned != 0.0]
+        extremes[measure] = [nonzero.min(), nonzero.max()] if len(nonzero) else []
+        zero = graph.num_users - len(nonzero)
+        if zero and any(s.eta < 0 for s in specs if s.centrality == measure):
+            log.warning("ibp(%s): %d of %d users are zero-influence and contribute 0 "
+                        "under eta < 0", measure, zero, graph.num_users)
+    if extremes:
+        most = graph.item_degree_vector(graph.t_last).max()
+        for spec in (s for s in specs if s.kind in ("wpp", "ibp")):
+            wpp = spec.kind == "wpp"
+            with np.errstate(over="ignore"):
+                bound = most * np.power(extremes["wpp" if wpp else spec.centrality],
+                                        spec.gamma if wpp else spec.eta).max(initial=0.0)
+            if not np.isfinite(bound):
+                name = f"gamma={spec.gamma}" if wpp else f"{spec.centrality}, eta={spec.eta}"
+                failures.append(("", ValueError(f"{spec.kind}({name}): weights overflow float64")))
     return graph, influence, failures
 
 
@@ -333,7 +354,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
     write_reports_csv(sweep_reports, os.path.join(cfg.out_dir, "sweep.csv"))
     _write_heatmap([reports[0] for reports in grid[::len(cfg.n_values)]], graph.num_items,
                    os.path.join(cfg.out_dir, "heatmap.csv"))
-    _write_scatter(graph, sweep_reports[0], influence, os.path.join(cfg.out_dir, "scatter.csv"))
+    _write_scatter(graph, sweep_reports[0], weights, os.path.join(cfg.out_dir, "scatter.csv"))
     log.info("wrote sweep.csv, heatmap.csv, scatter.csv to %s", cfg.out_dir)
 
     if json_summary:
@@ -392,12 +413,14 @@ def _write_heatmap(reports: list[EvaluationReport], num_items: int, path) -> Non
         for r in reports))
 
 
-def _write_scatter(graph, report: EvaluationReport, influence, path) -> None:
+def _write_scatter(graph, report: EvaluationReport, weights, path) -> None:
     """Past vs future increase for every active item at one test date, with
-    the first grid predictor's top-n picks flagged."""
+    the first grid predictor's top-n picks flagged: its row, scored with the
+    run's ``weights``, cut at n as :func:`trendcast.evaluation.evaluate` cuts it."""
     config, spec = report.config, report.spec
     date = config.test_dates[len(config.test_dates) // 2]
-    picked = set(score(graph, spec, date, influence=influence.get(spec.centrality)).top(config.n))
+    seen, (row,) = score_rows(graph, [spec], date, config.t_past, weights)
+    picked = set(graph.item_ids[graph.rank_items(row, seen)[:config.n]].tolist())
     past = graph.item_increase_vector(date, config.t_past)
     future = graph.item_increase_vector(date + config.t_future, config.t_future)
     rows = ([item, int(past[pos]), int(future[pos]), int(item in picked)]

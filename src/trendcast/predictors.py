@@ -39,9 +39,11 @@ class PredictorSpec:
 
     ``lam`` applies to ``pbp`` (must lie in [0, 1]), ``gamma`` to ``wpp``,
     ``eta`` and ``centrality`` to ``ibp``; ``gamma`` and ``eta`` must be finite.
-    ``t_past`` is the past-window length in seconds and is required by every
-    kind except ``total_pop``. A parameter that its kind does not read is a
-    ``ValueError``.
+    ``t_past`` is the past-window length in seconds, which :func:`score`
+    requires of every kind except ``total_pop``; ``evaluate`` scores over its
+    window's and leaves it unset. A parameter that its kind does not read, or
+    a missing or bad one, is a ``ValueError`` naming the key that specs and
+    configs spell it with (``lambda`` for ``lam``).
     """
 
     kind: str
@@ -57,27 +59,27 @@ class PredictorSpec:
         for name in ("lam", "gamma", "eta", "centrality", "t_past"):
             if getattr(self, name) is not None and name not in _READS[self.kind]:
                 readers = ", ".join(kind for kind, reads in _READS.items() if name in reads)
-                raise ValueError(f"{name} is only meaningful for {readers}")
+                key = "lambda" if name == "lam" else name  # as specs and configs spell it
+                raise ValueError(f"{key} is only meaningful for {readers}")
         for name in ("gamma", "eta"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.kind == "pbp":
-            if self.lam is None or not 0.0 <= self.lam <= 1.0:
-                raise ValueError(f"pbp needs lam in [0, 1], got {self.lam}")
+            if self.lam is None:
+                raise ValueError("pbp needs lambda")
+            if not 0.0 <= self.lam <= 1.0:
+                raise ValueError(f"pbp needs lambda in [0, 1], got {self.lam}")
         if self.kind == "wpp" and self.gamma is None:
             raise ValueError("wpp needs gamma")
         if self.kind == "ibp":
             if self.eta is None:
                 raise ValueError("ibp needs eta")
             if self.centrality not in MEASURES:
-                raise ValueError(
-                    f"ibp needs a centrality from {tuple(MEASURES)}, got {self.centrality}")
+                got = "" if self.centrality is None else f", got {self.centrality}"
+                raise ValueError(f"ibp needs a centrality from {tuple(MEASURES)}{got}")
         if self.t_past is not None and self.t_past <= 0:
             raise ValueError(f"t_past must be positive, got {self.t_past}")
-
-    def with_t_past(self, t_past: int) -> "PredictorSpec":
-        return PredictorSpec(self.kind, self.lam, self.gamma, self.eta, t_past, self.centrality)
 
 
 @dataclass
@@ -125,8 +127,8 @@ def score_rows(graph: TemporalBipartiteGraph, specs, test_date, t_past, weights:
     Returns ``(seen, rows)``: the compact indices of the items collected by
     the test date, and one float64 row per spec aligned with ``item_ids``
     (a total_pop row is the shared degree vector, read-only). The arrays
-    the specs share are computed once. Windowed kinds read
-    ``t_past``, which must equal their ``spec.t_past``; ibp reads its
+    the specs share are computed once. Windowed kinds read the window
+    ``t_past``; a spec's own ``t_past`` is not read. ibp reads its
     per-user weights from ``weights``, as :func:`ibp_weights` returns them.
     A wpp user's weight is their total degree at the test date, at least 1
     for anyone collecting in the window, so 0**gamma never arises.

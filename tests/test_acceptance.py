@@ -8,6 +8,7 @@ suite stays within its time budget.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -115,7 +116,7 @@ def test_2_oracle_equivalence(rng):
         specs = [PredictorSpec("recent_pop"), PredictorSpec("total_pop")]
         reports = evaluate(g, specs, [EvalConfig(t_past, t_future, [t], n)])[0]
         for spec, rep in zip(specs, reports):
-            scored = spec if spec.kind == "total_pop" else spec.with_t_past(t_past)
+            scored = spec if spec.kind == "total_pop" else replace(spec, t_past=t_past)
             predicted = score(g, scored, t).top(n)
             got = rep.per_date[0]
             assert got.precision == oracles.precision(predicted, oracle_truth, n)

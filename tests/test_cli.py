@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -231,8 +232,14 @@ class TestRankVerb:
         ("pbp,lambda=0.5,gamma=3,t_past=100", "gamma is only meaningful for wpp"),
         ("pbp,lambda=0.1,lambda=1,t_past=3000", "lambda is given twice in predictor spec"),
         ("recent_pop,t_past=10,t_past=10", "t_past is given twice in predictor spec"),
+        ("recent_pop,lambda=0.5,t_past=10", "lambda is only meaningful for pbp"),
+        ("pbp,t_past=10", "pbp needs lambda"),
+        ("pbp,lambda=1.5,t_past=10", "pbp needs lambda in [0, 1], got 1.5"),
+        ("ibp,eta=1,t_past=10",
+         "ibp needs a centrality from ('in_degree', 'pagerank', 'leaderrank')"),
     ], ids=["lambda-not-number", "gamma-nan", "eta-inf", "empty", "key-without-value",
-            "total_pop-t_past", "pbp-gamma", "lambda-twice", "t_past-twice"])
+            "total_pop-t_past", "pbp-gamma", "lambda-twice", "t_past-twice",
+            "recent_pop-lambda", "pbp-no-lambda", "pbp-lambda-range", "ibp-no-centrality"])
     def test_bad_spec_value_is_one_error_line(self, dataset, capsys, caplog, spec, error):
         assert main(["rank", str(dataset), "--spec", spec]) == 1
         assert capsys.readouterr().out == ""
@@ -808,6 +815,36 @@ class TestSetUp:
         expected = {"run": ("", [f"config: cannot load social graph: {problem}"]),
                     "validate": (f"cannot load social graph: {problem}\n", []),
                     "rank": ("", [problem])}[verb]
+        assert (capsys.readouterr().out, errors) == expected
+        assert not (tmp_path / "out").exists()
+
+    OVERFLOWS = {"ibp,eta=-400,t_past=100,centrality=pagerank":
+                 "ibp(pagerank, eta=-400.0): weights overflow float64",
+                 "wpp,gamma=400,t_past=100": "wpp(gamma=400.0): weights overflow float64"}
+
+    @pytest.mark.parametrize("spec", OVERFLOWS, ids=["ibp", "wpp"])
+    def test_overflowing_exponent_fails_rank(self, tmp_path, capsys, caplog, spec):
+        degenerate_window_config(tmp_path)
+        argv = ["rank", str(tmp_path / "votes.csv"), "--social", str(tmp_path / "edges.txt"),
+                "--spec", spec]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow warning
+            assert main(argv) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert (capsys.readouterr().out, errors) == ("", [self.OVERFLOWS[spec]])
+
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    def test_overflowing_exponent_fails_the_sweep(self, tmp_path, capsys, caplog, verb):
+        cfg = degenerate_window_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("eta = 1\n",
+                                               "eta = -400\npredictor = wpp\ngamma = 400\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([verb, str(cfg)]) == 1
+        problems = list(self.OVERFLOWS.values())  # the ibp spec's first, in config order
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        expected = {"run": ("", [f"config: {p}" for p in problems]),
+                    "validate": ("".join(f"{p}\n" for p in problems), [])}[verb]
         assert (capsys.readouterr().out, errors) == expected
         assert not (tmp_path / "out").exists()
 

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ def oracle_checked(events, spec, config):
     g = build(events)
     deduped = dedup_earliest(events)
     report = evaluate(g, [spec], [config])[0][0]
-    scored = spec if spec.kind == "total_pop" else spec.with_t_past(config.t_past)
+    scored = spec if spec.kind == "total_pop" else replace(spec, t_past=config.t_past)
     for t, got in zip(config.test_dates, report.per_date):
         predicted = score(g, scored, t).top(config.n)
         want = oracles.metrics(deduped, predicted, t, config.t_past, config.t_future, config.n)
@@ -318,6 +319,13 @@ class TestEvaluate:
         cfg = EvalConfig(400, 600, [bad], n=8)
         with pytest.raises(ValueError, match=str(bad)):
             evaluate(g, [PredictorSpec("recent_pop")], [cfg])
+
+    def test_reports_carry_the_specs_as_given(self, rng):
+        g = self.graph(rng)
+        specs = [PredictorSpec("recent_pop"), PredictorSpec("pbp", lam=0.5, t_past=400)]
+        reports = evaluate(g, specs, [EvalConfig(400, 600, [2500], n=8)])[0]
+        assert all(report.spec is spec for report, spec in zip(reports, specs))
+        assert reports[0].spec.t_past is None
 
     def test_t_past_mismatch_rejected(self, rng):
         g = self.graph(rng)

@@ -8,6 +8,8 @@ and the predicted top-n is fixed by the (decreasing score, ascending id)
 rule alone, which is what this test pins.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -91,4 +93,6 @@ def test_evaluate_many_matches_oracles(raw, t_past, t_future, ns, date_picks, in
                 assert got.new_entry_count == len(new)
                 assert got.correct_new_entries == len(set(predicted) & new), report.spec
                 # the one-shot path ranks exactly as the sweep does
-                assert score(graph, report.spec, t, influence=influence).top(n) == predicted
+                spec = report.spec
+                scored = spec if spec.kind == "total_pop" else replace(spec, t_past=t_past)
+                assert score(graph, scored, t, influence=influence).top(n) == predicted

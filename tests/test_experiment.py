@@ -452,12 +452,26 @@ class TestSeveralDepths:
                                 or fn(*args, **kwargs))
 
         counted(evaluation, "score_rows")  # the sweep's scoring, not the scatter's
-        counted(predictors, "ibp_weights")  # the run's and the scatter's score's
+        counted(predictors, "ibp_weights")  # once per run, the scatter included
         cfg = parse_experiment_config(
             write_config(tmp_path, acceptance_7 + f"out = {tmp_path / 'out'}\n"))
         assert run_sweep(cfg) == 0
         # 2 t_past values x 3 test dates, whatever the number of n
-        assert calls == {"score_rows": 6, "ibp_weights": 2}
+        assert calls == {"score_rows": 6, "ibp_weights": 1}
+
+    def test_run_never_calls_the_one_shot_score(self, tmp_path, acceptance_7, monkeypatch):
+        calls, score = [], predictors.score
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(predictors, "score", spy)
+        monkeypatch.setattr(experiment, "score", spy, raising=False)  # a name imported from it
+        cfg = parse_experiment_config(
+            write_config(tmp_path, acceptance_7 + f"out = {tmp_path / 'out'}\n"))
+        assert run_sweep(cfg) == 0
+        assert calls == []
 
     @pytest.mark.parametrize("depths", [(50, 10), (500, 10, 30)])
     def test_heatmap_is_recent_pop_at_the_first_n(self, tmp_path, dataset, depths):

@@ -35,7 +35,7 @@ class TestPredictorSpec:
 
     @pytest.mark.parametrize("kind, params, error", [
         ("total_pop", {"t_past": 10}, "t_past is only meaningful for recent_pop, pbp, wpp, ibp"),
-        ("recent_pop", {"lam": 0.5}, "lam is only meaningful for pbp"),
+        ("recent_pop", {"lam": 0.5}, "lambda is only meaningful for pbp"),
         ("pbp", {"lam": 0.5, "gamma": 3.0}, "gamma is only meaningful for wpp"),
         ("wpp", {"gamma": 1.0, "eta": 1.0}, "eta is only meaningful for ibp"),
         ("ibp", {"eta": 1.0, "centrality": "pagerank", "gamma": 0.1},

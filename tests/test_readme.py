@@ -1,5 +1,6 @@
 """The README's "Library use" block runs as written, every
-``trendcast.<module>.<name>`` the README cites exists, and every
+``trendcast.<module>.<name>`` the README cites exists, every function or
+graph method it cites with its parameters has exactly those, and every
 ``trendcast.social`` constant it cites has the value it states.
 
 A README that names a removed function or an old signature fails here.
@@ -7,6 +8,7 @@ A README that names a removed function or an old signature fails here.
 
 import ast
 import importlib
+import inspect
 import re
 import types
 from pathlib import Path
@@ -15,6 +17,7 @@ import numpy as np
 
 import trendcast
 from trendcast import social
+from trendcast.events import TemporalBipartiteGraph
 from trendcast.ingestion import write_votes_csv
 from trendcast.social import write_edge_list
 
@@ -75,6 +78,42 @@ def test_cited_names_resolve():
                 break
             value = getattr(value, name)
     assert missing == []
+
+
+def cited_function(dotted):
+    """The trendcast function or graph method that ``dotted`` names, else None:
+    ``graph.<method>``, ``[trendcast.]<module>.<name>`` or a package export."""
+    names = dotted.removeprefix("trendcast.").split(".")
+    if names[0] == "graph":
+        value, names = TemporalBipartiteGraph, names[1:]
+    else:
+        try:
+            value, names = importlib.import_module(f"trendcast.{names[0]}"), names[1:]
+        except ImportError:
+            value = trendcast
+    for name in names:
+        value = getattr(value, name, None)
+    return value if inspect.isfunction(value) else None
+
+
+def test_cited_signatures_match_the_code():
+    # "`evaluate(graph, specs, configs, weights=None)`": the parameter names and
+    # defaults, without self; a citation with empty parentheses names only
+    text = re.sub(r"```.*?```", " ", README.read_text(encoding="utf-8"), flags=re.S)
+    cited = re.findall(r"`(\w[\w.]*)\(([^`()]+)\)`", " ".join(text.split()))
+    checked, drifted = 0, []
+    for dotted, params in cited:
+        function = cited_function(dotted)
+        if function is None:
+            continue
+        written = [(name.strip(), default.strip() if sep else None)
+                   for name, sep, default in (p.partition("=") for p in params.split(","))]
+        actual = [(p.name, None if p.default is p.empty else repr(p.default))
+                  for p in inspect.signature(function).parameters.values() if p.name != "self"]
+        checked += 1
+        if written != actual:
+            drifted.append(f"{dotted}({params}) is {dotted}{inspect.signature(function)}")
+    assert checked and drifted == []
 
 
 def test_cited_centrality_constants_state_their_values():

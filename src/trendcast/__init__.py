@@ -7,7 +7,7 @@ from .evaluation import (
     evaluate,
     make_test_dates,
 )
-from .predictors import PredictorSpec, ScoredRanking, ibp_weights, score
+from .predictors import PredictorSpec, ScoredRanking, score, weight_tables
 from .social import (
     InfluenceVector,
     SocialGraph,

@@ -149,16 +149,19 @@ def _cmd_rank(args) -> int:
     if spec.kind == "ibp" and not args.social:
         raise ValueError(f"--spec ibp weighs users by {spec.centrality} on a social graph: "
                          "pass its edge list with --social")
+    if spec.kind != "total_pop" and spec.t_past is None:
+        raise ValueError(f"{spec.kind} needs t_past")
     dataset_spec = ingestion.DatasetSpec(format=args.format, threshold=args.threshold)
-    graph, influence, failures = load_inputs(args.dataset, dataset_spec, args.social, [spec])
+    graph, tables, failures = load_inputs(args.dataset, dataset_spec, args.social, [spec])
     if failures:
         raise failures[0][1]
     test_date = args.t_star if args.t_star is not None else graph.t_last
     if test_date < graph.t_first:
         raise ValueError(f"--t-star {test_date} is before the first event at {graph.t_first}: "
                          "no item is seen yet")
-    ranking = predictors.score(graph, spec, test_date, influence=influence.get(spec.centrality))
-    for item, value in ranking.entries[: args.n]:
+    seen, (row,) = predictors.score_rows(graph, [spec], test_date, spec.t_past, tables)
+    top = graph.rank_items(row, seen)[: args.n]
+    for item, value in zip(graph.item_ids[top].tolist(), row[top].tolist()):
         sys.stdout.write(f"{item}\t{value}\n")
     return 0
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .events import TemporalBipartiteGraph
-from .predictors import PredictorSpec, score_rows
+from .predictors import PredictorSpec, score_rows, table_key
 
 
 @dataclass
@@ -126,8 +126,8 @@ def evaluate(
     per spec, in order. Per date, one :func:`trendcast.predictors.score_rows`
     pass scores the past increase (recent_pop's row) and every spec, and
     ``graph.rank_items`` ranks the truth, the past increase and each row
-    once; each n cuts those rankings at n. ``weights`` holds every ibp
-    spec's user weights, as :func:`trendcast.predictors.ibp_weights` returns
+    once; each n cuts those rankings at n. ``weights`` holds every wpp and
+    ibp spec's table, as :func:`trendcast.predictors.weight_tables` builds
     them once for a whole sweep. The reports carry the specs as given. A
     spec's ``t_past`` may be left unset, since every spec is scored over the
     window's; one that is set must agree with it (E_n is defined against the
@@ -143,8 +143,8 @@ def evaluate(
         if spec.t_past is not None and spec.t_past != window.t_past:
             raise ValueError(f"predictor t_past={spec.t_past} disagrees with eval "
                              f"t_past={window.t_past}")
-        if spec.kind == "ibp" and (spec.centrality, spec.eta) not in (weights or {}):
-            raise ValueError(f"no weights for ibp({spec.centrality}, eta={spec.eta})")
+        if spec.kind in ("wpp", "ibp") and table_key(spec) not in (weights or {}):
+            raise ValueError(f"no weights for {table_key(spec)}")
     past_increase = PredictorSpec("recent_pop", t_past=window.t_past)
     for date in window.test_dates:
         if date + window.t_future > graph.t_last:

@@ -169,19 +169,18 @@ def load_inputs(dataset, dataset_spec, social_path, specs):
     """The set-up every verb shares and the one place that logs it: load and
     build the dataset; if an ibp spec of ``specs`` reads it, load the social
     graph (one with no edges is a failure) and, if both loads passed, compute
-    each centrality of the ibp specs, at WARNING if it did not converge. One
-    that a spec raises to a negative eta also warns, counting the dataset's
-    users of influence 0, absent users included. A wpp or ibp spec whose
-    weights could overflow float64 then fails: a row sums at most the largest
-    item degree's count of weights, each at most a user's largest, so the
-    bound may reject an exponent whose rows would stay finite. Returns
-    ``(graph, {measure: InfluenceVector}, failures)``, with ``(prefix,
-    exception)`` per failure: the dataset's load, the social graph's, then
-    each overflowing spec, unprefixed; the graph is None if the dataset
-    failed. No centrality fails: a social graph with an edge has two users,
-    and each spec has checked its centrality."""
+    each centrality of the ibp specs, at WARNING if it did not converge, and
+    align it with the dataset's users once. One that a spec raises to a
+    negative eta also warns, counting the dataset's users of influence 0,
+    absent users included. Then it builds the weight tables, and a spec whose
+    weights could overflow float64 fails: a row sums at most the largest item
+    degree's count of its table's entries. Returns ``(graph, tables,
+    failures)``, with ``(prefix, exception)`` per failure: the dataset's load,
+    the social graph's, then each overflowing spec, unprefixed; the graph is
+    None if the dataset failed. No centrality fails: a social graph with an
+    edge has two users, and each spec has checked its centrality."""
     measures = dict.fromkeys(s.centrality for s in specs if s.kind == "ibp")
-    graph, social_graph, influence, failures = None, None, {}, []
+    graph, social_graph, failures = None, None, []
     try:
         graph = build(ingestion.load_dataset(dataset, dataset_spec))
         if graph.duplicates_collapsed:
@@ -199,36 +198,26 @@ def load_inputs(dataset, dataset_spec, social_path, specs):
         except (ValueError, OSError) as exc:
             failures.append(("cannot load social graph: ", exc))
     if failures:
-        return graph, influence, failures
+        return graph, {}, failures
     log.info("loaded %r", graph)
-    # the least and the largest of what a weighted kind raises to its exponent:
-    # a wpp user's degree, at least 1 in a window, or an ibp user's nonzero influence
-    extremes = {}
-    if any(s.kind == "wpp" for s in specs):
-        extremes["wpp"] = [1.0, graph.user_degree_vector(graph.t_last).max()]
+    influence = {}
     for measure in measures:
-        infl = influence[measure] = social.compute_influence(social_graph, measure)
+        infl = social.compute_influence(social_graph, measure)
         log.log(logging.INFO if infl.converged else logging.WARNING,
                 "%s influence: %d sweeps, relative residual %.3e, converged %s",
                 measure, infl.iterations_used, infl.residual, infl.converged)
-        aligned = infl.lookup(graph.user_ids)  # absent users' influence is 0
-        nonzero = aligned[aligned != 0.0]
-        extremes[measure] = [nonzero.min(), nonzero.max()] if len(nonzero) else []
-        zero = graph.num_users - len(nonzero)
+        influence[measure] = infl.lookup(graph.user_ids)  # absent users' influence is 0
+        zero = np.count_nonzero(influence[measure] == 0.0)
         if zero and any(s.eta < 0 for s in specs if s.centrality == measure):
             log.warning("ibp(%s): %d of %d users are zero-influence and contribute 0 "
                         "under eta < 0", measure, zero, graph.num_users)
-    if extremes:
-        most = graph.item_degree_vector(graph.t_last).max()
-        for spec in (s for s in specs if s.kind in ("wpp", "ibp")):
-            wpp = spec.kind == "wpp"
-            with np.errstate(over="ignore"):
-                bound = most * np.power(extremes["wpp" if wpp else spec.centrality],
-                                        spec.gamma if wpp else spec.eta).max(initial=0.0)
-            if not np.isfinite(bound):
-                name = f"gamma={spec.gamma}" if wpp else f"{spec.centrality}, eta={spec.eta}"
-                failures.append(("", ValueError(f"{spec.kind}({name}): weights overflow float64")))
-    return graph, influence, failures
+    with np.errstate(over="ignore"):  # an overflow is the failure below, not a numpy warning
+        tables = predictors.weight_tables(graph, influence, specs)
+        if tables:
+            most = graph.item_degree_vector(graph.t_last).max()
+            failures += [("", ValueError(f"{name}: weights overflow float64"))
+                         for name, table in tables.items() if not np.isfinite(most * table.max())]
+    return graph, tables, failures
 
 
 def _check(cfg: ExperimentConfig):
@@ -236,8 +225,8 @@ def _check(cfg: ExperimentConfig):
     :func:`load_inputs` and the test dates, with one warning per window naming
     its degenerate dates, where no item gains links in the future window.
     Returns the problems and, to read only when there are none, the specs, the
-    graph, the ``{measure: InfluenceVector}`` map and each window's ``(t_past,
-    t_future, test dates)``, t_past outermost."""
+    graph, the weight tables and each window's ``(t_past, t_future, test
+    dates)``, t_past outermost."""
     problems = [f"unknown config key {key!r}" for key in dict.fromkeys(cfg.unknown_keys)]
     for key, (name, _) in SWEEP_KEYS.items():
         values = getattr(cfg, name)  # a repeatable key's values, compared as parsed
@@ -302,7 +291,7 @@ def _check(cfg: ExperimentConfig):
         return problems, [], None, {}, []
 
     specs = predictor_specs(cfg)
-    graph, influence, failures = load_inputs(cfg.dataset, spec, cfg.social, specs)
+    graph, tables, failures = load_inputs(cfg.dataset, spec, cfg.social, specs)
     problems = [prefix + str(exc) for prefix, exc in failures]
     windows = []
     if graph is not None:
@@ -324,7 +313,7 @@ def _check(cfg: ExperimentConfig):
                         log.warning("degenerate true ranking at %d of %d test dates (%s): no "
                                     "item gained links", len(degenerate), len(dates),
                                     ", ".join(degenerate))
-    return problems, specs, graph, influence, windows
+    return problems, specs, graph, tables, windows
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: bool = False) -> int:
@@ -337,13 +326,12 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None, json_summary: b
     once the outputs are written. Nothing else is caught: an exception from
     the grid or the writes propagates.
     """
-    problems, specs, graph, influence, windows = _check(cfg)
+    problems, specs, graph, weights, windows = _check(cfg)
     if problems:
         for p in problems:
             log.error("config: %s", p)
         return 1
 
-    weights = predictors.ibp_weights(graph, influence.values(), specs)
     grid = []  # one report per spec for each (t_past, t_future, n), in that nesting
     for t_past, t_future, dates in windows:
         grid += evaluate(graph, specs, [EvalConfig(t_past, t_future, dates, n)

@@ -92,33 +92,36 @@ class ScoredRanking:
         return [item for item, _ in self.entries[:n]]
 
 
-def ibp_weights(graph: TemporalBipartiteGraph, vectors, specs) -> dict:
-    """Map each ibp spec's ``(centrality, eta)`` to its users' influence
-    raised to eta, one float64 per user of ``graph.user_ids``. ``vectors``
-    holds one :class:`InfluenceVector` per measure, ``None`` skipped; two of
-    one measure, or none for an ibp spec's centrality, is a ``ValueError``.
-    Zero influence, absent users' included, weighs 0 under a negative eta,
-    not inf; 0**0 == 1, so eta = 0 reduces ibp to the plain degree increase."""
-    aligned = {}
-    for vector in vectors:
-        if vector is None:
-            continue
-        if vector.measure in aligned:
-            raise ValueError(f"two influence vectors of {vector.measure!r}")
-        aligned[vector.measure] = vector.lookup(graph.user_ids)
-    missing = sorted({s.centrality for s in specs if s.kind == "ibp"} - aligned.keys())
+def table_key(spec: PredictorSpec) -> str:
+    """A wpp or ibp spec's name, ``wpp(gamma=0.5)`` or ``ibp(pagerank, eta=1.0)``:
+    the key of its table in :func:`weight_tables`, and its name in errors."""
+    return (f"wpp(gamma={spec.gamma})" if spec.kind == "wpp"
+            else f"ibp({spec.centrality}, eta={spec.eta})")
+
+
+def weight_tables(graph: TemporalBipartiteGraph, influence: dict, specs) -> dict:
+    """Map each wpp and ibp spec's :func:`table_key` to its users' weights. A
+    wpp table holds ``d**gamma`` at index d - 1 for d = 1..D, the largest user
+    degree at the last event; a user collecting in a window has degree 1 or
+    more. An ibp table holds every user's influence raised to eta, with
+    ``influence[centrality]`` aligned with ``graph.user_ids`` (a missing one
+    is a ``ValueError``). Zero influence weighs 0 under a negative eta, not
+    inf; 0**0 == 1, so eta = 0 reduces ibp to the plain degree increase."""
+    missing = sorted({s.centrality for s in specs if s.kind == "ibp"} - influence.keys())
     if missing:
-        raise ValueError(f"influence vectors given for {sorted(aligned)}, but ibp needs "
+        raise ValueError(f"influence given for {sorted(influence)}, but ibp needs "
                          f"{missing}: compute them on a social graph")
-    weights = {}
+    if any(s.kind == "wpp" for s in specs):
+        degrees = np.arange(1.0, graph.user_degree_vector(graph.t_last).max() + 1)
+    tables = {}
     for spec in specs:
-        if spec.kind != "ibp" or (spec.centrality, spec.eta) in weights:
-            continue
-        influence = aligned[spec.centrality]
-        weights[spec.centrality, spec.eta] = np.power(
-            influence, spec.eta, out=np.zeros(len(influence)),
-            where=(influence != 0.0) | (spec.eta >= 0))
-    return weights
+        if spec.kind == "wpp":
+            tables[table_key(spec)] = degrees**spec.gamma
+        elif spec.kind == "ibp":
+            values = influence[spec.centrality]
+            tables[table_key(spec)] = np.power(values, spec.eta, out=np.zeros(len(values)),
+                                               where=(values != 0.0) | (spec.eta >= 0))
+    return tables
 
 
 def score_rows(graph: TemporalBipartiteGraph, specs, test_date, t_past, weights: dict):
@@ -128,10 +131,10 @@ def score_rows(graph: TemporalBipartiteGraph, specs, test_date, t_past, weights:
     the test date, and one float64 row per spec aligned with ``item_ids``
     (a total_pop row is the shared degree vector, read-only). The arrays
     the specs share are computed once. Windowed kinds read the window
-    ``t_past``; a spec's own ``t_past`` is not read. ibp reads its
-    per-user weights from ``weights``, as :func:`ibp_weights` returns them.
-    A wpp user's weight is their total degree at the test date, at least 1
-    for anyone collecting in the window, so 0**gamma never arises.
+    ``t_past``; a spec's own ``t_past`` is not read. wpp and ibp gather each
+    window event's weight from their table in ``weights``, as
+    :func:`weight_tables` builds them: ibp at the event's user, wpp at that
+    user's degree on the test date.
     """
     kinds = {spec.kind for spec in specs}
     now = graph.item_degree_vector(test_date).astype(np.float64)
@@ -140,8 +143,8 @@ def score_rows(graph: TemporalBipartiteGraph, specs, test_date, t_past, weights:
     if kinds - {"total_pop"}:  # the degrees at the window start are now less its events
         users, items = graph.window_events(test_date, t_past)
         past = now - np.bincount(items, minlength=graph.num_items)
-    if "wpp" in kinds:
-        degree = graph.user_degree_vector(test_date).astype(np.float64)[users]
+    if "wpp" in kinds:  # a window user's degree d is at index d - 1 of a wpp table
+        degree_slot = graph.user_degree_vector(test_date)[users] - 1
 
     rows = []
     for spec in specs:
@@ -151,10 +154,7 @@ def score_rows(graph: TemporalBipartiteGraph, specs, test_date, t_past, weights:
         if spec.kind in ("recent_pop", "pbp"):
             rows.append(now - (1.0 if spec.kind == "recent_pop" else spec.lam) * past)
             continue
-        if spec.kind == "wpp":
-            contrib = degree**spec.gamma
-        else:
-            contrib = weights[spec.centrality, spec.eta][users]
+        contrib = weights[table_key(spec)][degree_slot if spec.kind == "wpp" else users]
         # an empty window's bincount is int64, weights or not
         rows.append(np.bincount(items, contrib, graph.num_items).astype(np.float64, copy=False))
     return seen, rows
@@ -172,7 +172,7 @@ def score(
     Every kind except ``total_pop`` needs ``spec.t_past``. ibp takes the
     precomputed ``influence`` vector if given (pass one when sweeping eta:
     the centrality is the expensive part), else computes ``spec.centrality``
-    on ``social_graph``; :func:`ibp_weights` rejects a vector of another
+    on ``social_graph``; :func:`weight_tables` rejects a vector of another
     measure. Nothing is logged. The ``social_graph`` parameter stays only
     because the benchmark in ``bench/`` passes it.
     """
@@ -180,7 +180,8 @@ def score(
         raise ValueError(f"{spec.kind} needs t_past")
     if spec.kind == "ibp" and influence is None and social_graph is not None:
         influence = compute_influence(social_graph, spec.centrality)
+    aligned = {} if influence is None else {influence.measure: influence.lookup(graph.user_ids)}
     seen, (scores,) = score_rows(graph, [spec], test_date, spec.t_past,
-                                 ibp_weights(graph, [influence], [spec]))
+                                 weight_tables(graph, aligned, [spec]))
     order = graph.rank_items(scores, seen)
     return ScoredRanking(list(zip(graph.item_ids[order].tolist(), scores[order].tolist())))

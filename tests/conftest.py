@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from trendcast.events import build
 from trendcast.ingestion import RATINGS_HEADER, write_csv
+from trendcast.predictors import weight_tables
 
 
 class Event(NamedTuple):
@@ -38,6 +39,12 @@ def entry(ids, vector, key):
     pos = int(np.searchsorted(ids, key))
     assert pos < len(ids) and ids[pos] == key, f"unknown id {key}"
     return int(vector[pos])
+
+
+def tables(graph, vectors, specs):
+    """The weight tables of ``specs``, with each ``InfluenceVector`` of
+    ``vectors`` aligned with the graph's users, as the set-up aligns them."""
+    return weight_tables(graph, {v.measure: v.lookup(graph.user_ids) for v in vectors}, specs)
 
 
 def random_events(rng, num_users=40, num_items=15, num_events=300, t_max=1000):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -300,6 +301,18 @@ class TestRankVerb:
             "--spec ibp weighs users by pagerank on a social graph: "
             "pass its edge list with --social"]
         assert not any(r.name == "trendcast.ingestion" for r in caplog.records)
+
+    @pytest.mark.parametrize("spec", ["wpp,gamma=0.5", "recent_pop", "pbp,lambda=0.9",
+                                      "ibp,eta=1,centrality=pagerank"])
+    def test_windowed_spec_without_t_past_fails_before_loading(self, dataset, tmp_path, caplog,
+                                                               capsys, monkeypatch, spec):
+        opened = []
+        monkeypatch.setattr(ingestion, "load_dataset", lambda *args: opened.append(args))
+        argv = ["rank", str(dataset), "--spec", spec, "--social", str(tmp_path / "edges.txt")]
+        with caplog.at_level(logging.DEBUG, logger="trendcast"):
+            assert main(argv) == 1
+        assert capsys.readouterr().out == "" and opened == []
+        assert [r.getMessage() for r in caplog.records] == [f"{spec.split(',')[0]} needs t_past"]
 
     @pytest.mark.parametrize("edges", ["1 2\n3 x\n", None], ids=["bad-edge-line", "no-file"])
     def test_social_is_read_only_for_ibp(self, dataset, tmp_path, capsys, caplog, edges):
@@ -818,35 +831,55 @@ class TestSetUp:
         assert (capsys.readouterr().out, errors) == expected
         assert not (tmp_path / "out").exists()
 
+    # on these inputs the bound overflows between the last two decimals of each
+    # near-limit pair: eta -99.00524936413251 and gamma 239.91511526021878 pass
     OVERFLOWS = {"ibp,eta=-400,t_past=100,centrality=pagerank":
                  "ibp(pagerank, eta=-400.0): weights overflow float64",
-                 "wpp,gamma=400,t_past=100": "wpp(gamma=400.0): weights overflow float64"}
+                 "wpp,gamma=400,t_past=100": "wpp(gamma=400.0): weights overflow float64",
+                 "ibp,eta=-99.0052494,t_past=100,centrality=pagerank":
+                 "ibp(pagerank, eta=-99.0052494): weights overflow float64",
+                 "wpp,gamma=239.9151153,t_past=100":
+                 "wpp(gamma=239.9151153): weights overflow float64"}
+    NEAR_LIMIT = ["ibp,eta=-99.0052493,t_past=100,centrality=pagerank",
+                  "wpp,gamma=239.9151152,t_past=100"]
 
-    @pytest.mark.parametrize("spec", OVERFLOWS, ids=["ibp", "wpp"])
+    @pytest.mark.parametrize("spec", [*OVERFLOWS, *NEAR_LIMIT],
+                             ids=["ibp", "wpp", "ibp-past-limit", "wpp-past-limit",
+                                  "ibp-near-limit", "wpp-near-limit"])
     def test_overflowing_exponent_fails_rank(self, tmp_path, capsys, caplog, spec):
         degenerate_window_config(tmp_path)
         argv = ["rank", str(tmp_path / "votes.csv"), "--social", str(tmp_path / "edges.txt"),
                 "--spec", spec]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow warning
-            assert main(argv) == 1
+            assert main(argv) == (1 if spec in self.OVERFLOWS else 0)
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        assert (capsys.readouterr().out, errors) == ("", [self.OVERFLOWS[spec]])
+        if spec in self.OVERFLOWS:
+            assert (capsys.readouterr().out, errors) == ("", [self.OVERFLOWS[spec]])
+        else:
+            scores = [float(line.split("\t")[1]) for line in capsys.readouterr().out.splitlines()]
+            assert errors == [] and scores and all(map(math.isfinite, scores))
 
     @pytest.mark.parametrize("verb", ["run", "validate"])
-    def test_overflowing_exponent_fails_the_sweep(self, tmp_path, capsys, caplog, verb):
+    @pytest.mark.parametrize("eta, gamma, fails", [
+        ("-400", "400", [0, 1]), ("-99.0052494", "239.9151153", [2, 3]),
+        ("-99.0052493", "239.9151152", []), ("-99.0052494", "239.9151152", [2]),
+    ], ids=["far", "past-limit", "near-limit", "ibp-past-limit"])
+    def test_overflowing_exponent_fails_the_sweep(self, tmp_path, capsys, caplog, verb, eta,
+                                                  gamma, fails):
         cfg = degenerate_window_config(tmp_path)
-        cfg.write_text(cfg.read_text().replace("eta = 1\n",
-                                               "eta = -400\npredictor = wpp\ngamma = 400\n"))
+        cfg.write_text(cfg.read_text().replace(
+            "eta = 1\n", f"eta = {eta}\neta = 1\npredictor = wpp\ngamma = {gamma}\n"))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main([verb, str(cfg)]) == 1
-        problems = list(self.OVERFLOWS.values())  # the ibp spec's first, in config order
+            assert main([verb, str(cfg)]) == (1 if fails else 0)
+        # the ibp spec's first, in config order
+        problems = [list(self.OVERFLOWS.values())[k] for k in fails]
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         expected = {"run": ("", [f"config: {p}" for p in problems]),
                     "validate": ("".join(f"{p}\n" for p in problems), [])}[verb]
         assert (capsys.readouterr().out, errors) == expected
-        assert not (tmp_path / "out").exists()
+        assert (tmp_path / "out").exists() == (verb == "run" and not fails)
 
     @pytest.mark.parametrize("verb", ["validate", "rank"])
     def test_both_inputs_bad_report_the_dataset_first(self, inputs, capsys, caplog, verb):

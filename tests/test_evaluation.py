@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import Event, dedup_earliest, random_events
+from conftest import Event, dedup_earliest, random_events, tables
 from trendcast import evaluation
 from trendcast.cli import main
 from trendcast.events import build
@@ -20,7 +20,7 @@ from trendcast.experiment import (
     write_reports_csv,
 )
 from trendcast.ingestion import write_votes_csv
-from trendcast.predictors import PredictorSpec, ibp_weights, score, score_rows
+from trendcast.predictors import PredictorSpec, score, score_rows, weight_tables
 from trendcast.social import SocialGraph, compute_influence
 
 
@@ -337,7 +337,7 @@ class TestEvaluate:
         g = self.graph(rng)
         cfg = EvalConfig(700, 700, make_test_dates(g, 5, 700, 700), n=12)
         for spec in (PredictorSpec("total_pop"), PredictorSpec("wpp", gamma=0.5)):
-            report = evaluate(g, [spec], [cfg])[0][0]
+            report = evaluate(g, [spec], [cfg], weight_tables(g, {}, [spec]))[0][0]
             for d in report.per_date:
                 assert 0.0 <= d.precision <= 1.0
                 assert 0 <= d.new_entry_count <= 12
@@ -348,21 +348,14 @@ class TestEvaluate:
     def test_ibp_needs_social_or_influence(self, rng):
         g = self.graph(rng)
         with pytest.raises(ValueError, match="social"):
-            ibp_weights(g, [], [PredictorSpec("ibp", eta=1.0, centrality="in_degree")])
+            weight_tables(g, {}, [PredictorSpec("ibp", eta=1.0, centrality="in_degree")])
 
     def test_influence_of_another_measure_rejected(self, rng):
         g = self.graph(rng)
         in_degree = compute_influence(SocialGraph([(1, 2), (3, 2)], users=range(80)), "in_degree")
         spec = PredictorSpec("ibp", eta=1.0, centrality="pagerank")
         with pytest.raises(ValueError, match="'in_degree'.*'pagerank'"):
-            ibp_weights(g, [in_degree], [spec])
-
-    def test_two_vectors_of_one_measure_rejected(self, rng):
-        g = self.graph(rng)
-        in_degree = compute_influence(SocialGraph([(1, 2), (3, 2)], users=range(80)), "in_degree")
-        spec = PredictorSpec("ibp", eta=1.0, centrality="in_degree")
-        with pytest.raises(ValueError, match="two influence vectors of 'in_degree'"):
-            ibp_weights(g, [in_degree, in_degree], [spec])
+            tables(g, [in_degree], [spec])
 
     def test_missing_centrality_named(self, rng):
         g = self.graph(rng)
@@ -370,18 +363,25 @@ class TestEvaluate:
         specs = [PredictorSpec("ibp", eta=1.0, centrality=m) for m in ("in_degree", "pagerank")]
         with pytest.raises(ValueError, match=r"given for \['in_degree'\], but ibp needs "
                                              r"\['pagerank'\]: compute them on a social graph"):
-            ibp_weights(g, [in_degree], specs)
+            tables(g, [in_degree], specs)
 
     def test_ibp_spec_without_its_weights_rejected(self, rng):
         g = self.graph(rng)
         cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=5)
         in_degree = compute_influence(SocialGraph([(1, 2), (3, 2)], users=range(80)), "in_degree")
-        weights = ibp_weights(g, [in_degree], [PredictorSpec("ibp", eta=1.0,
-                                                             centrality="in_degree")])
+        weights = tables(g, [in_degree], [PredictorSpec("ibp", eta=1.0, centrality="in_degree")])
         spec = PredictorSpec("ibp", eta=0.5, centrality="in_degree")
         for given in (None, weights):
             with pytest.raises(ValueError, match=r"no weights for ibp\(in_degree, eta=0.5\)"):
                 evaluate(g, [spec], [cfg], given)
+
+    def test_wpp_spec_without_its_table_rejected(self, rng):
+        g = self.graph(rng)
+        cfg = EvalConfig(500, 500, make_test_dates(g, 2, 500, 500), n=5)
+        weights = weight_tables(g, {}, [PredictorSpec("wpp", gamma=1.0)])
+        for given in (None, weights):
+            with pytest.raises(ValueError, match=r"no weights for wpp\(gamma=0.5\)"):
+                evaluate(g, [PredictorSpec("wpp", gamma=0.5)], [cfg], given)
 
     def test_configs_of_two_windows_rejected(self, rng):
         g = self.graph(rng)
@@ -430,12 +430,13 @@ class TestOneScoringPassPerDate:
         influence = {m: compute_influence(social, m) for m in ("in_degree", "pagerank")}
         # the same dates under both window lengths
         dates = make_test_dates(g, 4, 700, 500)
-        weights = ibp_weights(g, influence.values(), self.SPECS)
+        weights = tables(g, influence.values(), self.SPECS)
         for t_past in (300, 700):
             cfg = EvalConfig(t_past, 500, dates, n=10)
             (many,) = evaluate(g, self.SPECS, [cfg], weights)
             one = [evaluate(g, [spec], [cfg],
-                            ibp_weights(g, [influence.get(spec.centrality)], [spec]))[0][0]
+                            tables(g, [influence[spec.centrality]] if spec.kind == "ibp"
+                                   else [], [spec]))[0][0]
                    for spec in self.SPECS]
             assert many == one
 
@@ -448,7 +449,7 @@ class TestOneScoringPassPerDate:
         # users 60-79 are not in the social graph: influence 0 under eta < 0
         social = SocialGraph(rng.integers(0, 60, size=(150, 2)))
         vectors = [compute_influence(social, m) for m in ("in_degree", "pagerank")]
-        weights = ibp_weights(g, vectors, self.SPECS)
+        weights = tables(g, vectors, self.SPECS)
         seen, rows = score_rows(g, self.SPECS, date, t_past, weights)
         for spec, row in zip(self.SPECS, rows):
             alone_seen, (alone,) = score_rows(g, [spec], date, t_past, weights)

@@ -15,10 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import Event, dedup_earliest
+from conftest import Event, dedup_earliest, tables
 from trendcast.evaluation import EvalConfig, evaluate
 from trendcast.events import build
-from trendcast.predictors import PredictorSpec, ibp_weights, score
+from trendcast.predictors import PredictorSpec, score
 from trendcast.social import InfluenceVector
 
 SPECS = [
@@ -72,7 +72,7 @@ def test_evaluate_many_matches_oracles(raw, t_past, t_future, ns, date_picks, in
     influence = InfluenceVector("in_degree", np.array(users, dtype=np.int64),
                                 np.array([influence_picks[u] for u in users]))
     configs = [EvalConfig(t_past, t_future, dates, n) for n in ns]
-    weights = ibp_weights(graph, [influence], SPECS)
+    weights = tables(graph, [influence], SPECS)
 
     grid = evaluate(graph, SPECS, configs, weights)
 

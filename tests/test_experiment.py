@@ -376,19 +376,24 @@ class TestLoadInputs:
     which of them get the zero-influence warning."""
 
     def test_each_centrality_once_and_the_warning_under_a_negative_eta(self, tmp_path, dataset,
-                                                                       caplog):
+                                                                       caplog, monkeypatch):
         # users 100-199 of the dataset are absent from the edge list: influence 0 under both
         edges = tmp_path / "edges.txt"
         write_edge_list([(u, (u * 7 + 3) % 40) for u in range(100)], edges)
         specs = [PredictorSpec("ibp", eta=-1.0, centrality="in_degree"),
                  PredictorSpec("ibp", eta=1.0, centrality="pagerank"),
                  PredictorSpec("ibp", eta=0.5, centrality="in_degree")]
+        computed, compute = [], social.compute_influence
+        monkeypatch.setattr(social, "compute_influence",
+                            lambda *args: computed.append(args[1]) or compute(*args))
         with caplog.at_level(logging.WARNING):
-            graph, influence, failures = experiment.load_inputs(
+            graph, tables, failures = experiment.load_inputs(
                 dataset, DatasetSpec("votes"), edges, specs)
-        assert failures == [] and list(influence) == ["in_degree", "pagerank"]
-        assert (influence["pagerank"].lookup(graph.user_ids) == 0.0).any()  # yet not warned
-        zero = (influence["in_degree"].lookup(graph.user_ids) == 0.0).sum()
+        assert failures == [] and computed == ["in_degree", "pagerank"]
+        assert list(tables) == ["ibp(in_degree, eta=-1.0)", "ibp(pagerank, eta=1.0)",
+                                "ibp(in_degree, eta=0.5)"]
+        assert (tables["ibp(pagerank, eta=1.0)"] == 0.0).any()  # yet not warned
+        zero = (tables["ibp(in_degree, eta=0.5)"] == 0.0).sum()
         assert caplog.messages == [f"ibp(in_degree): {zero} of {graph.num_users} users are "
                                    "zero-influence and contribute 0 under eta < 0"]
 
@@ -397,9 +402,10 @@ class TestLoadInputs:
         monkeypatch.setattr(social, "load_social_graph", opened.append)
         specs = [PredictorSpec("total_pop"), PredictorSpec("wpp", gamma=-1.0),
                  PredictorSpec("pbp", lam=0.5)]
-        graph, influence, failures = experiment.load_inputs(
+        graph, tables, failures = experiment.load_inputs(
             dataset, DatasetSpec("votes"), tmp_path / "missing.txt", specs)
-        assert graph is not None and influence == {} and failures == [] and opened == []
+        assert graph is not None and list(tables) == ["wpp(gamma=-1.0)"]
+        assert failures == [] and opened == []
 
     def test_run_expands_the_grid_once(self, tmp_path, dataset, monkeypatch):
         calls = []
@@ -452,12 +458,16 @@ class TestSeveralDepths:
                                 or fn(*args, **kwargs))
 
         counted(evaluation, "score_rows")  # the sweep's scoring, not the scatter's
-        counted(predictors, "ibp_weights")  # once per run, the scatter included
-        cfg = parse_experiment_config(
-            write_config(tmp_path, acceptance_7 + f"out = {tmp_path / 'out'}\n"))
+        counted(predictors, "weight_tables")  # once per run, the scatter included
+        counted(social.InfluenceVector, "lookup")  # once per centrality
+        edges = tmp_path / "edges.txt"
+        write_edge_list(generate_social(300, 900, attach_exponent=1.0, seed=4).tolist(), edges)
+        cfg = parse_experiment_config(write_config(tmp_path, acceptance_7 + (
+            "predictor = ibp\ncentrality = in_degree\ncentrality = pagerank\neta = -0.5\n"
+            f"eta = 1\nsocial = {edges}\nout = {tmp_path / 'out'}\n")))
         assert run_sweep(cfg) == 0
         # 2 t_past values x 3 test dates, whatever the number of n
-        assert calls == {"score_rows": 6, "ibp_weights": 1}
+        assert calls == {"score_rows": 6, "weight_tables": 1, "lookup": 2}
 
     def test_run_never_calls_the_one_shot_score(self, tmp_path, acceptance_7, monkeypatch):
         calls, score = [], predictors.score

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import Event, dedup_earliest, entry, random_events
+from conftest import Event, dedup_earliest, entry, random_events, tables
 from trendcast import social
 from trendcast.events import build
-from trendcast.experiment import DEFAULT_ETA_GRID, load_inputs
+from trendcast.experiment import DEFAULT_ETA_GRID, DEFAULT_GAMMA_GRID, load_inputs
 from trendcast.ingestion import DatasetSpec, write_votes_csv
-from trendcast.predictors import PredictorSpec, ibp_weights, score, score_rows
+from trendcast.predictors import PredictorSpec, score, score_rows, table_key, weight_tables
 from trendcast.social import InfluenceVector, SocialGraph, compute_influence, write_edge_list
 
 
@@ -150,6 +150,32 @@ class TestWpp:
         assert [type(s) for _, s in r.entries] == [float, float]
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), top=st.integers(1, 5000),
+           gamma=st.sampled_from([0.3, 1.7, 2.5, -0.25, -3.7, -1.0, 0.0, 0.5, 1.0, 2.0,
+                                  *DEFAULT_GAMMA_GRID]),
+           t_past=st.integers(1, 2000), date=st.integers(0, 2000))
+    def test_degree_table_equals_the_per_event_powers(self, seed, top, gamma, t_past, date):
+        # -1, 0, 0.5, 1 and 2 take numpy's fast paths for a power, 0.3 is not dyadic;
+        # one user collects `top` items, so the table runs past that degree
+        rng = np.random.default_rng(seed)
+        heavy = np.column_stack([np.full(top, 10**6), np.arange(top), rng.integers(0, 2001, top)])
+        g = build(np.vstack([heavy, random_events(rng, num_users=300, num_items=top,
+                                                  num_events=int(rng.integers(1, 1500)),
+                                                  t_max=2000)]))
+        spec = PredictorSpec("wpp", gamma=gamma, t_past=t_past)
+        weights = weight_tables(g, {}, [spec])
+        table = weights[table_key(spec)]
+        assert len(table) == g.user_degree_vector(g.t_last).max() >= top
+        degrees = rng.integers(1, len(table) + 1, size=int(rng.integers(1, 10**5)))
+        assert np.array_equal(table[degrees - 1], degrees.astype(np.float64) ** gamma)
+        users, items = g.window_events(date, t_past)
+        per_event = g.user_degree_vector(date)[users].astype(np.float64) ** gamma
+        want = np.bincount(items, per_event, g.num_items).astype(np.float64)
+        _, (row,) = score_rows(g, [spec], date, t_past, weights)
+        assert row.tobytes() == want.tobytes()
+
+
 class TestIbp:
     def social(self):
         # follower -> leader; influence by in-degree: user 1 has 2 followers
@@ -255,12 +281,12 @@ class TestIbp:
             vectors.append(InfluenceVector(measure, ids, values))
         specs = [PredictorSpec("ibp", eta=eta, t_past=t_past, centrality=v.measure)
                  for v in vectors for eta in DEFAULT_ETA_GRID]
-        weights = ibp_weights(g, vectors, specs)
+        weights = tables(g, vectors, specs)
         users, items = g.window_events(date, t_past)
         _, rows = score_rows(g, specs, date, t_past, weights)
         every_user = np.arange(g.num_users)
         for spec, row in zip(specs, rows):
-            weight = weights[spec.centrality, spec.eta]
+            weight = weights[table_key(spec)]
             aligned = next(v for v in vectors if v.measure == spec.centrality).lookup(g.user_ids)
             assert np.array_equal(weight, oracles.ibp_event_weights(aligned, every_user, spec.eta))
             per_event = oracles.ibp_event_weights(aligned, users, spec.eta)

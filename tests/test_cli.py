@@ -860,16 +860,9 @@ class TestSetUp:
             scores = [float(line.split("\t")[1]) for line in capsys.readouterr().out.splitlines()]
             assert errors == [] and scores and all(map(math.isfinite, scores))
 
-    @pytest.mark.parametrize("verb", ["run", "validate"])
-    @pytest.mark.parametrize("eta, gamma, fails", [
-        ("-400", "400", [0, 1]), ("-99.0052494", "239.9151153", [2, 3]),
-        ("-99.0052493", "239.9151152", []), ("-99.0052494", "239.9151152", [2]),
-    ], ids=["far", "past-limit", "near-limit", "ibp-past-limit"])
-    def test_overflowing_exponent_fails_the_sweep(self, tmp_path, capsys, caplog, verb, eta,
-                                                  gamma, fails):
+    def run_overflow_sweep(self, tmp_path, capsys, caplog, verb, specs, fails):
         cfg = degenerate_window_config(tmp_path)
-        cfg.write_text(cfg.read_text().replace(
-            "eta = 1\n", f"eta = {eta}\neta = 1\npredictor = wpp\ngamma = {gamma}\n"))
+        cfg.write_text(cfg.read_text().replace("eta = 1\n", specs))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main([verb, str(cfg)]) == (1 if fails else 0)
@@ -880,6 +873,22 @@ class TestSetUp:
                     "validate": ("".join(f"{p}\n" for p in problems), [])}[verb]
         assert (capsys.readouterr().out, errors) == expected
         assert (tmp_path / "out").exists() == (verb == "run" and not fails)
+
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    def test_overflowing_exponent_fails_the_sweep(self, tmp_path, capsys, caplog, verb):
+        self.run_overflow_sweep(tmp_path, capsys, caplog, verb,
+                                "eta = -400\npredictor = wpp\ngamma = 400\n", [0, 1])
+
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    @pytest.mark.parametrize("eta, gamma, fails", [
+        ("-99.0052494", "239.9151153", [2, 3]), ("-99.0052493", "239.9151152", []),
+        ("-99.0052494", "239.9151152", [2]),
+    ], ids=["past-limit", "near-limit", "ibp-past-limit"])
+    def test_sweep_fails_exactly_the_exponents_past_the_limit(self, tmp_path, capsys, caplog,
+                                                               verb, eta, gamma, fails):
+        self.run_overflow_sweep(tmp_path, capsys, caplog, verb,
+                                f"eta = {eta}\neta = 1\npredictor = wpp\ngamma = {gamma}\n",
+                                fails)
 
     @pytest.mark.parametrize("verb", ["validate", "rank"])
     def test_both_inputs_bad_report_the_dataset_first(self, inputs, capsys, caplog, verb):

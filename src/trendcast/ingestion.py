@@ -20,8 +20,11 @@ for recipes. Converters themselves are out of scope here.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import logging
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -37,6 +40,11 @@ RATINGS_HEADER = ["user", "item", "rating", "timestamp"]
 VOTES_HEADER = ["user", "item", "timestamp"]
 
 _INT64 = np.iinfo(np.int64)
+
+# read_table's parse cache, a folder beside each input file; _CACHE_TAG names
+# the entry format and read_table's fixed loadtxt arguments
+CACHE_DIR = "__trendcast_cache__"
+_CACHE_TAG = b"trendcast.read_table 1 encoding=utf-8"
 
 
 @dataclass
@@ -76,13 +84,38 @@ class DatasetSpec:
             raise ValueError(f"seed must be non-negative, got {self.rng_seed}")
 
 
-def read_table(path, rescan, rows: int | None = None, **loadtxt_args) -> np.ndarray:
-    """``np.loadtxt(path, **loadtxt_args)``, expected to give ``rows`` rows if set.
+def read_table(path, rescan, rows: int | None = None, content=None,
+               **loadtxt_args) -> np.ndarray:
+    """``np.loadtxt(path, **loadtxt_args)``, expected to give ``rows`` rows if set,
+    parsed once per file content.
 
     On a parse failure or a row-count mismatch (loadtxt skips blank lines),
     ``rescan(path)`` raises the ``file:line`` error of the first bad line;
     should it find none, loadtxt's own complaint is raised.
+
+    A parsed table is kept as ``<file name>.<key>.npy`` in ``CACHE_DIR`` beside
+    the file, the key a SHA-256 over numpy's version, ``loadtxt_args`` and the
+    file's bytes, and is read back in place of the parse when the key recurs.
+    ``content`` is the SHA-256 digest of the bytes and the :func:`_stamp`
+    taken as that read began, if the caller has read them; else the file is
+    hashed here. An entry that cannot be read or does not match counts as a
+    miss. A table is stored only if the stamp held over the parse, and a
+    store that fails is skipped. A file read without ``content`` that is not
+    a regular file, as a pipe, is parsed without the cache.
     """
+    if content is None and os.path.isfile(path):  # a pipe reads once; loadtxt names a missing file
+        with open(path, "rb") as fh:
+            stamp = _stamp(os.fstat(fh.fileno()))
+            content = hashlib.file_digest(fh, "sha256").digest(), stamp
+    if content is not None:
+        digest, stamp = content
+        key = hashlib.sha256(b"\0".join([_CACHE_TAG, np.__version__.encode(), repr(
+            sorted(loadtxt_args.items())).encode(), digest])).hexdigest()
+        entry = os.path.join(os.path.dirname(path), CACHE_DIR,
+                             f"{os.path.basename(path)}.{key}.npy")
+        table = _cached(entry, np.dtype(loadtxt_args.get("dtype", float)), rows)
+        if table is not None:
+            return table
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
@@ -91,10 +124,57 @@ def read_table(path, rescan, rows: int | None = None, **loadtxt_args) -> np.ndar
             problem = str(exc)
         else:
             if rows is None or len(table) == rows:
+                if content is not None:
+                    _store(path, entry, table, stamp)
                 return table
             problem = f"parsed {len(table)} rows of {rows}"
     rescan(path)
     raise ValueError(f"{path}: {problem}")
+
+
+def _stamp(status: os.stat_result) -> tuple[int, int]:
+    """A file's stamp, ``(size, mtime_ns)``: taken as a read begins, it tells
+    whether the file changed while it was read and parsed."""
+    return status.st_size, status.st_mtime_ns
+
+
+def _cached(entry, dtype: np.dtype, rows: int | None) -> np.ndarray | None:
+    """The table stored at ``entry`` if it reads as an array of ``dtype`` with
+    ``rows`` rows (when set), else None."""
+    try:
+        with open(entry, "rb") as fh:
+            table = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if (isinstance(table, np.ndarray) and table.dtype == dtype
+            and (rows is None or len(table) == rows)):
+        return table
+    return None
+
+
+def _store(path, entry, table: np.ndarray, stamp) -> None:
+    """Write ``table`` to ``entry`` through a temporary file, unless ``path`` no
+    longer has ``stamp``, then remove the file's older entries. A failure is
+    logged at DEBUG; an entry is only ever replaced whole."""
+    folder, name = os.path.split(entry)
+    older = re.compile(re.escape(os.path.basename(path)) + r"\.[0-9a-f]{64}\.npy")
+    temp = f"{entry}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(folder, exist_ok=True)
+        try:
+            with open(temp, "xb") as fh:  # not mkstemp's mode 0600: the umask decides
+                np.save(fh, table, allow_pickle=False)
+            if _stamp(os.stat(path)) != stamp:  # changed during the parse
+                return
+            os.replace(temp, entry)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        for other in os.listdir(folder):
+            if other != name and older.fullmatch(other):
+                os.remove(os.path.join(folder, other))
+    except OSError as exc:
+        log.debug("%s: parse not cached: %s", path, exc)
 
 
 def parse_field(field: str, dtype=np.int64):
@@ -172,6 +252,7 @@ def _read_csv(path, header) -> np.ndarray:
     """Parse a CSV with ``header`` into a structured array, one field per column,
     and check every row's rating and timestamp with :func:`_check_rows`."""
     with open(path, "rb") as fh:
+        stamp = _stamp(os.fstat(fh.fileno()))
         data = fh.read()
     if not data:
         raise ValueError(f"{path}: missing header row")
@@ -192,10 +273,11 @@ def _read_csv(path, header) -> np.ndarray:
         raise ValueError(
             f"{path}: expected header {','.join(header)!r}, got {','.join(found)!r}"
         )
+    content = hashlib.sha256(data).digest(), stamp
     del data
     dtype = [(name, np.float64 if name == "rating" else np.int64) for name in header]
     table = read_table(
-        path, lambda p: _rescan_csv(p, dtype), rows, dtype=dtype, delimiter=",",
+        path, lambda p: _rescan_csv(p, dtype), rows, content, dtype=dtype, delimiter=",",
         quotechar='"', comments=None, skiprows=1, ndmin=1,
     )
     _check_rows(path, table, 2)

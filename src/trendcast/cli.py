@@ -159,8 +159,7 @@ def _cmd_rank(args) -> int:
     if test_date < graph.t_first:
         raise ValueError(f"--t-star {test_date} is before the first event at {graph.t_first}: "
                          "no item is seen yet")
-    seen, (row,) = predictors.score_rows(graph, [spec], test_date, spec.t_past,
-                                         predictors.spec_tables([spec], tables))
+    seen, (row,) = predictors.score_rows(graph, [spec], test_date, spec.t_past, tables)
     top = graph.rank_items(row, seen)[: args.n]
     for item, value in zip(graph.item_ids[top].tolist(), row[top].tolist()):
         sys.stdout.write(f"{item}\t{value}\n")

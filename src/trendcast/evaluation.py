@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .events import TemporalBipartiteGraph
-from .predictors import PredictorSpec, score_rows, spec_tables
+from .predictors import PredictorSpec, score_rows, table_key
 
 
 @dataclass
@@ -128,14 +128,13 @@ def evaluate(
     ``graph.rank_items`` ranks the truth, the past increase and each row
     once; each n cuts those rankings at n. ``weights`` holds every wpp and
     ibp spec's table, as :func:`trendcast.predictors.weight_tables` builds
-    them once for a whole sweep, and each spec's is looked up once per call.
-    The reports carry the specs as given. A spec's ``t_past`` may be left
-    unset, since every spec is scored over the window's; one that is set must
-    agree with it (E_n is defined against the same past window the predictor
-    sees). Every test date's future window is checked before any date is
-    scored. Nothing is logged: at a date where no item gains links in that
-    window, every item ties at 0, so the true top-n is the n lowest ids and
-    P_n counts padding.
+    them once for a whole sweep. The reports carry the specs as given. A
+    spec's ``t_past`` may be left unset, since every spec is scored over the
+    window's; one that is set must agree with it (E_n is defined against the
+    same past window the predictor sees). Every test
+    date's future window is checked before any date is scored. Nothing is
+    logged: at a date where no item gains links in that window, every item
+    ties at 0, so the true top-n is the n lowest ids and P_n counts padding.
     """
     if len({(c.t_past, c.t_future, tuple(c.test_dates)) for c in configs}) != 1:
         raise ValueError("the configs must share one window: t_past, t_future and test dates")
@@ -144,7 +143,8 @@ def evaluate(
         if spec.t_past is not None and spec.t_past != window.t_past:
             raise ValueError(f"predictor t_past={spec.t_past} disagrees with eval "
                              f"t_past={window.t_past}")
-    tables = [None, *spec_tables(specs, weights or {})]  # the past increase reads none
+        if spec.kind in ("wpp", "ibp") and table_key(spec) not in (weights or {}):
+            raise ValueError(f"no weights for {table_key(spec)}")
     past_increase = PredictorSpec("recent_pop", t_past=window.t_past)
     for date in window.test_dates:
         if date + window.t_future > graph.t_last:
@@ -156,7 +156,7 @@ def evaluate(
         future = graph.item_increase_vector(date + window.t_future, window.t_future)
         truth = graph.rank_items(future, np.arange(graph.num_items))
         seen, (past, *rows) = score_rows(graph, [past_increase, *specs], date, window.t_past,
-                                         tables)
+                                         weights)
         past_top = graph.rank_items(past, seen)
         rankings = [graph.rank_items(row, seen) for row in rows]
         for config, config_reports in zip(configs, reports):

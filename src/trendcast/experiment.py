@@ -48,7 +48,7 @@ import numpy as np
 from . import ingestion, predictors, social
 from .events import build
 from .evaluation import EvalConfig, EvaluationReport, evaluate, make_test_dates
-from .predictors import PredictorSpec, score_rows, spec_tables
+from .predictors import PredictorSpec, score_rows
 
 log = logging.getLogger(__name__)
 
@@ -407,7 +407,7 @@ def _write_scatter(graph, report: EvaluationReport, weights, path) -> None:
     run's ``weights``, cut at n as :func:`trendcast.evaluation.evaluate` cuts it."""
     config, spec = report.config, report.spec
     date = config.test_dates[len(config.test_dates) // 2]
-    seen, (row,) = score_rows(graph, [spec], date, config.t_past, spec_tables([spec], weights))
+    seen, (row,) = score_rows(graph, [spec], date, config.t_past, weights)
     picked = set(graph.item_ids[graph.rank_items(row, seen)[:config.n]].tolist())
     past = graph.item_increase_vector(date, config.t_past)
     future = graph.item_increase_vector(date + config.t_future, config.t_future)

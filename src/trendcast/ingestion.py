@@ -26,6 +26,7 @@ import hashlib
 import logging
 import os
 import re
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -99,14 +100,17 @@ def read_table(path, rescan, rows: int | None = None, content=None,
     ``content`` is the SHA-256 digest of the bytes and the :func:`_stamp`
     taken as that read began, if the caller has read them; else the file is
     hashed here. An entry that cannot be read or does not match counts as a
-    miss. A table is stored only if the stamp held over the parse, and a
+    miss, and so does every entry when ``CACHE_DIR`` is a link or another
+    user's. A table is stored only if the stamp held over the parse, and a
     store that fails is skipped. A file read without ``content`` that is not
     a regular file, as a pipe, is parsed without the cache.
     """
     if content is None and os.path.isfile(path):  # a pipe reads once; loadtxt names a missing file
         with open(path, "rb") as fh:
-            stamp = _stamp(os.fstat(fh.fileno()))
-            content = hashlib.file_digest(fh, "sha256").digest(), stamp
+            stamp, sha = _stamp(os.fstat(fh.fileno())), hashlib.sha256()
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                sha.update(block)
+        content = sha.digest(), stamp
     if content is not None:
         digest, stamp = content
         key = hashlib.sha256(b"\0".join([_CACHE_TAG, np.__version__.encode(), repr(
@@ -138,9 +142,22 @@ def _stamp(status: os.stat_result) -> tuple[int, int]:
     return status.st_size, status.st_mtime_ns
 
 
+def _own_folder(folder) -> bool:
+    """Whether ``folder`` is a directory, not a link, owned by this user: only
+    there does read_table read or write entries, so that no one else's file
+    stands in for a parse."""
+    try:
+        status = os.lstat(folder)
+    except OSError:
+        return False
+    return stat.S_ISDIR(status.st_mode) and status.st_uid == os.geteuid()
+
+
 def _cached(entry, dtype: np.dtype, rows: int | None) -> np.ndarray | None:
     """The table stored at ``entry`` if it reads as an array of ``dtype`` with
-    ``rows`` rows (when set), else None."""
+    ``rows`` rows (when set) in a folder of this user's, else None."""
+    if not _own_folder(os.path.dirname(entry)):
+        return None
     try:
         with open(entry, "rb") as fh:
             table = np.load(fh, allow_pickle=False)
@@ -161,6 +178,8 @@ def _store(path, entry, table: np.ndarray, stamp) -> None:
     temp = f"{entry}.{os.getpid()}.tmp"
     try:
         os.makedirs(folder, exist_ok=True)
+        if not _own_folder(folder):
+            raise OSError(f"{folder} is not a folder of this user's")
         try:
             with open(temp, "xb") as fh:  # not mkstemp's mode 0600: the umask decides
                 np.save(fh, table, allow_pickle=False)

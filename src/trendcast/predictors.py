@@ -124,33 +124,17 @@ def weight_tables(graph: TemporalBipartiteGraph, influence: dict, specs) -> dict
     return tables
 
 
-def spec_tables(specs, weights: dict) -> list:
-    """Each spec's table in ``weights``, which :func:`weight_tables` builds, or
-    None for a kind that reads none: the ``tables`` of :func:`score_rows`. A
-    wpp or ibp spec without its table is a ``ValueError``."""
-    tables = []
-    for spec in specs:
-        if spec.kind not in ("wpp", "ibp"):
-            tables.append(None)
-            continue
-        key = table_key(spec)
-        if key not in weights:
-            raise ValueError(f"no weights for {key}")
-        tables.append(weights[key])
-    return tables
-
-
-def score_rows(graph: TemporalBipartiteGraph, specs, test_date, t_past, tables):
+def score_rows(graph: TemporalBipartiteGraph, specs, test_date, t_past, weights: dict):
     """Score every item at ``test_date`` under each spec, in one pass.
 
     Returns ``(seen, rows)``: the compact indices of the items collected by
     the test date, and one float64 row per spec aligned with ``item_ids``
     (a total_pop row is the shared degree vector, read-only). The arrays
     the specs share are computed once. Windowed kinds read the window
-    ``t_past``; a spec's own ``t_past`` is not read. ``tables`` holds each
-    spec's weight table, as :func:`spec_tables` looks them up once for any
-    number of dates: wpp and ibp gather each window event's weight from it,
-    ibp at the event's user, wpp at that user's degree on the test date.
+    ``t_past``; a spec's own ``t_past`` is not read. wpp and ibp gather each
+    window event's weight from their table in ``weights``, as
+    :func:`weight_tables` builds them: ibp at the event's user, wpp at that
+    user's degree on the test date.
     """
     kinds = {spec.kind for spec in specs}
     now = graph.item_degree_vector(test_date).astype(np.float64)
@@ -163,14 +147,14 @@ def score_rows(graph: TemporalBipartiteGraph, specs, test_date, t_past, tables):
         degree_slot = graph.user_degree_vector(test_date)[users] - 1
 
     rows = []
-    for spec, table in zip(specs, tables):
+    for spec in specs:
         if spec.kind == "total_pop":
             rows.append(now)
             continue
         if spec.kind in ("recent_pop", "pbp"):
             rows.append(now - (1.0 if spec.kind == "recent_pop" else spec.lam) * past)
             continue
-        contrib = table[degree_slot if spec.kind == "wpp" else users]
+        contrib = weights[table_key(spec)][degree_slot if spec.kind == "wpp" else users]
         # an empty window's bincount is int64, weights or not
         rows.append(np.bincount(items, contrib, graph.num_items).astype(np.float64, copy=False))
     return seen, rows
@@ -197,7 +181,7 @@ def score(
     if spec.kind == "ibp" and influence is None and social_graph is not None:
         influence = compute_influence(social_graph, spec.centrality)
     aligned = {} if influence is None else {influence.measure: influence.lookup(graph.user_ids)}
-    tables = spec_tables([spec], weight_tables(graph, aligned, [spec]))
-    seen, (scores,) = score_rows(graph, [spec], test_date, spec.t_past, tables)
+    seen, (scores,) = score_rows(graph, [spec], test_date, spec.t_past,
+                                 weight_tables(graph, aligned, [spec]))
     order = graph.rank_items(scores, seen)
     return ScoredRanking(list(zip(graph.item_ids[order].tolist(), scores[order].tolist())))

@@ -195,6 +195,37 @@ def test_a_blocked_cache_directory_changes_nothing(tmp_path, caplog, kind):
     assert (tmp_path / "blocked" / CACHE_DIR).read_text() == "a file, not a folder\n"
 
 
+def test_another_users_cache_folder_is_neither_read_nor_written(tmp_path, monkeypatch,
+                                                                 loadtxt_calls):
+    path = tmp_path / "votes.csv"
+    write_votes(path)
+    want = load_votes(path)
+    stored = entries(tmp_path)
+    uid = os.geteuid()
+    monkeypatch.setattr(os, "geteuid", lambda: uid + 1)  # the folder is now someone else's
+    assert load_votes(path).tobytes() == want.tobytes()
+    write_votes(path, seed=1)
+    load_votes(path)  # a store would replace the entry
+    assert len(loadtxt_calls) == 3 and entries(tmp_path) == stored
+
+
+def test_a_linked_cache_folder_is_neither_read_nor_written(tmp_path, loadtxt_calls):
+    # the link could lead another user's entries in, or this user's stores
+    # and removals out
+    path = tmp_path / "votes.csv"
+    write_votes(path)
+    want = load_votes(path)
+    elsewhere = tmp_path / "elsewhere"
+    (tmp_path / CACHE_DIR).rename(elsewhere)
+    (tmp_path / CACHE_DIR).symlink_to(elsewhere, target_is_directory=True)
+    stored = sorted(os.listdir(elsewhere))
+    assert load_votes(path).tobytes() == want.tobytes()
+    write_votes(path, seed=1)
+    load_votes(path)
+    assert len(loadtxt_calls) == 3 and sorted(os.listdir(elsewhere)) == stored
+    assert (tmp_path / CACHE_DIR).is_symlink()
+
+
 def test_a_pipe_is_parsed_without_the_cache(tmp_path, loadtxt_calls):
     # hashing a pipe would consume what np.loadtxt reads
     read, write = os.pipe()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import Event, dedup_earliest, random_events, tables
-from trendcast import evaluation, predictors
+from trendcast import evaluation
 from trendcast.cli import main
 from trendcast.events import build
 from trendcast.evaluation import EvalConfig, evaluate, make_test_dates
@@ -20,7 +20,7 @@ from trendcast.experiment import (
     write_reports_csv,
 )
 from trendcast.ingestion import write_votes_csv
-from trendcast.predictors import PredictorSpec, score, score_rows, spec_tables, weight_tables
+from trendcast.predictors import PredictorSpec, score, score_rows, weight_tables
 from trendcast.social import SocialGraph, compute_influence
 
 
@@ -440,18 +440,6 @@ class TestOneScoringPassPerDate:
                    for spec in self.SPECS]
             assert many == one
 
-    def test_each_table_is_looked_up_once_per_call(self, rng, monkeypatch):
-        g = build(random_events(rng, num_users=80, num_items=40, num_events=2000, t_max=5000))
-        social = SocialGraph(rng.integers(0, 60, size=(150, 2)))
-        weights = tables(g, [compute_influence(social, m) for m in ("in_degree", "pagerank")],
-                         self.SPECS)
-        keys, table_key = [], predictors.table_key
-        monkeypatch.setattr(predictors, "table_key",
-                            lambda spec: keys.append(spec) or table_key(spec))
-        dates = make_test_dates(g, 5, 700, 500)
-        evaluate(g, self.SPECS, [EvalConfig(700, 500, dates, n) for n in (5, 10)], weights)
-        assert keys == [spec for spec in self.SPECS if spec.kind in ("wpp", "ibp")]
-
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), t_past=st.integers(1, 3000),
            date=st.integers(0, 5000))
@@ -462,9 +450,9 @@ class TestOneScoringPassPerDate:
         social = SocialGraph(rng.integers(0, 60, size=(150, 2)))
         vectors = [compute_influence(social, m) for m in ("in_degree", "pagerank")]
         weights = tables(g, vectors, self.SPECS)
-        seen, rows = score_rows(g, self.SPECS, date, t_past, spec_tables(self.SPECS, weights))
+        seen, rows = score_rows(g, self.SPECS, date, t_past, weights)
         for spec, row in zip(self.SPECS, rows):
-            alone_seen, (alone,) = score_rows(g, [spec], date, t_past, spec_tables([spec], weights))
+            alone_seen, (alone,) = score_rows(g, [spec], date, t_past, weights)
             assert np.array_equal(seen, alone_seen)
             assert row.dtype == alone.dtype == np.float64
             assert row.tobytes() == alone.tobytes(), spec
@@ -473,7 +461,7 @@ class TestOneScoringPassPerDate:
         # the total_pop row is the degree vector every other row is built from
         _, (row, increase) = score_rows(small_graph, [PredictorSpec("total_pop"),
                                                       PredictorSpec("recent_pop", t_past=5)],
-                                        10, 5, [None, None])
+                                        10, 5, {})
         with pytest.raises(ValueError, match="read-only"):
             row[0] = 1.0
         assert increase.flags.writeable

@@ -12,8 +12,7 @@ from trendcast import social
 from trendcast.events import build
 from trendcast.experiment import DEFAULT_ETA_GRID, DEFAULT_GAMMA_GRID, load_inputs
 from trendcast.ingestion import DatasetSpec, write_votes_csv
-from trendcast.predictors import (PredictorSpec, score, score_rows, spec_tables, table_key,
-                                  weight_tables)
+from trendcast.predictors import PredictorSpec, score, score_rows, table_key, weight_tables
 from trendcast.social import InfluenceVector, SocialGraph, compute_influence, write_edge_list
 
 
@@ -173,7 +172,7 @@ class TestWpp:
         users, items = g.window_events(date, t_past)
         per_event = g.user_degree_vector(date)[users].astype(np.float64) ** gamma
         want = np.bincount(items, per_event, g.num_items).astype(np.float64)
-        _, (row,) = score_rows(g, [spec], date, t_past, [table])
+        _, (row,) = score_rows(g, [spec], date, t_past, weights)
         assert row.tobytes() == want.tobytes()
 
 
@@ -284,7 +283,7 @@ class TestIbp:
                  for v in vectors for eta in DEFAULT_ETA_GRID]
         weights = tables(g, vectors, specs)
         users, items = g.window_events(date, t_past)
-        _, rows = score_rows(g, specs, date, t_past, spec_tables(specs, weights))
+        _, rows = score_rows(g, specs, date, t_past, weights)
         every_user = np.arange(g.num_users)
         for spec, row in zip(specs, rows):
             weight = weights[table_key(spec)]
